@@ -72,6 +72,9 @@ def run_batch(
             except json.JSONDecodeError as exc:
                 errors.append({"line": lineno, "error": f"invalid JSON: {exc.msg}"})
                 continue
+            except RecursionError:
+                errors.append({"line": lineno, "error": "invalid JSON: nesting too deep"})
+                continue
             final = bool(data.pop("final", False)) if isinstance(data, dict) else False
             try:
                 request = parse_request(data)

@@ -109,4 +109,6 @@ def handle_request_line(line: str, config: EngineConfig | None = None) -> dict[s
         data = json.loads(line)
     except json.JSONDecodeError as exc:
         return error_to_dict(None, "parse-error", f"{exc.msg} at position {exc.pos}")
+    except RecursionError:
+        return error_to_dict(None, "parse-error", "nesting too deep")
     return handle_request_object(data, config)

@@ -4,7 +4,17 @@ The matcher solves an exact rectangular minimum-cost assignment over a
 box-driven cost (1 - IoU), optionally adding a flat label-mismatch penalty.
 Among equal-cost optima, ties are broken canonically: scanning predictions in
 emission order, each takes the lowest-indexed ground truth consistent with
-some minimum-total-cost completion.
+some minimum-total-cost completion, and is left unassigned only when no such
+completion assigns it.
+
+One ``linear_sum_assignment`` call per cost matrix finds an optimal matching.
+Shortest paths over that matching give dual potentials, and the edges whose
+reduced cost is at most ``_COST_TIE_ATOL`` form the tight subgraph, whose
+perfect matchings are exactly the optimal assignments. Walking predictions in
+order, each is rotated along an alternating path of tight edges to the
+lowest-indexed ground truth it can reach, which yields the lexicographically
+first optimum with graph searches only. The IoU matrix is built by
+broadcasting, bit for bit equal to ``geometry.iou`` on every pair.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from .parsing import normalize_label
 
 LABEL_MISMATCH_PENALTY = 1.0
 
-# absolute slack when testing whether a pair belongs to some optimal
-# assignment; well above float summation noise (~1e-15 for these sizes) and
-# far below any meaningful cost difference
+# largest reduced cost (cost minus both dual potentials) of a pair counted as
+# tight, i.e. as part of some optimal assignment; well above float rounding
+# noise (~1e-15 for these sizes) and far below any meaningful cost difference
 _COST_TIE_ATOL = 1e-9
 
 
@@ -87,55 +97,156 @@ def assignment_cost(
     return cost
 
 
-def _lsa_total(cost: np.ndarray) -> float:
-    if cost.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def _reduced_costs(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``c_ij - u_i - v_j`` on the zero-padded square of ``cost``, under dual
+    potentials of its optimal perfect matching ``i -> cols[i]``.
+
+    The column potentials are shortest paths (Jacobi Bellman-Ford) over
+    ``v_j <= v_cols[i] + c_ij - c_i,cols[i]``, and ``u_i = c_i,cols[i] -
+    v_cols[i]``. An optimal matching has no negative cycle, so a fixed point
+    arrives within ``n`` rounds.
+    """
+    n = len(cols)
+    m, g = cost.shape
+    slack = np.zeros((n, n))
+    slack[:m, :g] = cost
+    slack -= slack[np.arange(n), cols][:, None]
+    v = np.zeros(n)
+    reduced = slack.copy()  # slack + v_cols[i], kept in step with v
+    for _ in range(n):
+        relaxed = reduced.min(axis=0)
+        if not (relaxed < v).any():
+            break
+        v = np.minimum(v, relaxed)
+        np.add(slack, v[cols][:, None], out=reduced)
+    reduced -= v
+    return reduced
+
+
+def _rotation_path(
+    start: int,
+    goal: int,
+    tight: list[list[int]],
+    owner: list[int],
+    fixed: list[bool],
+    dead: set[int],
+) -> tuple[int, dict[int, tuple[int, int]]] | None:
+    """Breadth-first alternating path from row ``start`` to column ``goal``.
+
+    A row moves along a tight edge to an unfixed column, whose owner must then
+    move on. Returns the row that takes ``goal`` and each visited row's
+    ``(previous row, column it moves to)``; ``None`` when no path exists, in
+    which case every visited row joins ``dead``.
+    """
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        following = []
+        for row in frontier:
+            for col in tight[row]:
+                if col == goal:
+                    return row, parent
+                if fixed[col]:
+                    continue
+                nxt = owner[col]
+                if nxt not in seen and nxt not in dead:
+                    seen.add(nxt)
+                    parent[nxt] = (row, col)
+                    following.append(nxt)
+        frontier = following
+    dead.update(seen)
+    return None
 
 
 def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-cost maximal assignment, canonical among cost ties.
 
-    Exactly ``min(m, g)`` pairs are produced. Each candidate choice is kept
-    only if the remaining subproblem can still complete to the optimal total,
-    so the result is always exactly optimal; the tolerance only absorbs float
-    summation order.
+    Exactly ``min(m, g)`` pairs are produced: scanning predictions (rows) in
+    order, each takes the lowest ground truth (column) it holds in some
+    optimal assignment that keeps the earlier choices, or none when every
+    such optimum leaves it out. One solve gives an optimal matching, completed
+    to a perfect matching of the zero-padded ``n x n`` matrix (``n = max(m,
+    g)``); its dual potentials give the tight subgraph (reduced cost at most
+    ``_COST_TIE_ATOL``), whose perfect matchings are the optimal assignments;
+    each row then rotates the matching along an alternating path in that
+    subgraph to its lowest reachable column. Dummy columns (index >= g) sort
+    after every real one, so being assigned is preferred over being left out.
     """
     m, g = cost.shape
-    need = min(m, g)
-    if need == 0:
+    if min(m, g) == 0:
         return []
-    pairs: list[tuple[int, int]] = []
-    remaining = list(range(g))
+    n = max(m, g)
+    # the rectangular solve is several times faster than the padded one and
+    # has the same optimum; rows it leaves out take the spare columns
+    rows, real_cols = linear_sum_assignment(cost)
+    cols = np.full(n, -1)
+    cols[rows] = real_cols
+    spare = np.ones(n, dtype=bool)
+    spare[real_cols] = False
+    cols[cols < 0] = np.flatnonzero(spare)
+    reduced = _reduced_costs(cost, cols)
+    if reduced.min() < -_COST_TIE_ATOL:
+        # numeric safety net (unreachable in practice): infeasible duals mean
+        # the solver's matching is not provably optimal; accept it as is
+        return [(int(i), int(j)) for i, j in zip(rows, real_cols)]
+    tight_rows, tight_cols = np.nonzero(reduced <= _COST_TIE_ATOL)
+    assigned = cols.tolist()
+    if len(tight_cols) > n:
+        # ties exist: walk the rows, rotating to the lowest reachable column
+        ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
+        flat = tight_cols.tolist()
+        tight = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        _lexicographic_rotation(tight, assigned, m)
+    return [(i, j) for i, j in enumerate(assigned[:m]) if j < g]
+
+
+def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int) -> None:
+    """Turn the perfect matching ``assigned`` (row -> column) of the graph
+    ``tight`` (row -> ascending columns) into its lexicographically first
+    perfect matching over rows ``0..m-1``, in place."""
+    n = len(assigned)
+    owner = [0] * n
+    for row, col in enumerate(assigned):
+        owner[col] = row
+    fixed = [False] * n
     for i in range(m):
-        if need == 0:
-            break
-        target = _lsa_total(cost[np.ix_(range(i, m), remaining)])
-        chosen = None
-        for j in remaining:
-            if need > 1:
-                rest = [c for c in remaining if c != j]
-                completion = _lsa_total(cost[np.ix_(range(i + 1, m), rest)])
-            else:
-                completion = 0.0
-            if abs(cost[i, j] + completion - target) <= _COST_TIE_ATOL:
-                chosen = j
+        goal = assigned[i]
+        dead: set[int] = set()
+        for j in tight[i]:
+            if j == goal:
                 break
-        if chosen is None:
-            if m - i - 1 >= need:
-                # every optimum leaves prediction i out
+            if fixed[j]:
                 continue
-            # numeric safety net (unreachable in practice): accept the plain
-            # solver's pairing for the remaining block
-            sub = cost[np.ix_(range(i, m), remaining)]
-            rows, cols = linear_sum_assignment(sub)
-            pairs.extend((i + int(r), remaining[int(c)]) for r, c in zip(rows, cols))
-            return pairs
-        pairs.append((i, chosen))
-        remaining.remove(chosen)
-        need -= 1
-    return pairs
+            start = owner[j]
+            found = _rotation_path(start, goal, tight, owner, fixed, dead)
+            if found is not None:
+                row, parent = found
+                col = goal
+                while True:
+                    assigned[row], owner[col] = col, row
+                    if row == start:
+                        break
+                    row, col = parent[row]
+                assigned[i], owner[j] = j, i
+                break
+        fixed[assigned[i]] = True
+
+
+def _iou_matrix(pred_boxes: Sequence[Box], gt_boxes: Sequence[Box]) -> np.ndarray:
+    """All pairwise ``iou`` values by broadcasting, bit for bit.
+
+    The same float64 operations in the same order as ``geometry.iou``; the
+    boxes must already be valid (no structural re-check here). A pair whose
+    intersection is zero, or underflows to zero, gets IoU 0.
+    """
+    p = np.array([box.coords() for box in pred_boxes], dtype=float).T[:, :, None]
+    t = np.array([box.coords() for box in gt_boxes], dtype=float).T[:, None, :]
+    width = np.maximum(np.minimum(p[2], t[2]) - np.maximum(p[0], t[0]), 0.0)
+    height = np.maximum(np.minimum(p[3], t[3]) - np.maximum(p[1], t[1]), 0.0)
+    inter = width * height
+    union = (p[2] - p[0]) * (p[3] - p[1]) + (t[2] - t[0]) * (t[3] - t[1]) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
 
 
 def _cost_matrix(
@@ -143,18 +254,18 @@ def _cost_matrix(
     gt: GroundTruthSet,
     policy: MatcherPolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    ious = np.array(
-        [[iou(box, inst.box) for inst in gt.instances] for _, box in predictions],
-        dtype=float,
-    )
+    ious = _iou_matrix([box for _, box in predictions], [inst.box for inst in gt.instances])
     cost = 1.0 - ious
     if policy is MatcherPolicy.BOX_AND_LABEL:
-        pred_norm = [normalize_label(label) for label, _ in predictions]
-        gt_norm = [normalize_label(inst.label) for inst in gt.instances]
-        penalty = np.array(
-            [[0.0 if p == g else LABEL_MISMATCH_PENALTY for g in gt_norm] for p in pred_norm]
+        # normalized labels as small integers (numpy strings drop trailing NULs)
+        ids: dict[str, int] = {}
+        pred_ids = np.array(
+            [ids.setdefault(normalize_label(label), len(ids)) for label, _ in predictions]
         )
-        cost = cost + penalty
+        gt_ids = np.array(
+            [ids.setdefault(normalize_label(inst.label), len(ids)) for inst in gt.instances]
+        )
+        cost = cost + np.where(pred_ids[:, None] == gt_ids[None, :], 0.0, LABEL_MISMATCH_PENALTY)
     return cost, ious
 
 

@@ -133,6 +133,8 @@ def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | N
         value = json.loads(body)
     except json.JSONDecodeError as exc:
         return None, [f"not valid JSON: {exc.msg} at position {exc.pos}"]
+    except RecursionError:
+        return None, ["not valid JSON: nesting too deep"]
     if not isinstance(value, list):
         return None, ["top-level JSON value is not an array"]
     for index, entry in enumerate(value):

@@ -1,8 +1,9 @@
 """Independent slow reference implementations for checking the fast paths.
 
 Nothing here imports engine internals beyond plain data: assignment optima
-are found by exhaustive enumeration, statistics by compensated summation, and
-detection metrics by a direct transcription of the textbook procedure.
+are found by exhaustive enumeration, the canonical tie-break by repeated
+sub-solves, statistics by compensated summation, and detection metrics by a
+direct transcription of the textbook procedure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def mean_std(values):
@@ -52,6 +54,59 @@ def assignment_total(cost: np.ndarray, pairs) -> float:
     else:
         ordered = sorted(pairs, key=lambda p: p[0])
     return float(np.array([cost[i, j] for i, j in ordered]).sum())
+
+
+def _lsa_total(cost: np.ndarray) -> float:
+    if cost.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def reference_canonical_pairs(cost: np.ndarray, atol: float = 1e-9) -> list[tuple[int, int]]:
+    """Minimum-cost maximal assignment, canonical among cost ties, by sub-solves.
+
+    Scanning predictions (rows) in order, each takes the lowest ground truth
+    (column) whose choice still completes to the optimal total of the
+    remaining block, or is left out when every optimum leaves it out. Exactly
+    ``min(m, g)`` pairs are produced. ``atol`` compares totals, so it only
+    absorbs float summation order. O(m * g) solves: the slow reference for
+    ``locscore.matching._canonical_pairs``.
+    """
+    m, g = cost.shape
+    need = min(m, g)
+    if need == 0:
+        return []
+    pairs: list[tuple[int, int]] = []
+    remaining = list(range(g))
+    for i in range(m):
+        if need == 0:
+            break
+        target = _lsa_total(cost[np.ix_(range(i, m), remaining)])
+        chosen = None
+        for j in remaining:
+            if need > 1:
+                rest = [c for c in remaining if c != j]
+                completion = _lsa_total(cost[np.ix_(range(i + 1, m), rest)])
+            else:
+                completion = 0.0
+            if abs(cost[i, j] + completion - target) <= atol:
+                chosen = j
+                break
+        if chosen is None:
+            if m - i - 1 >= need:
+                # every optimum leaves prediction i out
+                continue
+            # numeric safety net (unreachable in practice): accept the plain
+            # solver's pairing for the remaining block
+            sub = cost[np.ix_(range(i, m), remaining)]
+            rows, cols = linear_sum_assignment(sub)
+            pairs.extend((i + int(r), remaining[int(c)]) for r, c in zip(rows, cols))
+            return pairs
+        pairs.append((i, chosen))
+        remaining.remove(chosen)
+        need -= 1
+    return pairs
 
 
 def iou_xyxy(a, b) -> float:

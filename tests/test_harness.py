@@ -225,6 +225,25 @@ class TestService:
         assert not responses[1]["ok"]
         assert responses[1]["error"]["kind"] == "parse-error"
 
+    def test_deep_nesting_gets_parse_error_and_service_continues(self):
+        deep = "[" * 100000
+        lines = [
+            json.dumps(make_request_dict(request_id="before")),
+            deep,
+            json.dumps(make_request_dict(request_id="nested", completions=[deep, "[]"])),
+            json.dumps(make_request_dict(request_id="after")),
+        ]
+        out = io.StringIO()
+        code = run_service(EngineConfig(), stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        assert code == 0
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(responses) == len(lines)
+        assert responses[1]["ok"] is False
+        assert responses[1]["error"]["kind"] == "parse-error"
+        assert [r["request_id"] for r in responses] == ["before", None, "nested", "after"]
+        assert responses[0]["ok"] and responses[2]["ok"] and responses[3]["ok"]
+        assert responses[2]["rewards"][0]["dual_format"] == 0.0
+
     def test_blank_lines_skipped(self):
         lines = ["", json.dumps(make_request_dict()), "   ", ""]
         out = io.StringIO()
@@ -308,6 +327,15 @@ class TestBatch:
         report = run_batch(manifest, tmp_path / "out")
         assert report["groups"] == 2
         assert len(report["errors"]) == 1
+
+    def test_deep_nesting_line_collected(self, tmp_path, rng):
+        entries = _manifest_entries(rng, 2)
+        lines = [json.dumps(entries[0]), "[" * 100000, json.dumps(entries[1])]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["groups"] == 2
+        assert report["errors"] == [{"line": 2, "error": "invalid JSON: nesting too deep"}]
 
     def test_duplicate_final_entry_collected_not_fatal(self, tmp_path, rng):
         entries = _manifest_entries(rng, 2)

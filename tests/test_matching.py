@@ -14,9 +14,12 @@ from locscore import (
     match,
     pixel_space,
 )
+from locscore.geometry import iou
+from locscore.matching import _COST_TIE_ATOL, _canonical_pairs
+from locscore.matching import _cost_matrix as engine_cost_matrix
 
-from conftest import LABELS, random_box, random_gt
-from oracles import assignment_total, min_assignment_cost
+from conftest import LABELS, box_strategy, random_box, random_gt
+from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
 
 SPACE = pixel_space(640, 480)
 
@@ -125,6 +128,14 @@ class TestMatch:
         gt = GroundTruthSet.from_pairs([("cat", box), ("cat", box)], SPACE)
         result = match(preds, gt)
         assert [m.gt_index for m in result] == [0, 1]
+
+    def test_underflowing_overlap_scores_zero(self):
+        # both areas underflow to 0.0, where geometry.iou would divide 0 by 0
+        box = Box(0, 0, 1e-200, 1e-200)
+        gt = GroundTruthSet.from_pairs([("cat", box)], SPACE)
+        result = match([("cat", box)], gt)
+        assert result[0].gt_index == 0
+        assert result[0].iou == 0.0
 
     def test_zero_overlap_pairs_still_assigned(self):
         preds = [("cat", Box(0, 0, 10, 10))]
@@ -235,3 +246,122 @@ class TestOptimality:
             if r.gt_index is None:
                 assert r.iou == 0.0
             assert 0.0 <= r.iou <= 1.0
+
+
+# The matcher counts a pair as tied when its reduced cost (against the
+# optimal dual potentials) is at most this; the reference counts a choice as
+# tied when the total of its best completion is within this of the optimum.
+# The two agree except when an alternative optimum is dearer than the
+# optimum by more than TIE_ATOL in total but by at most TIE_ATOL on each of
+# its edges, a band no matrix below can reach: their distinct totals differ
+# by far more (continuous values are drawn by numpy, not as hypothesis
+# floats, which can place alternatives a few 1e-10 apart on purpose).
+TIE_ATOL = 1e-9
+SMALL_VALUES = {
+    "quarters": [0.0, 0.25, 0.5, 0.75, 1.0],
+    "zero-one-label": [0.0, 1.0, 2.0],
+}
+
+
+def _orient(m, g, shape):
+    return (min(m, g), max(m, g)) if shape == "wide" else (max(m, g), min(m, g))
+
+
+@st.composite
+def tie_cost_matrices(draw, shape):
+    m, g = _orient(draw(st.integers(1, 9)), draw(st.integers(1, 9)), shape)
+    kind = draw(st.sampled_from(["continuous", "quarters", "equal", "zero-one-label"]))
+    if kind == "continuous":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.uniform(0.0, 2.0, size=(m, g))
+    if kind == "equal":
+        return np.full((m, g), draw(st.sampled_from([0.0, 0.3, 1.0, 2.0])))
+    values = st.sampled_from(SMALL_VALUES[kind])
+    return np.array(draw(st.lists(values, min_size=m * g, max_size=m * g))).reshape(m, g)
+
+
+def _int_box(x1, y1, w, h):
+    return Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
+
+
+INT_BOXES = st.builds(
+    _int_box, st.integers(0, 30), st.integers(0, 30), st.integers(1, 12), st.integers(1, 12)
+)
+
+
+@st.composite
+def box_cost_matrices(draw, shape):
+    m, g = _orient(draw(st.integers(1, 9)), draw(st.integers(1, 9)), shape)
+    labels = st.sampled_from(LABELS[:3])
+    gt = [(draw(labels), draw(INT_BOXES)) for _ in range(g)]
+    # about half the predictions duplicate a ground-truth box, so ties abound
+    boxes = st.one_of(INT_BOXES, st.sampled_from([box for _, box in gt]))
+    preds = [(draw(labels), draw(boxes)) for _ in range(m)]
+    policy = draw(st.sampled_from(list(MatcherPolicy)))
+    return engine_cost_matrix(preds, GroundTruthSet.from_pairs(gt, pixel_space(64, 64)), policy)[0]
+
+
+class TestCanonicalPairsDifferential:
+    def test_tolerance(self):
+        assert _COST_TIE_ATOL == TIE_ATOL
+
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_tie_matrices(self, shape, data):
+        cost = data.draw(tie_cost_matrices(shape))
+        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_box_matrices(self, shape, data):
+        cost = data.draw(box_cost_matrices(shape))
+        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+
+def _tiny_box(x1, y1, w, h):
+    return Box(x1, y1, x1 + w, y1 + h)
+
+
+# integer and float corners, sub-1e-6 sizes
+BASE_BOXES = st.one_of(
+    INT_BOXES,
+    box_strategy(100.0, 100.0, min_size=0.5),
+    st.builds(
+        _tiny_box, st.floats(0, 1), st.floats(0, 1), st.floats(1e-9, 1e-6), st.floats(1e-9, 1e-6)
+    ),
+)
+
+
+@st.composite
+def related_boxes(draw):
+    """Boxes plus copies, touching neighbours and boxes nested inside them."""
+    boxes = draw(st.lists(BASE_BOXES, min_size=1, max_size=5))
+    out = list(boxes)
+    for box in boxes:
+        w, h = box.x2 - box.x1, box.y2 - box.y1
+        out.append(Box(box.x1, box.y1, box.x2, box.y2))
+        out.append(Box(box.x2, box.y1, box.x2 + w, box.y2))  # shares the right edge
+        out.append(Box(box.x1, box.y2, box.x2, box.y2 + h))  # shares the bottom edge
+        out.append(Box(box.x1 + w / 4, box.y1 + h / 4, box.x2 - w / 4, box.y2 - h / 4))
+    return draw(st.permutations(out))
+
+
+class TestCostMatrix:
+    @given(boxes=related_boxes(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_iou_matrix_bit_identical_and_cost_matches(self, boxes, data):
+        split = data.draw(st.integers(1, len(boxes) - 1))
+        labels = st.sampled_from(LABELS[:3])
+        preds = [(data.draw(labels), box) for box in boxes[:split]]
+        gt_pairs = [(data.draw(labels), box) for box in boxes[split:]]
+        gt = GroundTruthSet.from_pairs(gt_pairs, pixel_space(300, 300))
+        expected = np.array([[iou(box, inst.box) for inst in gt.instances] for _, box in preds])
+        for policy in MatcherPolicy:
+            cost, ious = engine_cost_matrix(preds, gt, policy)
+            assert np.array_equal(ious, expected)
+            assert cost.tolist() == [
+                [assignment_cost(p, (inst.label, inst.box), policy) for inst in gt.instances]
+                for p in preds
+            ]

@@ -99,6 +99,14 @@ def test_extract_objects_empty_on_template_failure():
     assert extract_objects(outcome) == []
 
 
+def test_deep_nesting_is_template_failure():
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    outcome = parse_completion("[" * 100000, STRUCTURED_FORMAT, pixel_space(640, 480))
+    assert not outcome.template_ok and not outcome.content_ok
+    assert outcome.predictions == ()
+    assert outcome.diagnostics == ("not valid JSON: nesting too deep",)
+
+
 _LABEL_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -_"
 
 
