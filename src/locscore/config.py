@@ -26,7 +26,6 @@ _KNOWN_KEYS = {
     "epsilon",
     "clip_range",
     "rules",
-    "seed",
 }
 _KNOWN_PHASE_KEYS = {"beginner", "advanced", "step_fraction"}
 _KNOWN_RULE_KEYS = {"require_label_match", "use_dual_format", "use_recall", "use_precision"}
@@ -42,11 +41,12 @@ class EngineConfig:
     epsilon: float = DEFAULT_EPSILON
     clip_range: float | None = None
     rules: RewardRules = field(default_factory=RewardRules)
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "EngineConfig":
-        self.phase.validate()
-        if self.beta < 0:
+        if not self.beta >= 0:  # also rejects NaN
             raise InvalidConfigError(f"beta must be >= 0, got {self.beta}")
         if not self.epsilon > 0:
             raise InvalidConfigError(f"epsilon must be positive, got {self.epsilon}")
@@ -56,6 +56,8 @@ class EngineConfig:
 
 
 def phase_from_dict(data: Mapping[str, Any]) -> PhaseConfig:
+    if not isinstance(data, Mapping):
+        raise InvalidConfigError("phase must be an object")
     unknown = set(data) - _KNOWN_PHASE_KEYS
     if unknown:
         raise InvalidConfigError(f"unknown phase keys: {sorted(unknown)}")
@@ -63,13 +65,10 @@ def phase_from_dict(data: Mapping[str, Any]) -> PhaseConfig:
     try:
         beginner = ThresholdTriple(*map(float, data.get("beginner", defaults.beginner)))
         advanced = ThresholdTriple(*map(float, data.get("advanced", defaults.advanced)))
-    except TypeError as exc:
-        raise InvalidConfigError(f"threshold triples need three numbers: {exc}") from exc
-    return PhaseConfig(
-        beginner=beginner,
-        advanced=advanced,
-        step_fraction=float(data.get("step_fraction", defaults.step_fraction)),
-    ).validate()
+        step_fraction = float(data.get("step_fraction", defaults.step_fraction))
+    except (TypeError, OverflowError) as exc:
+        raise InvalidConfigError(f"phase triples and step_fraction must be numbers: {exc}") from exc
+    return PhaseConfig(beginner=beginner, advanced=advanced, step_fraction=step_fraction)
 
 
 def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
@@ -77,27 +76,31 @@ def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
     rules_data = data.get("rules", {})
+    if not isinstance(rules_data, Mapping):
+        raise InvalidConfigError("rules must be an object")
     unknown_rules = set(rules_data) - _KNOWN_RULE_KEYS
     if unknown_rules:
         raise InvalidConfigError(f"unknown rule keys: {sorted(unknown_rules)}")
+    clip = data.get("clip_range")
     try:
         matcher = MatcherPolicy(data.get("matcher", MatcherPolicy.BOX_ONLY.value))
         completion_format = FormatKind(data.get("format", FormatKind.STRUCTURED.value))
         kl_mode = KlMode(data.get("kl_mode", KlMode.K3.value))
-    except ValueError as exc:
+        beta = float(data.get("beta", DEFAULT_BETA))
+        epsilon = float(data.get("epsilon", DEFAULT_EPSILON))
+        clip_range = None if clip is None else float(clip)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(str(exc)) from exc
-    clip = data.get("clip_range")
     return EngineConfig(
         phase=phase_from_dict(data.get("phase", {})),
         matcher=matcher,
         completion_format=completion_format,
-        beta=float(data.get("beta", DEFAULT_BETA)),
+        beta=beta,
         kl_mode=kl_mode,
-        epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
-        clip_range=None if clip is None else float(clip),
+        epsilon=epsilon,
+        clip_range=clip_range,
         rules=RewardRules(**rules_data),
-        seed=int(data.get("seed", 0)),
-    ).validate()
+    )
 
 
 def load_config(path: str | Path) -> EngineConfig:
@@ -130,7 +133,6 @@ def config_to_dict(config: EngineConfig) -> dict[str, Any]:
             "use_recall": config.rules.use_recall,
             "use_precision": config.rules.use_precision,
         },
-        "seed": config.seed,
     }
 
 
@@ -147,8 +149,6 @@ def apply_cli_overrides(config: EngineConfig, **overrides: Any) -> EngineConfig:
         updates["kl_mode"] = KlMode(overrides["kl_mode"])
     if overrides.get("step_fraction") is not None:
         updates["phase"] = replace(config.phase, step_fraction=float(overrides["step_fraction"]))
-    if overrides.get("seed") is not None:
-        updates["seed"] = int(overrides["seed"])
     if not updates:
         return config
-    return replace(config, **updates).validate()
+    return replace(config, **updates)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,9 @@ class CoordinateSpace:
             raise ValueError(
                 f"image extent must be at least 1x1, got {self.width}x{self.height}"
             )
+        if 1000 * self.width * self.height > sys.float_info.max:
+            # areas, unions and thousandths conversions must stay finite in float64
+            raise ValueError("image extent too large: 1000 * width * height overflows a float")
 
     @property
     def max_x(self) -> float:
@@ -122,7 +126,7 @@ def iou(a: Box, b: Box) -> float:
 
     Area is continuous, ``(x2 - x1) * (y2 - y1)`` with no one-pixel
     correction, so boxes that merely touch have intersection measure zero and
-    IoU 0.
+    IoU 0. An intersection that underflows to zero also gives IoU 0.
     """
     _require_structural(a)
     _require_structural(b)
@@ -133,6 +137,8 @@ def iou(a: Box, b: Box) -> float:
     if ix2 <= ix1 or iy2 <= iy1:
         return 0.0
     inter = (ix2 - ix1) * (iy2 - iy1)
+    if inter == 0.0:
+        return 0.0
     union = a.area() + b.area() - inter
     return inter / union
 

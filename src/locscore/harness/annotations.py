@@ -21,6 +21,7 @@ from ..curation import Sample, TaskKind
 from ..geometry import Box, CoordinateSpace, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
+from ..parsing import normalize_label
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,20 @@ def write_annotations(annotations: Sequence[ImageAnnotation], path: str | Path) 
             handle.write("\n")
 
 
+def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
+    """Evaluation set whose categories are the ground-truth labels, sorted.
+
+    Labels equal under ``normalize_label`` are one category, spelled as first seen.
+    """
+    categories: dict[str, str] = {}
+    for image in images:
+        for inst in image.gt.instances:
+            categories.setdefault(normalize_label(inst.label), inst.label)
+    return EvalDataset(images=tuple(images), categories=tuple(sorted(categories.values())))
+
+
 def to_eval_dataset(annotations: Sequence[ImageAnnotation]) -> EvalDataset:
-    categories: list[str] = []
-    seen = set()
-    for ann in annotations:
-        for label, _ in ann.instances:
-            key = label.casefold()
-            if key not in seen:
-                seen.add(key)
-                categories.append(label)
-    images = tuple(EvalImage(ann.image_id, ann.space(), ann.gt()) for ann in annotations)
-    return EvalDataset(images=images, categories=tuple(sorted(categories)))
+    return dataset_from_images([EvalImage(a.image_id, a.space(), a.gt()) for a in annotations])
 
 
 def convert_coco_layout(src: str | Path, dst: str | Path) -> int:

@@ -14,9 +14,12 @@ from typing import Any
 
 from ..config import EngineConfig
 from ..errors import EngineError, MalformedRequestError
-from ..geometry import CoordinateSpace, structural_fault, to_space
-from ..metrics import EvalDataset, EvalImage, evaluate
-from ..parsing import default_format, extract_objects, parse_completion
+from ..geometry import CoordinateSpace, to_space  # to_space: looked up by perfbench/tracing.py
+from ..metrics import EvalImage, evaluate
+from ..parsing import default_format
+from ..parsing import parse_completion  # looked up by perfbench/tracing.py
+from ..rewards import completion_objects
+from .annotations import dataset_from_images
 from .engine import score_group
 from .wire import dump_line, parse_request, response_to_dict
 
@@ -50,7 +53,7 @@ def run_batch(
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     output_dir.mkdir(parents=True, exist_ok=True)
-    config = (config or EngineConfig()).validate()
+    config = config or EngineConfig()
 
     responses: list[dict[str, Any]] = []
     errors: list[dict[str, Any]] = []
@@ -74,6 +77,9 @@ def run_batch(
                 continue
             except RecursionError:
                 errors.append({"line": lineno, "error": "invalid JSON: nesting too deep"})
+                continue
+            except ValueError:  # an integer literal over the interpreter's digit limit
+                errors.append({"line": lineno, "error": "invalid JSON: number too long"})
                 continue
             final = bool(data.pop("final", False)) if isinstance(data, dict) else False
             try:
@@ -103,17 +109,9 @@ def run_batch(
                 space = CoordinateSpace(
                     fmt.space_kind, request.sample.space.width, request.sample.space.height
                 )
-                outcome = parse_completion(request.completions[0], fmt, space)
-                objects = extract_objects(outcome)
-                if space.kind is not request.sample.space.kind:
-                    objects = [
-                        (label, moved)
-                        for label, moved in (
-                            (label, to_space(box, space, request.sample.space))
-                            for label, box in objects
-                        )
-                        if structural_fault(moved) is None
-                    ]
+                _, objects = completion_objects(
+                    request.completions[0], fmt, space, request.sample.space
+                )
                 eval_images.append(
                     EvalImage(request.sample.image_id, request.sample.space, request.sample.gt)
                 )
@@ -130,17 +128,8 @@ def run_batch(
         "reward_histogram": _histogram(totals),
     }
     if eval_images:
-        categories: list[str] = []
-        seen = set()
-        for image in eval_images:
-            for inst in image.gt.instances:
-                key = inst.label.casefold()
-                if key not in seen:
-                    seen.add(key)
-                    categories.append(inst.label)
         try:
-            dataset = EvalDataset(images=tuple(eval_images), categories=tuple(sorted(categories)))
-            result = evaluate(final_predictions, dataset)
+            result = evaluate(final_predictions, dataset_from_images(eval_images))
         except (EngineError, ValueError) as exc:
             report["eval_error"] = str(exc)
         else:

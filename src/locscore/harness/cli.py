@@ -31,7 +31,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step-fraction", type=float, dest="step_fraction")
     parser.add_argument("--beta", type=float)
     parser.add_argument("--kl", choices=["k3", "seq"], dest="kl_mode")
-    parser.add_argument("--seed", type=int)
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
@@ -43,7 +42,6 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         step_fraction=getattr(args, "step_fraction", None),
         beta=getattr(args, "beta", None),
         kl_mode=getattr(args, "kl_mode", None),
-        seed=getattr(args, "seed", None),
     )
 
 
@@ -92,7 +90,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
         },
         hard_fraction=args.hard_fraction,
         negative_fraction=args.negative_fraction,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     result = sample_mixture(corpus, spec)
     style = PromptStyle(args.style)
@@ -165,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     curate.add_argument(
         "--negative-fraction", type=float, default=0.1, dest="negative_fraction"
     )
+    curate.add_argument("--seed", type=int, default=0)
     curate.add_argument("--style", default="structured-coordinates",
                         choices=[s.value for s in PromptStyle])
     curate.add_argument("--out", required=True)

@@ -27,7 +27,7 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     Stateless: the response depends only on the request and configuration.
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
-    config = (config or EngineConfig()).validate()
+    config = config or EngineConfig()
     if req.want_advantages and len(req.completions) < 2:
         raise MalformedRequestError(
             "advantage computation needs at least two completions per group"
@@ -40,7 +40,7 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
         matcher = MatcherPolicy(req.matcher) if req.matcher is not None else config.matcher
     except ValueError as exc:
         raise MalformedRequestError(f"unknown matcher {req.matcher!r}") from exc
-    phase_cfg = (req.phase or config.phase).validate()
+    phase_cfg = req.phase or config.phase
 
     completion_space = CoordinateSpace(
         fmt.space_kind, req.sample.space.width, req.sample.space.height
@@ -111,4 +111,6 @@ def handle_request_line(line: str, config: EngineConfig | None = None) -> dict[s
         return error_to_dict(None, "parse-error", f"{exc.msg} at position {exc.pos}")
     except RecursionError:
         return error_to_dict(None, "parse-error", "nesting too deep")
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        return error_to_dict(None, "parse-error", "number too long")
     return handle_request_object(data, config)

@@ -27,7 +27,7 @@ def run_service(
     """
     source = stdin if stdin is not None else sys.stdin
     sink = stdout if stdout is not None else sys.stdout
-    config = (config or EngineConfig()).validate()
+    config = config or EngineConfig()
     handled = 0
     try:
         for line in source:

@@ -56,12 +56,13 @@ class ScoringResponse:
     diagnostics: tuple[str, ...] = ()
 
 
-def _require(data: Mapping[str, Any], key: str, kind: type) -> Any:
+def _require(data: Mapping[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
     if key not in data:
         raise MalformedRequestError(f"missing field {key!r}")
     value = data[key]
     if not isinstance(value, kind):
-        raise MalformedRequestError(f"field {key!r} must be {kind.__name__}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise MalformedRequestError(f"field {key!r} must be {'/'.join(k.__name__ for k in kinds)}")
     return value
 
 
@@ -70,7 +71,7 @@ def _parse_box(value: Any) -> Box:
         raise MalformedRequestError(f"bbox must be a 4-number array, got {value!r}")
     try:
         return Box(*(float(v) for v in value))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRequestError(f"bbox must hold numbers: {exc}") from exc
 
 
@@ -120,7 +121,7 @@ def _parse_logprobs(value: Any, n_completions: int) -> tuple[LogProbRecord, ...]
                     _require(entry, "ref", list),
                 )
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedRequestError(str(exc)) from exc
     return tuple(records)
 
@@ -141,7 +142,10 @@ def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
     progress = data.get("progress", 0.0)
     if isinstance(progress, bool) or not isinstance(progress, (int, float)):
         raise MalformedRequestError("progress must be a number")
-    progress = float(progress)
+    try:
+        progress = float(progress)
+    except OverflowError:
+        raise MalformedRequestError("progress must lie in [0, 1]") from None
     if not 0.0 <= progress <= 1.0:
         raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InvalidBoxError
@@ -42,11 +43,23 @@ MAX_DETECTIONS_PER_IMAGE = 100
 _RECALL_GRID = tuple(i / 100 for i in range(101))
 
 
+def _boxes_by_label(gt: GroundTruthSet) -> dict[str, list[Box]]:
+    """Ground-truth boxes grouped by normalized label, in instance order."""
+    groups: dict[str, list[Box]] = defaultdict(list)
+    for inst in gt.instances:
+        groups[normalize_label(inst.label)].append(inst.box)
+    return dict(groups)
+
+
 @dataclass(frozen=True)
 class EvalImage:
     image_id: str
     space: CoordinateSpace
     gt: GroundTruthSet
+
+    @cached_property
+    def gt_by_label(self) -> dict[str, list[Box]]:
+        return _boxes_by_label(self.gt)
 
 
 @dataclass(frozen=True)
@@ -60,11 +73,10 @@ class EvalDataset:
             raise ValueError("image ids must be unique")
         known = {normalize_label(c) for c in self.categories}
         for img in self.images:
-            for inst in img.gt.instances:
-                if normalize_label(inst.label) not in known:
-                    raise ValueError(
-                        f"ground-truth label {inst.label!r} missing from the category list"
-                    )
+            missing = img.gt_by_label.keys() - known
+            if missing:
+                label = min(missing)
+                raise ValueError(f"ground-truth label {label!r} missing from the category list")
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,29 @@ class EvalResult:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _greedy_flags(ious: Sequence[Sequence[float]], threshold: float) -> list[bool]:
+    """True-positive flags of greedy matching over a detection x ground-truth IoU matrix.
+
+    Rows are visited in rank order; each takes its best still-unused column
+    (the first one on ties) and is a true positive when that IoU reaches the
+    threshold. Only true positives consume their column, so a duplicate of an
+    already-consumed ground truth is a false positive.
+    """
+    used: set[int] = set()
+    flags: list[bool] = []
+    for row in ious:
+        best_index = -1
+        best_value = -1.0
+        for index, value in enumerate(row):
+            if value > best_value and index not in used:
+                best_index, best_value = index, value
+        hit = best_index >= 0 and best_value >= threshold
+        if hit:
+            used.add(best_index)
+        flags.append(hit)
+    return flags
+
+
 def per_image_counts(
     predictions: Sequence[tuple[str, Box]],
     gt: GroundTruthSet,
@@ -84,62 +119,16 @@ def per_image_counts(
 ) -> tuple[int, int, int]:
     """Greedy TP/FP/FN counts for one image at one IoU threshold.
 
-    Predictions are visited in rank order; each takes the best still-unmatched
-    ground truth of its own label, and counts as a true positive only when
-    that overlap reaches the threshold. Duplicates of an already-consumed
-    ground truth become false positives.
+    Predictions are matched in rank order against the ground truths of their
+    own label (see ``_greedy_flags``).
     """
-    used = [False] * len(gt.instances)
-    tp = 0
-    fp = 0
+    groups = _boxes_by_label(gt)
+    rows: dict[str, list[list[float]]] = defaultdict(list)
     for label, box in predictions:
-        wanted = normalize_label(label)
-        best_index = -1
-        best_value = -1.0
-        for gt_index, inst in enumerate(gt.instances):
-            if used[gt_index] or normalize_label(inst.label) != wanted:
-                continue
-            overlap = iou(box, inst.box)
-            if overlap > best_value:
-                best_index, best_value = gt_index, overlap
-        if best_index >= 0 and best_value >= iou_threshold:
-            used[best_index] = True
-            tp += 1
-        else:
-            fp += 1
-    return tp, fp, len(gt.instances) - tp
-
-
-def _match_category(
-    dataset: EvalDataset,
-    detections: Mapping[str, Mapping[str, list[Box]]],
-    category: str,
-    threshold: float,
-) -> tuple[list[bool], int]:
-    """Rank-ordered TP flags and the ground-truth count for one category."""
-    flags: list[bool] = []
-    npos = 0
-    for img in dataset.images:
-        gt_boxes = [
-            inst.box for inst in img.gt.instances if normalize_label(inst.label) == category
-        ]
-        npos += len(gt_boxes)
-        used = [False] * len(gt_boxes)
-        for det in detections.get(img.image_id, {}).get(category, []):
-            best_index = -1
-            best_value = -1.0
-            for gt_index, gt_box in enumerate(gt_boxes):
-                if used[gt_index]:
-                    continue
-                overlap = iou(det, gt_box)
-                if overlap > best_value:
-                    best_index, best_value = gt_index, overlap
-            if best_index >= 0 and best_value >= threshold:
-                used[best_index] = True
-                flags.append(True)
-            else:
-                flags.append(False)
-    return flags, npos
+        norm = normalize_label(label)
+        rows[norm].append([iou(box, gt_box) for gt_box in groups.get(norm, ())])
+    tp = sum(sum(_greedy_flags(label_rows, iou_threshold)) for label_rows in rows.values())
+    return tp, len(predictions) - tp, len(gt.instances) - tp
 
 
 def _interpolated_ap(tp_flags: Sequence[bool], npos: int) -> float:
@@ -178,19 +167,16 @@ def evaluate(
     diagnostics.
     """
     diagnostics: list[str] = []
-    known = {normalize_label(c) for c in dataset.categories}
-    gt_count: Counter[str] = Counter()
-    for img in dataset.images:
-        for inst in img.gt.instances:
-            gt_count[normalize_label(inst.label)] += 1
-    active: list[str] = []
-    for category in dataset.categories:
-        norm = normalize_label(category)
-        if gt_count[norm] > 0 and norm not in active:
-            active.append(norm)
+    normalized = [normalize_label(c) for c in dataset.categories]
+    known = set(normalized)
+    present = {label for img in dataset.images for label in img.gt_by_label}
+    active = list(dict.fromkeys(c for c in normalized if c in present))
 
+    # IoU rows (detection x same-category ground truth) per category and image,
+    # computed once and swept over every threshold below
+    ious: dict[str, list[list[list[float]]]] = {c: [] for c in active}
+    npos: Counter[str] = Counter()
     unknown = 0
-    detections: dict[str, dict[str, list[Box]]] = {}
     for img in dataset.images:
         per_category: dict[str, list[Box]] = defaultdict(list)
         for label, box in predictions.get(img.image_id, ()):
@@ -205,7 +191,12 @@ def evaluate(
                 continue
             if len(per_category[norm]) < MAX_DETECTIONS_PER_IMAGE:
                 per_category[norm].append(box)
-        detections[img.image_id] = dict(per_category)
+        for category in active:
+            gt_boxes = img.gt_by_label.get(category, [])
+            npos[category] += len(gt_boxes)
+            dets = per_category.get(category)
+            if dets:
+                ious[category].append([[iou(det, g) for g in gt_boxes] for det in dets])
     if unknown:
         diagnostics.append(
             f"{unknown} prediction(s) with labels outside the category list; "
@@ -217,9 +208,11 @@ def evaluate(
     for threshold in IOU_THRESHOLDS:
         ap_values: list[float] = []
         for category in active:
-            flags, npos = _match_category(dataset, detections, category, threshold)
-            ap_values.append(_interpolated_ap(flags, npos))
-            recall_values.append(sum(flags) / npos)
+            flags = [
+                flag for rows in ious[category] for flag in _greedy_flags(rows, threshold)
+            ]
+            ap_values.append(_interpolated_ap(flags, npos[category]))
+            recall_values.append(sum(flags) / npos[category])
         ap_per_iou[threshold] = sum(ap_values) / len(ap_values) if ap_values else 0.0
 
     if not active:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -104,7 +105,7 @@ def _coerce_coords(value: object) -> tuple[float, float, float, float] | None:
     for item in value:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             return None
-        number = float(item)
+        number = float(item) if abs(item) <= sys.float_info.max else math.inf
         if not math.isfinite(number):
             return None
         out.append(number)
@@ -135,6 +136,8 @@ def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | N
         return None, [f"not valid JSON: {exc.msg} at position {exc.pos}"]
     except RecursionError:
         return None, ["not valid JSON: nesting too deep"]
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        return None, ["not valid JSON: number too long"]
     if not isinstance(value, list):
         return None, ["top-level JSON value is not an array"]
     for index, entry in enumerate(value):

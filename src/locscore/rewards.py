@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidConfigError
-from .geometry import CoordinateSpace, structural_fault, to_space
+from .geometry import Box, CoordinateSpace, structural_fault, to_space
 from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, match
 from .parsing import CompletionFormat, ParseOutcome, extract_objects, parse_completion
 
@@ -54,6 +54,9 @@ class PhaseConfig:
     advanced: ThresholdTriple = ADVANCED_THRESHOLDS
     step_fraction: float = 0.5
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "PhaseConfig":
         _check_triple("beginner", ThresholdTriple(*self.beginner))
         _check_triple("advanced", ThresholdTriple(*self.advanced))
@@ -69,7 +72,6 @@ def in_advanced_phase(cfg: PhaseConfig, progress: float) -> bool:
 
 def phase_thresholds(cfg: PhaseConfig, progress: float) -> ThresholdTriple:
     """Active thresholds at a training-progress fraction (completed / total)."""
-    cfg.validate()
     triple = cfg.advanced if in_advanced_phase(cfg, progress) else cfg.beginner
     return ThresholdTriple(*triple)
 
@@ -188,6 +190,25 @@ def score_matches(
     )
 
 
+def completion_objects(
+    text: str,
+    fmt: CompletionFormat,
+    space: CoordinateSpace,
+    gt_space: CoordinateSpace,
+) -> tuple[ParseOutcome, list[tuple[str, Box]]]:
+    """Parse one completion and return its objects in the ground-truth space.
+
+    ``space`` declares the coordinate convention of the completion itself.
+    Boxes that rounding collapses on conversion are dropped.
+    """
+    outcome = parse_completion(text, fmt, space)
+    objects = extract_objects(outcome)
+    if space.kind is not gt_space.kind:
+        moved = [(label, to_space(box, space, gt_space)) for label, box in objects]
+        objects = [(label, box) for label, box in moved if structural_fault(box) is None]
+    return outcome, objects
+
+
 def score_completion(
     text: str,
     fmt: CompletionFormat,
@@ -205,15 +226,6 @@ def score_completion(
     Pure in all arguments.
     """
     thresholds = phase_thresholds(cfg, progress)
-    outcome = parse_completion(text, fmt, space)
-    objects = extract_objects(outcome)
-    if space.kind is not gt.space.kind:
-        converted = []
-        for label, box in objects:
-            moved = to_space(box, space, gt.space)
-            # rounding can collapse near-degenerate boxes; drop those
-            if structural_fault(moved) is None:
-                converted.append((label, moved))
-        objects = converted
+    outcome, objects = completion_objects(text, fmt, space, gt.space)
     matches = match(objects, gt, policy)
     return score_matches(outcome, matches, len(gt.instances), thresholds, rules)

@@ -34,6 +34,12 @@ class TestIou:
         assert iou(Box(0, 0, 10, 10), Box(10, 0, 20, 10)) == 0.0
         assert iou(Box(0, 0, 10, 10), Box(0, 10, 10, 20)) == 0.0
 
+    def test_underflowing_intersection_is_zero(self):
+        # both areas and the intersection underflow to 0.0 in float64
+        tiny = Box(0, 0, 1e-200, 1e-200)
+        assert iou(tiny, tiny) == 0.0
+        assert iou(tiny, Box(0, 0, 10, 10)) == 0.0
+
     def test_invalid_box_rejected(self):
         with pytest.raises(InvalidBoxError):
             iou(Box(10, 10, 5, 20), Box(0, 0, 10, 10))
@@ -87,6 +93,22 @@ class TestValidateBox:
     def test_never_raises_on_nan(self):
         ok, reason = validate_box(Box(math.nan, 0, 10, 10), pixel_space(640, 480))
         assert not ok and "finite" in reason
+
+
+class TestCoordinateSpace:
+    def test_extent_beyond_float_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            pixel_space(10**400, 480)
+
+    def test_extent_whose_area_overflows_rejected(self):
+        # each side fits in a float, but box areas inside the image would not
+        with pytest.raises(ValueError, match="too large"):
+            pixel_space(10**300, 10**300)
+        with pytest.raises(ValueError, match="too large"):
+            thousandths_space(10**306, 1)
+
+    def test_large_extent_accepted(self):
+        assert pixel_space(10**150, 10**150).max_x == 1e150
 
 
 class TestToSpace:

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from locscore import Box, EngineConfig, pixel_space
+from locscore import Box, EngineConfig, PhaseConfig, pixel_space
 from locscore.config import apply_cli_overrides, config_from_dict, config_to_dict, load_config
 from locscore.errors import InvalidConfigError, MalformedRequestError
 from locscore.harness import (
@@ -57,6 +60,40 @@ def make_request_dict(request_id="r1", completions=None, gt=None, **extra):
     }
     data.update(extra)
     return data
+
+
+def _with_sample(**fields):
+    data = make_request_dict(request_id="bad")
+    data["sample"].update(fields)
+    return data
+
+
+def _leaf_paths(value, path=()):
+    """Key/index path of every nested value of a JSON-like object."""
+    if path:
+        yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaf_paths(item, path + (index,))
+
+
+def _replaced(data, path, value):
+    out = copy.deepcopy(data)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def _serve(lines):
+    out = io.StringIO()
+    code = run_service(EngineConfig(), stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+    assert code == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 class TestWire:
@@ -244,6 +281,76 @@ class TestService:
         assert responses[0]["ok"] and responses[2]["ok"] and responses[3]["ok"]
         assert responses[2]["rewards"][0]["dual_format"] == 0.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            make_request_dict(request_id="bad", phase={"step_fraction": None}),
+            _with_sample(width=10**400),
+            _with_sample(width=10**300, height=10**300),
+            make_request_dict(request_id="bad", phase=["beginner"]),
+            make_request_dict(request_id="bad", progress=10**400),
+            make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [0, 0, 10**400, 1]}]),
+            make_request_dict(
+                request_id="bad",
+                logprobs=[{"policy": [None], "old": [0.0], "ref": [0.0]}] * 2,
+            ),
+            make_request_dict(request_id=None),
+        ],
+        ids=[
+            "step-fraction-null",
+            "width-beyond-float",
+            "area-beyond-float",
+            "phase-not-object",
+            "progress-beyond-float",
+            "bbox-beyond-float",
+            "logprob-null",
+            "request-id-null",
+        ],
+    )
+    def test_malformed_request_between_good_ones(self, bad):
+        lines = [
+            json.dumps(make_request_dict(request_id="before")),
+            json.dumps(bad),
+            json.dumps(make_request_dict(request_id="after")),
+        ]
+        responses = _serve(lines)
+        assert len(responses) == 3
+        assert responses[0]["ok"] and responses[2]["ok"]
+        assert responses[1]["ok"] is False
+        assert responses[1]["error"]["kind"] == "malformed-request"
+
+    def test_overlong_integer_gets_parse_error(self):
+        # json.loads raises a plain ValueError past the interpreter's digit limit
+        lines = [
+            json.dumps(make_request_dict(request_id="before")),
+            '{"request_id": 1' + "0" * 5000 + "}",
+            json.dumps(make_request_dict(request_id="after")),
+        ]
+        responses = _serve(lines)
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["error"] == {"kind": "parse-error", "detail": "number too long"}
+
+    def test_any_odd_value_in_any_field_gets_one_response(self):
+        base = make_request_dict(
+            logprobs=[{"policy": [-1.0], "old": [-1.0], "ref": [-1.0]}] * 2,
+            phase={"beginner": [0.5, 0.5, 0.75], "advanced": [0.75, 0.75, 0.9],
+                   "step_fraction": 0.5},
+            format="structured",
+            matcher="box",
+            advantages=True,
+        )
+        odd = [None, "x", [], {}, [1], True, -1, 0, 10**400, -(10**400), 10**300, 1e308,
+               math.nan, math.inf]
+        lines = [
+            json.dumps(_replaced(base, path, value))
+            for path in _leaf_paths(base)
+            for value in odd
+        ]
+        responses = _serve(lines)
+        assert len(responses) == len(lines)
+        kinds = {r["error"]["kind"] for r in responses if not r["ok"]}
+        assert kinds <= {"malformed-request", "scoring-error"}
+
     def test_blank_lines_skipped(self):
         lines = ["", json.dumps(make_request_dict()), "   ", ""]
         out = io.StringIO()
@@ -347,6 +454,32 @@ class TestBatch:
         assert any("duplicate final entry" in e["error"] for e in report["errors"])
         assert "eval" in report
 
+    def test_underflowing_final_box_is_evaluated(self, tmp_path):
+        # the intersection of two 1e-200-sided boxes underflows to 0.0
+        tiny = [0, 0, 1e-200, 1e-200]
+        entry = make_request_dict(
+            request_id="tiny",
+            completions=[json.dumps([{"bbox_2d": tiny, "label": "cat"}])],
+            gt=[{"label": "cat", "bbox": tiny}],
+            advantages=False,
+        )
+        entry["final"] = True
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(entry) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == []
+        assert "eval_error" not in report
+        assert report["eval"]["map_5095"] == 0.0
+
+    def test_overlong_integer_line_collected(self, tmp_path, rng):
+        entries = _manifest_entries(rng, 2)
+        lines = [json.dumps(entries[0]), '{"v": 1' + "0" * 5000 + "}", json.dumps(entries[1])]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["groups"] == 2
+        assert report["errors"] == [{"line": 2, "error": "invalid JSON: number too long"}]
+
     def test_report_contents_and_eval(self, tmp_path, rng):
         entries = _manifest_entries(rng, 5)
         manifest = tmp_path / "manifest.jsonl"
@@ -401,6 +534,40 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError):
             config_from_dict({"betta": 0.3})
+
+    def test_seed_key_rejected(self):
+        assert len(dataclasses.fields(EngineConfig)) == 8
+        assert "seed" not in config_to_dict(EngineConfig())
+        with pytest.raises(InvalidConfigError, match="seed"):
+            config_from_dict({"seed": 0})
+
+    def test_validated_at_construction(self):
+        with pytest.raises(InvalidConfigError):
+            PhaseConfig(step_fraction=0.0)
+        with pytest.raises(InvalidConfigError):
+            EngineConfig(beta=-1.0)
+        with pytest.raises(InvalidConfigError):
+            EngineConfig(beta=math.nan)
+        with pytest.raises(InvalidConfigError):
+            dataclasses.replace(EngineConfig(), epsilon=0.0)
+        with pytest.raises(InvalidConfigError):
+            apply_cli_overrides(EngineConfig(), step_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"phase": {"step_fraction": None}},
+            {"phase": {"beginner": [0.5, 0.5]}},
+            {"phase": 3},
+            {"beta": None},
+            {"epsilon": "small"},
+            {"clip_range": 10**400},
+            {"rules": []},
+        ],
+    )
+    def test_wrong_types_are_invalid_config(self, data):
+        with pytest.raises(InvalidConfigError):
+            config_from_dict(data)
 
     def test_cli_overrides(self):
         config = apply_cli_overrides(EngineConfig(), beta=0.5, step_fraction=0.75)
@@ -572,6 +739,16 @@ class TestCli:
         entries = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(entries) == 18
         assert all("prompt" in e and "difficulty" in e for e in entries)
+
+    def test_seed_flag_only_on_curate(self):
+        from locscore.harness.cli import build_parser
+
+        parser = build_parser()
+        for command in (["serve"], ["score", "m.jsonl", "--out", "o"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + ["--seed", "1"])
+        args = parser.parse_args(["curate", "--corpus", "c.jsonl", "--out", "o"])
+        assert args.seed == 0
 
     def test_cli_prompts(self, tmp_path, rng, capsys):
         from locscore.harness.annotations import write_corpus

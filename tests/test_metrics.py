@@ -14,7 +14,7 @@ from locscore import (
 from locscore.metrics import IOU_THRESHOLDS
 
 from conftest import LABELS, random_box, random_int_box
-from oracles import reference_evaluate
+from oracles import reference_evaluate, reference_image_counts
 
 SPACE = pixel_space(640, 480)
 
@@ -175,6 +175,35 @@ def _random_scene(rng, n_images, max_boxes):
     return scenes, predictions
 
 
+# boxes 10 wide at one corner: heights h <= k overlap with IoU h / k, correctly
+# rounded, so 12/20 lands exactly on the nominal 0.6 and 9/12 on 0.75, and a
+# box between two others ties exactly (12: 9/12 = 12/16; 20: 16/20 = 20/25)
+_TIE_HEIGHTS = (8.0, 9.0, 12.0, 16.0, 20.0, 25.0)
+_TIE_LABELS = ("cat", "Cat ", "dog")
+
+
+def _tie_heavy_scene(rng, n_images):
+    """Scenes of duplicated ground truths, identical predictions and exact IoU ties."""
+    scenes = []
+    predictions = {}
+    for i in range(n_images):
+        x, y = float(rng.randrange(0, 20)), float(rng.randrange(0, 20))
+
+        def box():
+            return Box(x, y, x + 10.0, y + rng.choice(_TIE_HEIGHTS))
+
+        image_id = f"img{i}"
+        gts = [(rng.choice(_TIE_LABELS), box()) for _ in range(rng.randrange(0, 8))]
+        preds = [(rng.choice(_TIE_LABELS), box()) for _ in range(rng.randrange(0, 9))]
+        if gts and rng.random() < 0.5:
+            preds.append(rng.choice(gts))  # an exact copy of a ground truth
+        if preds:
+            preds += [rng.choice(preds)] * rng.randrange(0, 3)  # identical repeats
+        scenes.append((image_id, gts))
+        predictions[image_id] = preds
+    return scenes, predictions
+
+
 class TestOracleAgreement:
     def test_random_scenes_match_reference(self):
         rng = random.Random(404)
@@ -191,3 +220,30 @@ class TestOracleAgreement:
             assert result.ap50 == pytest.approx(reference["ap50"], abs=1e-6)
             assert result.ap75 == pytest.approx(reference["ap75"], abs=1e-6)
             assert result.ar100 == pytest.approx(reference["ar100"], abs=1e-6)
+
+    def test_tie_heavy_scenes_match_reference(self):
+        rng = random.Random(405)
+        checked = 0
+        for _ in range(150):
+            scenes, predictions = _tie_heavy_scene(rng, rng.randrange(1, 4))
+            if not any(gts for _, gts in scenes):
+                continue
+            checked += 1
+            dataset = make_dataset(scenes)
+            result = evaluate(predictions, dataset)
+            reference = reference_evaluate(
+                preds_as_plain(predictions), as_plain(scenes), IOU_THRESHOLDS
+            )
+            for t in IOU_THRESHOLDS:
+                assert result.ap_per_iou[t] == pytest.approx(reference["ap_per_iou"][t], abs=1e-6)
+            assert result.map_5095 == pytest.approx(reference["map"], abs=1e-6)
+            assert result.ar100 == pytest.approx(reference["ar100"], abs=1e-6)
+
+            plain = preds_as_plain(predictions)
+            for image_id, gts in as_plain(scenes):
+                gt = GroundTruthSet.from_pairs([(l, Box(*b)) for l, b in gts], SPACE)
+                for t in IOU_THRESHOLDS + (0.5, 0.6, 0.75, 0.95):
+                    assert per_image_counts(predictions[image_id], gt, t) == (
+                        reference_image_counts(plain[image_id], gts, t)
+                    )
+        assert checked > 100

@@ -107,6 +107,21 @@ def test_deep_nesting_is_template_failure():
     assert outcome.diagnostics == ("not valid JSON: nesting too deep",)
 
 
+def test_overlong_integer_is_template_failure():
+    # json.loads raises a plain ValueError past the interpreter's digit limit
+    text = '[{"bbox_2d": [0, 0, 1' + "0" * 5000 + ', 10], "label": "cat"}]'
+    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    assert not outcome.template_ok and not outcome.content_ok
+    assert outcome.diagnostics == ("not valid JSON: number too long",)
+
+
+def test_integer_beyond_float_range_is_content_failure():
+    text = '[{"bbox_2d": [0, 0, 1' + "0" * 400 + ', 10], "label": "cat"}]'
+    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    assert outcome.template_ok and not outcome.content_ok
+    assert outcome.predictions == ()
+
+
 _LABEL_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -_"
 
 

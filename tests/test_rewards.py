@@ -19,10 +19,16 @@ from locscore import (
     precision_reward,
     recall_reward,
     score_completion,
+    thousandths_space,
 )
 from locscore.matching import MatchedPrediction
 from locscore.parsing import STRUCTURED_FORMAT, emit_structured
-from locscore.rewards import ADVANCED_THRESHOLDS, BEGINNER_THRESHOLDS, RewardRules
+from locscore.rewards import (
+    ADVANCED_THRESHOLDS,
+    BEGINNER_THRESHOLDS,
+    RewardRules,
+    completion_objects,
+)
 
 from conftest import random_box, random_gt
 
@@ -85,6 +91,38 @@ class TestPhaseThresholds:
             phase_thresholds(PhaseConfig(step_fraction=0.0), 0.0)
         with pytest.raises(InvalidConfigError):
             phase_thresholds(PhaseConfig(beginner=ThresholdTriple(0.9, 0.5, 0.75)), 0.0)
+
+
+class TestCompletionObjects:
+    def test_same_space_returns_extracted_objects(self):
+        text = emit_structured([("cat", Box(1, 2, 30, 40)), ("dog", Box(5, 5, 9, 9))])
+        outcome, objects = completion_objects(text, STRUCTURED_FORMAT, SPACE, SPACE)
+        assert outcome == parse_completion(text, STRUCTURED_FORMAT, SPACE)
+        assert objects == [("cat", Box(1, 2, 30, 40)), ("dog", Box(5, 5, 9, 9))]
+
+    def test_converts_to_ground_truth_space(self):
+        text = '[{"bbox_2d": [0, 0, 500, 1000], "label": "cat"}]'
+        _, objects = completion_objects(
+            text, STRUCTURED_FORMAT, thousandths_space(640, 480), SPACE
+        )
+        assert objects == [("cat", Box(0.0, 0.0, 320.0, 480.0))]
+
+    def test_drops_boxes_that_collapse_on_conversion(self):
+        # 5e-324 thousandths of a 1-pixel image rounds to 0 pixels
+        text = (
+            '[{"bbox_2d": [0, 0, 5e-324, 5e-324], "label": "speck"},'
+            ' {"bbox_2d": [0, 0, 500, 1000], "label": "cat"}]'
+        )
+        outcome, objects = completion_objects(
+            text, STRUCTURED_FORMAT, thousandths_space(1, 1), pixel_space(1, 1)
+        )
+        assert outcome.content_ok and len(outcome.predictions) == 2
+        assert objects == [("cat", Box(0.0, 0.0, 0.5, 1.0))]
+
+    def test_template_failure_has_no_objects(self):
+        outcome, objects = completion_objects("garbage", STRUCTURED_FORMAT, SPACE, SPACE)
+        assert not outcome.template_ok
+        assert objects == []
 
 
 class TestDualFormat:
