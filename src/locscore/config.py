@@ -71,6 +71,14 @@ def phase_from_dict(data: Mapping[str, Any]) -> PhaseConfig:
     return PhaseConfig(beginner=beginner, advanced=advanced, step_fraction=step_fraction)
 
 
+def phase_to_dict(phase: PhaseConfig) -> dict[str, Any]:
+    return {
+        "beginner": list(phase.beginner),
+        "advanced": list(phase.advanced),
+        "step_fraction": phase.step_fraction,
+    }
+
+
 def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
@@ -116,11 +124,7 @@ def load_config(path: str | Path) -> EngineConfig:
 
 def config_to_dict(config: EngineConfig) -> dict[str, Any]:
     return {
-        "phase": {
-            "beginner": list(config.phase.beginner),
-            "advanced": list(config.phase.advanced),
-            "step_fraction": config.phase.step_fraction,
-        },
+        "phase": phase_to_dict(config.phase),
         "matcher": config.matcher.value,
         "format": config.completion_format.value,
         "beta": config.beta,

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import UnknownStyleError
 from .matching import GroundTruthSet
+from .parsing import normalize_label
 
 HARD_INSTANCE_THRESHOLD = 10
 HARD_CATEGORY_THRESHOLD = 5
@@ -72,8 +73,6 @@ class MixtureSpec:
         default_factory=lambda: {TaskKind.DETECTION: 30, TaskKind.GROUNDING: 9, TaskKind.REC: 10}
     )
     hard_fraction: float = 0.5
-    hard_instance_threshold: int = HARD_INSTANCE_THRESHOLD
-    hard_category_threshold: int = HARD_CATEGORY_THRESHOLD
     negative_fraction: float = 0.1
     seed: int = 0
 
@@ -96,7 +95,7 @@ def _label_universe(corpus: Sequence[Sample]) -> list[str]:
     seen: dict[str, str] = {}
     for sample in corpus:
         for inst in sample.gt.instances:
-            seen.setdefault(inst.label.casefold(), inst.label)
+            seen.setdefault(normalize_label(inst.label), inst.label)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -135,8 +134,8 @@ def _synthesize_negatives(
         if len(out) >= count:
             break
         base = bases[index]
-        present = {inst.label.casefold() for inst in base.gt.instances}
-        absent = [lab for lab in labels if lab.casefold() not in present]
+        present = {normalize_label(inst.label) for inst in base.gt.instances}
+        absent = [lab for lab in labels if normalize_label(lab) not in present]
         if not absent:
             continue
         out.append(synthesize_negative(base, task, absent[rng.randrange(len(absent))]))
@@ -159,20 +158,8 @@ def sample_mixture(corpus: Sequence[Sample], spec: MixtureSpec) -> MixtureResult
             continue
         rng = random.Random(f"{spec.seed}:{task.value}")
         pool = [s for s in corpus if s.task is task]
-        hard_pool = [
-            s
-            for s in pool
-            if not s.is_negative
-            and classify_difficulty(s, spec.hard_instance_threshold, spec.hard_category_threshold)
-            == "hard"
-        ]
-        easy_pool = [
-            s
-            for s in pool
-            if not s.is_negative
-            and classify_difficulty(s, spec.hard_instance_threshold, spec.hard_category_threshold)
-            == "easy"
-        ]
+        hard_pool = [s for s in pool if not s.is_negative and classify_difficulty(s) == "hard"]
+        easy_pool = [s for s in pool if not s.is_negative and classify_difficulty(s) == "easy"]
         neg_pool = [s for s in pool if s.is_negative]
 
         want_neg = min(int(want * spec.negative_fraction + 0.5), want)

@@ -193,15 +193,16 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
 
     Per image: one detection sample over all its categories, one grounding
     sample per category, and (for single-instance categories) one referring
-    sample with a minimal synthesized expression.
+    sample with a minimal synthesized expression. Labels equal under
+    ``normalize_label`` are one category, spelled as first seen.
     """
     corpus: list[Sample] = []
     for ann in annotations:
         space = ann.space()
-        labels: list[str] = []
-        for label, _ in ann.instances:
-            if label not in labels:
-                labels.append(label)
+        groups: dict[str, list[tuple[str, Box]]] = {}
+        for label, box in ann.instances:
+            groups.setdefault(normalize_label(label), []).append((label, box))
+        labels = [members[0][0] for members in groups.values()]
         corpus.append(
             Sample(
                 task=TaskKind.DETECTION,
@@ -211,8 +212,7 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
                 is_negative=not ann.instances,
             )
         )
-        for label in labels:
-            members = [(l, b) for l, b in ann.instances if l == label]
+        for label, members in zip(labels, groups.values()):
             corpus.append(
                 Sample(
                     task=TaskKind.GROUNDING,

@@ -9,19 +9,21 @@ evaluation included in the report.
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 from typing import Any
 
 from ..config import EngineConfig
-from ..errors import EngineError, MalformedRequestError
-from ..geometry import CoordinateSpace, to_space  # to_space: looked up by perfbench/tracing.py
+from ..errors import EngineError
+from ..geometry import to_space  # looked up by perfbench/tracing.py
 from ..metrics import EvalImage, evaluate
-from ..parsing import default_format
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
-from ..rewards import completion_objects
+from ..rewards import RewardBreakdown, completion_objects
 from .annotations import dataset_from_images
-from .engine import score_group
-from .wire import dump_line, parse_request, response_to_dict
+from .engine import completion_format, decode_line, score_group
+from .wire import dump_line, eval_to_dict, parse_request, response_to_dict
+
+log = logging.getLogger(__name__)
 
 HISTOGRAM_BINS = 12
 HISTOGRAM_MAX = 3.0
@@ -36,6 +38,10 @@ def _histogram(totals: list[float]) -> dict[str, int]:
     return {
         f"[{i * width:.2f},{(i + 1) * width:.2f})": counts[i] for i in range(HISTOGRAM_BINS)
     }
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 def run_batch(
@@ -57,11 +63,7 @@ def run_batch(
 
     responses: list[dict[str, Any]] = []
     errors: list[dict[str, Any]] = []
-    totals: list[float] = []
-    recalls: list[float] = []
-    precisions: list[float] = []
-    completions_seen = 0
-    format_failures = 0
+    breakdowns: list[RewardBreakdown] = []
     eval_images: list[EvalImage] = []
     final_predictions: dict[str, list] = {}
 
@@ -71,60 +73,46 @@ def run_batch(
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append({"line": lineno, "error": f"invalid JSON: {exc.msg}"})
-                continue
-            except RecursionError:
-                errors.append({"line": lineno, "error": "invalid JSON: nesting too deep"})
-                continue
-            except ValueError:  # an integer literal over the interpreter's digit limit
-                errors.append({"line": lineno, "error": "invalid JSON: number too long"})
+                data = decode_line(line)
+            except ValueError as exc:
+                errors.append({"line": lineno, "error": f"invalid JSON: {exc}"})
                 continue
             final = bool(data.pop("final", False)) if isinstance(data, dict) else False
             try:
                 request = parse_request(data)
                 response = score_group(request, config)
-            except (MalformedRequestError, EngineError) as exc:
+            except EngineError as exc:
                 errors.append({"line": lineno, "error": str(exc)})
                 continue
+            except Exception as exc:  # a fault in the engine itself; the batch goes on
+                log.exception("manifest line %d failed", lineno)
+                detail = f"internal error: {type(exc).__name__}: {exc}"
+                errors.append({"line": lineno, "error": detail})
+                continue
             responses.append(response_to_dict(response))
-            for breakdown in response.rewards:
-                completions_seen += 1
-                totals.append(breakdown.total)
-                recalls.append(breakdown.recall)
-                precisions.append(breakdown.precision)
-                if breakdown.dual_format == 0.0:
-                    format_failures += 1
-            if final:
-                if request.sample.image_id in final_predictions:
-                    errors.append(
-                        {
-                            "line": lineno,
-                            "error": f"duplicate final entry for image {request.sample.image_id}",
-                        }
-                    )
-                    continue
-                fmt = request.format or default_format(config.completion_format)
-                space = CoordinateSpace(
-                    fmt.space_kind, request.sample.space.width, request.sample.space.height
+            breakdowns.extend(response.rewards)
+            if not final:
+                continue
+            sample = request.sample
+            if sample.image_id in final_predictions:
+                errors.append(
+                    {"line": lineno, "error": f"duplicate final entry for image {sample.image_id}"}
                 )
-                _, objects = completion_objects(
-                    request.completions[0], fmt, space, request.sample.space
-                )
-                eval_images.append(
-                    EvalImage(request.sample.image_id, request.sample.space, request.sample.gt)
-                )
-                final_predictions[request.sample.image_id] = objects
+                continue
+            fmt, space = completion_format(request, config)
+            _, objects = completion_objects(request.completions[0], fmt, space, sample.space)
+            eval_images.append(EvalImage(sample.image_id, sample.space, sample.gt))
+            final_predictions[sample.image_id] = objects
 
+    totals = [b.total for b in breakdowns]
     report: dict[str, Any] = {
         "groups": len(responses),
-        "completions": completions_seen,
+        "completions": len(breakdowns),
         "errors": errors,
-        "format_failure_rate": (format_failures / completions_seen) if completions_seen else 0.0,
-        "mean_total": (sum(totals) / len(totals)) if totals else 0.0,
-        "mean_recall": (sum(recalls) / len(recalls)) if recalls else 0.0,
-        "mean_precision": (sum(precisions) / len(precisions)) if precisions else 0.0,
+        "format_failure_rate": _mean([b.dual_format == 0.0 for b in breakdowns]),
+        "mean_total": _mean(totals),
+        "mean_recall": _mean([b.recall for b in breakdowns]),
+        "mean_precision": _mean([b.precision for b in breakdowns]),
         "reward_histogram": _histogram(totals),
     }
     if eval_images:
@@ -133,14 +121,7 @@ def run_batch(
         except (EngineError, ValueError) as exc:
             report["eval_error"] = str(exc)
         else:
-            report["eval"] = {
-                "map_5095": result.map_5095,
-                "ap50": result.ap50,
-                "ap75": result.ap75,
-                "ar100": result.ar100,
-                "ap_per_iou": {f"{t:.2f}": v for t, v in result.ap_per_iou.items()},
-                "diagnostics": list(result.diagnostics),
-            }
+            report["eval"] = eval_to_dict(result)
 
     with open(output_dir / "responses.jsonl", "w", encoding="utf-8") as handle:
         for response_dict in responses:

@@ -14,8 +14,9 @@ from ..metrics import evaluate
 from . import annotations as ann_io
 from .batch import run_batch
 from .service import run_service
+from .wire import eval_to_dict
 
-LOG_ENV_VAR = "VISION_R1_LOG"
+LOG_ENV_VAR = "LOCSCORE_LOG"
 
 
 def _configure_logging() -> None:
@@ -24,7 +25,7 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="engine config file (JSON)")
     parser.add_argument("--format", choices=["structured", "plain"], dest="completion_format")
     parser.add_argument("--matcher", choices=["box", "box-label"])
@@ -37,11 +38,11 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
     config = load_config(args.config) if args.config else EngineConfig()
     return apply_cli_overrides(
         config,
-        completion_format=getattr(args, "completion_format", None),
-        matcher=getattr(args, "matcher", None),
-        step_fraction=getattr(args, "step_fraction", None),
-        beta=getattr(args, "beta", None),
-        kl_mode=getattr(args, "kl_mode", None),
+        completion_format=args.completion_format,
+        matcher=args.matcher,
+        step_fraction=args.step_fraction,
+        beta=args.beta,
+        kl_mode=args.kl_mode,
     )
 
 
@@ -59,20 +60,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
     predictions = ann_io.load_predictions(args.predictions)
-    result = evaluate(predictions, dataset)
-    json.dump(
-        {
-            "map_5095": result.map_5095,
-            "ap50": result.ap50,
-            "ap75": result.ap75,
-            "ar100": result.ar100,
-            "ap_per_iou": {f"{t:.2f}": v for t, v in result.ap_per_iou.items()},
-            "diagnostics": list(result.diagnostics),
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
+    json.dump(eval_to_dict(evaluate(predictions, dataset)), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
@@ -97,9 +85,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         for sample in result.samples:
             entry = ann_io.sample_to_dict(sample)
-            entry["difficulty"] = classify_difficulty(
-                sample, spec.hard_instance_threshold, spec.hard_category_threshold
-            )
+            entry["difficulty"] = classify_difficulty(sample)
             entry["prompt"] = render_prompt(sample, style)
             entry["prompt_style"] = style.value
             handle.write(json.dumps(entry, sort_keys=True))
@@ -135,24 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="streaming scoring service on stdin/stdout")
-    _common_flags(serve)
+    _config_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     score = sub.add_parser("score", help="batch-score a manifest of completion groups")
-    _common_flags(score)
+    _config_flags(score)
     score.add_argument("manifest", help="manifest JSONL of scoring requests")
     score.add_argument("--out", required=True, help="output directory for responses/report")
     score.add_argument("--strict", action="store_true", help="exit nonzero on per-entry errors")
     score.set_defaults(func=_cmd_score)
 
     ev = sub.add_parser("eval", help="detection metrics for a prediction file")
-    _common_flags(ev)
     ev.add_argument("--annotations", required=True)
     ev.add_argument("--predictions", required=True)
     ev.set_defaults(func=_cmd_eval)
 
     curate = sub.add_parser("curate", help="stratified training-mixture sampling")
-    _common_flags(curate)
     source = curate.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", help="corpus JSONL of task samples")
     source.add_argument("--annotations", help="derive the corpus from annotation JSONL")
@@ -170,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     curate.set_defaults(func=_cmd_curate)
 
     prompts = sub.add_parser("prompts", help="render task prompts for a corpus")
-    _common_flags(prompts)
     prompts.add_argument("--corpus", required=True)
     prompts.add_argument("--style", default="structured-coordinates",
                          choices=[s.value for s in PromptStyle])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from typing import Any, Mapping
 
 from ..config import EngineConfig
@@ -10,7 +11,7 @@ from ..errors import EngineError, MalformedRequestError
 from ..geometry import CoordinateSpace
 from ..grpo import group_advantages, grpo_objective_detailed
 from ..matching import MatcherPolicy
-from ..parsing import default_format
+from ..parsing import CompletionFormat, default_format
 from ..rewards import in_advanced_phase, phase_thresholds, score_completion
 from .wire import (
     ScoringRequest,
@@ -19,6 +20,28 @@ from .wire import (
     parse_request,
     response_to_dict,
 )
+
+log = logging.getLogger(__name__)
+
+
+def decode_line(line: str) -> Any:
+    """Decode one request line; a fault raises ``ValueError`` holding its detail."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc.msg} at position {exc.pos}") from None
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise ValueError("number too long") from None
+
+
+def completion_format(
+    req: ScoringRequest, config: EngineConfig
+) -> tuple[CompletionFormat, CoordinateSpace]:
+    """The completions' format (request over config) and the space their boxes use."""
+    fmt = req.format or default_format(config.completion_format)
+    return fmt, CoordinateSpace(fmt.space_kind, req.sample.space.width, req.sample.space.height)
 
 
 def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> ScoringResponse:
@@ -35,16 +58,12 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     if req.logprobs is not None and len(req.logprobs) != len(req.completions):
         raise MalformedRequestError("one log-prob record per completion is required")
 
-    fmt = req.format or default_format(config.completion_format)
+    fmt, completion_space = completion_format(req, config)
     try:
         matcher = MatcherPolicy(req.matcher) if req.matcher is not None else config.matcher
     except ValueError as exc:
         raise MalformedRequestError(f"unknown matcher {req.matcher!r}") from exc
     phase_cfg = req.phase or config.phase
-
-    completion_space = CoordinateSpace(
-        fmt.space_kind, req.sample.space.width, req.sample.space.height
-    )
     thresholds = phase_thresholds(phase_cfg, req.progress)
     breakdowns = tuple(
         score_completion(
@@ -102,15 +121,14 @@ def handle_request_object(data: Any, config: EngineConfig | None = None) -> dict
         return error_to_dict(request_id, "malformed-request", str(exc))
     except EngineError as exc:
         return error_to_dict(request_id, "scoring-error", str(exc))
+    except Exception as exc:  # a fault in the engine itself; the service keeps going
+        log.exception("request %s failed", request_id)
+        return error_to_dict(request_id, "internal-error", f"{type(exc).__name__}: {exc}")
 
 
 def handle_request_line(line: str, config: EngineConfig | None = None) -> dict[str, Any]:
     try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return error_to_dict(None, "parse-error", f"{exc.msg} at position {exc.pos}")
-    except RecursionError:
-        return error_to_dict(None, "parse-error", "nesting too deep")
-    except ValueError:  # an integer literal over the interpreter's digit limit
-        return error_to_dict(None, "parse-error", "number too long")
+        data = decode_line(line)
+    except ValueError as exc:
+        return error_to_dict(None, "parse-error", str(exc))
     return handle_request_object(data, config)

@@ -11,10 +11,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..config import phase_from_dict, phase_to_dict
 from ..errors import MalformedRequestError
 from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthSet
+from ..metrics import EvalResult
 from ..parsing import CompletionFormat, FormatKind, default_format
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
@@ -158,8 +160,6 @@ def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
 
     phase: PhaseConfig | None = None
     if data.get("phase") is not None:
-        from ..config import phase_from_dict  # local import avoids a cycle
-
         try:
             phase = phase_from_dict(data["phase"])
         except ValueError as exc:
@@ -214,11 +214,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
     if req.matcher is not None:
         data["matcher"] = req.matcher
     if req.phase is not None:
-        data["phase"] = {
-            "beginner": list(req.phase.beginner),
-            "advanced": list(req.phase.advanced),
-            "step_fraction": req.phase.step_fraction,
-        }
+        data["phase"] = phase_to_dict(req.phase)
     if req.logprobs is not None:
         data["logprobs"] = [
             {"policy": list(r.policy), "old": list(r.old), "ref": list(r.ref)}
@@ -292,6 +288,18 @@ def parse_response(data: Mapping[str, Any]) -> ScoringResponse:
         phase_name=str(thresholds["phase"]),
         diagnostics=tuple(data.get("diagnostics", ())),
     )
+
+
+def eval_to_dict(result: EvalResult) -> dict[str, Any]:
+    """Detection metrics as reported by ``locscore eval`` and the batch report."""
+    return {
+        "map_5095": result.map_5095,
+        "ap50": result.ap50,
+        "ap75": result.ap75,
+        "ar100": result.ar100,
+        "ap_per_iou": {f"{t:.2f}": v for t, v in result.ap_per_iou.items()},
+        "diagnostics": list(result.diagnostics),
+    }
 
 
 def error_to_dict(request_id: str | None, kind: str, detail: str) -> dict[str, Any]:

@@ -14,6 +14,7 @@ from locscore import (
     render_prompt,
     sample_mixture,
 )
+from locscore.curation import _label_universe
 
 from conftest import LABELS, random_box
 
@@ -163,6 +164,25 @@ class TestSampleMixture:
         detections = [s for s in result.samples if s.task is TaskKind.DETECTION]
         assert len(detections) == 10
         assert any("object-detection" in s for s in result.shortages)
+
+    def test_labels_equal_after_normalizing_are_one_category(self):
+        rng = random.Random(0)
+
+        def detection(image_id, labels):
+            pairs = [(label, random_box(rng)) for label in labels]
+            gt = GroundTruthSet.from_pairs(pairs, SPACE)
+            return Sample(TaskKind.DETECTION, image_id, gt, tuple(labels), False)
+
+        corpus = [
+            detection("spaced", ["traffic  light"]),
+            detection("plain", ["traffic light", "cat"]),
+        ]
+        assert len(_label_universe(corpus)) == 2
+        for seed in range(10):
+            spec = MixtureSpec(counts={TaskKind.GROUNDING: 1}, negative_fraction=1.0, seed=seed)
+            negatives = sample_mixture(corpus, spec).samples
+            # "spaced" holds a traffic light, so only "cat" is absent from it
+            assert [(s.image_id, s.query) for s in negatives] == [("spaced", "cat")]
 
 
 class TestRenderPrompt:

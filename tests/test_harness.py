@@ -9,7 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import locscore.harness.batch as batch_module
+import locscore.harness.engine as engine_module
 from locscore import Box, EngineConfig, PhaseConfig, pixel_space
 from locscore.config import apply_cli_overrides, config_from_dict, config_to_dict, load_config
 from locscore.errors import InvalidConfigError, MalformedRequestError
@@ -94,6 +98,38 @@ def _serve(lines):
     code = run_service(EngineConfig(), stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
     assert code == 0
     return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _fuzz_base():
+    return make_request_dict(
+        logprobs=[{"policy": [-1.0], "old": [-1.0], "ref": [-1.0]}] * 2,
+        phase={"beginner": [0.5, 0.5, 0.75], "advanced": [0.75, 0.75, 0.9],
+               "step_fraction": 0.5},
+        format="structured",
+        matcher="box",
+        advantages=True,
+    )
+
+
+_FUZZ_PATHS = list(_leaf_paths(_fuzz_base()))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _fails_once(monkeypatch, module, bad_id="boom"):
+    """Make ``module.score_group`` raise a non-engine error for one request id."""
+    real = module.score_group
+
+    def flaky(req, config=None):
+        if req.request_id == bad_id:
+            raise RuntimeError("engine fault")
+        return real(req, config)
+
+    monkeypatch.setattr(module, "score_group", flaky)
 
 
 class TestWire:
@@ -351,6 +387,40 @@ class TestService:
         kinds = {r["error"]["kind"] for r in responses if not r["ok"]}
         assert kinds <= {"malformed-request", "scoring-error"}
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replacements=st.lists(
+            st.tuples(st.sampled_from(_FUZZ_PATHS), _json_values), max_size=3
+        ),
+        trailer=st.text(),
+    )
+    def test_whole_line_fuzz_gets_one_reply_per_line(self, replacements, trailer):
+        data = _fuzz_base()
+        # deepest first, so an ancestor replaced later still resolves its path
+        for path, value in sorted(replacements, key=lambda r: -len(r[0])):
+            data = _replaced(data, path, value)
+        text = json.dumps(data) + "\n" + trailer + "\n"
+        expected = sum(1 for line in text.split("\n") if line.strip())
+        out = io.StringIO()
+        assert run_service(EngineConfig(), stdin=io.StringIO(text), stdout=out) == 0
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(responses) == expected
+        assert all(r["ok"] or r["error"]["kind"] != "internal-error" for r in responses)
+
+    def test_internal_fault_gets_internal_error_and_service_continues(
+        self, monkeypatch, caplog
+    ):
+        _fails_once(monkeypatch, engine_module)
+        lines = [json.dumps(make_request_dict(request_id=rid)) for rid in ("a", "boom", "b")]
+        with caplog.at_level("ERROR", logger="locscore.harness.engine"):
+            responses = _serve(lines)
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["request_id"] == "boom"
+        assert responses[1]["error"] == {
+            "kind": "internal-error", "detail": "RuntimeError: engine fault"
+        }
+        assert any(record.exc_info for record in caplog.records)
+
     def test_blank_lines_skipped(self):
         lines = ["", json.dumps(make_request_dict()), "   ", ""]
         out = io.StringIO()
@@ -434,6 +504,32 @@ class TestBatch:
         report = run_batch(manifest, tmp_path / "out")
         assert report["groups"] == 2
         assert len(report["errors"]) == 1
+
+    def test_syntax_error_entry_names_position(self, tmp_path, rng):
+        entries = _manifest_entries(rng, 1)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(entries[0]) + "\n{broken\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == [
+            {
+                "line": 2,
+                "error": "invalid JSON: Expecting property name enclosed in double quotes"
+                " at position 1",
+            }
+        ]
+
+    def test_internal_fault_collected_and_batch_continues(self, tmp_path, rng, monkeypatch):
+        _fails_once(monkeypatch, batch_module)
+        entries = _manifest_entries(rng, 3)
+        entries[1]["request_id"] = "boom"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == [
+            {"line": 2, "error": "internal error: RuntimeError: engine fault"}
+        ]
+        assert report["groups"] == 2
+        assert report["completions"] == 6
 
     def test_deep_nesting_line_collected(self, tmp_path, rng):
         entries = _manifest_entries(rng, 2)
@@ -627,6 +723,27 @@ class TestAnnotations:
         assert tasks.count("visual-grounding") == 2
         assert tasks.count("rec") == 2
 
+    def test_corpus_groups_labels_equal_after_normalizing(self):
+        annotations = [
+            ImageAnnotation(
+                image_id="img0",
+                width=640,
+                height=480,
+                instances=(
+                    ("traffic  light", Box(0, 0, 10, 10)),
+                    ("Traffic light", Box(20, 20, 30, 30)),
+                    ("cat", Box(40, 40, 90, 90)),
+                ),
+            )
+        ]
+        corpus = corpus_from_annotations(annotations)
+        assert [(s.task.value, s.query, len(s.gt.instances)) for s in corpus] == [
+            ("object-detection", ("traffic  light", "cat"), 3),
+            ("visual-grounding", "traffic  light", 2),
+            ("visual-grounding", "cat", 1),
+            ("rec", "the cat", 1),
+        ]
+
 
 class TestCli:
     def test_log_env_var_sets_verbosity(self):
@@ -634,7 +751,7 @@ class TestCli:
 
         from locscore.harness.cli import LOG_ENV_VAR, _configure_logging
 
-        assert LOG_ENV_VAR == "VISION_R1_LOG"
+        assert LOG_ENV_VAR == "LOCSCORE_LOG"
         import os
         from unittest import mock
 
@@ -749,6 +866,27 @@ class TestCli:
                 parser.parse_args(command + ["--seed", "1"])
         args = parser.parse_args(["curate", "--corpus", "c.jsonl", "--out", "o"])
         assert args.seed == 0
+
+    def test_config_flags_only_on_serve_and_score(self):
+        from locscore.harness.cli import build_parser
+
+        parser = build_parser()
+        for command in (
+            ["eval", "--annotations", "a", "--predictions", "p"],
+            ["curate", "--corpus", "c.jsonl", "--out", "o"],
+            ["prompts", "--corpus", "c.jsonl"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(command + ["--beta", "9"])
+            assert exc.value.code == 2
+        flags = ["--config", "c.json", "--format", "plain", "--matcher", "box-label",
+                 "--step-fraction", "0.3", "--beta", "9", "--kl", "seq"]
+        for command in (["serve"], ["score", "m.jsonl", "--out", "o"]):
+            args = parser.parse_args(command + flags)
+            assert (args.config, args.completion_format, args.matcher) == (
+                "c.json", "plain", "box-label"
+            )
+            assert (args.step_fraction, args.beta, args.kl_mode) == (0.3, 9.0, "seq")
 
     def test_cli_prompts(self, tmp_path, rng, capsys):
         from locscore.harness.annotations import write_corpus
