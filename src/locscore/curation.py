@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 from .errors import UnknownStyleError
 from .matching import GroundTruthSet
-from .parsing import normalize_label
 
 HARD_INSTANCE_THRESHOLD = 10
 HARD_CATEGORY_THRESHOLD = 5
@@ -91,12 +90,13 @@ def _take(pool: Sequence[Sample], count: int, rng: random.Random) -> list[Sample
     return [pool[i] for i in order[:count]]
 
 
-def _label_universe(corpus: Sequence[Sample]) -> list[str]:
+def _label_universe(corpus: Sequence[Sample]) -> list[tuple[str, str]]:
+    """(normalized label, first spelling) of every ground-truth label, sorted."""
     seen: dict[str, str] = {}
     for sample in corpus:
-        for inst in sample.gt.instances:
-            seen.setdefault(normalize_label(inst.label), inst.label)
-    return [seen[key] for key in sorted(seen)]
+        for key, indices in sample.gt.by_label.items():
+            seen.setdefault(key, sample.gt.instances[indices[0]].label)
+    return sorted(seen.items())
 
 
 def synthesize_negative(
@@ -122,7 +122,7 @@ def _synthesize_negatives(
     task: TaskKind,
     count: int,
     rng: random.Random,
-    labels: Sequence[str],
+    labels: Sequence[tuple[str, str]],
 ) -> list[Sample]:
     # detection samples carry the full annotation set, so absence of a
     # category is decidable from them
@@ -134,8 +134,7 @@ def _synthesize_negatives(
         if len(out) >= count:
             break
         base = bases[index]
-        present = {normalize_label(inst.label) for inst in base.gt.instances}
-        absent = [lab for lab in labels if normalize_label(lab) not in present]
+        absent = [label for key, label in labels if key not in base.gt.by_label]
         if not absent:
             continue
         out.append(synthesize_negative(base, task, absent[rng.randrange(len(absent))]))

@@ -21,7 +21,6 @@ from ..curation import Sample, TaskKind
 from ..geometry import Box, CoordinateSpace, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
-from ..parsing import normalize_label
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
     """
     categories: dict[str, str] = {}
     for image in images:
-        for inst in image.gt.instances:
-            categories.setdefault(normalize_label(inst.label), inst.label)
+        for key, indices in image.gt.by_label.items():
+            categories.setdefault(key, image.gt.instances[indices[0]].label)
     return EvalDataset(images=tuple(images), categories=tuple(sorted(categories.values())))
 
 
@@ -131,6 +130,8 @@ def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
     """Prediction JSONL: ``{"image_id", "predictions": [{"label", "bbox"}]}``."""
     out: dict[str, list[tuple[str, Box]]] = {}
     for lineno, data in _read_jsonl(path):
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}:{lineno}: prediction lines must be objects")
         preds = [
             (str(p["label"]), Box(*(float(v) for v in p["bbox"])))
             for p in data.get("predictions", [])
@@ -198,26 +199,27 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
     """
     corpus: list[Sample] = []
     for ann in annotations:
-        space = ann.space()
-        groups: dict[str, list[tuple[str, Box]]] = {}
-        for label, box in ann.instances:
-            groups.setdefault(normalize_label(label), []).append((label, box))
-        labels = [members[0][0] for members in groups.values()]
+        gt = ann.gt()
+        groups = [
+            GroundTruthSet(tuple(gt.instances[i] for i in indices), gt.space)
+            for indices in gt.by_label.values()
+        ]
+        labels = [members.instances[0].label for members in groups]
         corpus.append(
             Sample(
                 task=TaskKind.DETECTION,
                 image_id=ann.image_id,
-                gt=GroundTruthSet.from_pairs(ann.instances, space),
+                gt=gt,
                 query=tuple(labels),
                 is_negative=not ann.instances,
             )
         )
-        for label, members in zip(labels, groups.values()):
+        for label, members in zip(labels, groups):
             corpus.append(
                 Sample(
                     task=TaskKind.GROUNDING,
                     image_id=ann.image_id,
-                    gt=GroundTruthSet.from_pairs(members, space),
+                    gt=members,
                     query=label,
                     is_negative=False,
                 )
@@ -227,7 +229,7 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
                     Sample(
                         task=TaskKind.REC,
                         image_id=ann.image_id,
-                        gt=GroundTruthSet.from_pairs(members, space),
+                        gt=members,
                         query=f"the {label}",
                         is_negative=False,
                     )

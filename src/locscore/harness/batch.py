@@ -18,9 +18,9 @@ from ..errors import EngineError
 from ..geometry import to_space  # looked up by perfbench/tracing.py
 from ..metrics import EvalImage, evaluate
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
-from ..rewards import RewardBreakdown, completion_objects
+from ..rewards import RewardBreakdown
 from .annotations import dataset_from_images
-from .engine import completion_format, decode_line, score_group
+from .engine import decode_line, score_group
 from .wire import dump_line, eval_to_dict, parse_request, response_to_dict
 
 log = logging.getLogger(__name__)
@@ -99,10 +99,9 @@ def run_batch(
                     {"line": lineno, "error": f"duplicate final entry for image {sample.image_id}"}
                 )
                 continue
-            fmt, space = completion_format(request, config)
-            _, objects = completion_objects(request.completions[0], fmt, space, sample.space)
             eval_images.append(EvalImage(sample.image_id, sample.space, sample.gt))
-            final_predictions[sample.image_id] = objects
+            matches = response.rewards[0].matches
+            final_predictions[sample.image_id] = [(m.label, m.box) for m in matches]
 
     totals = [b.total for b in breakdowns]
     report: dict[str, Any] = {

@@ -58,9 +58,15 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
-    predictions = ann_io.load_predictions(args.predictions)
-    json.dump(eval_to_dict(evaluate(predictions, dataset)), sys.stdout, indent=2, sort_keys=True)
+    try:
+        dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
+        predictions = ann_io.load_predictions(args.predictions)
+        result = evaluate(predictions, dataset)
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"locscore eval: {detail}", file=sys.stderr)
+        return 2
+    json.dump(eval_to_dict(result), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
@@ -105,9 +111,6 @@ def _cmd_prompts(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    if args.layout != "coco":
-        print(f"unknown annotation layout: {args.layout}", file=sys.stderr)
-        return 2
     count = ann_io.convert_coco_layout(args.input, args.output)
     print(f"converted {count} images -> {args.output}")
     return 0

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 from typing import Any, Mapping
 
 from ..config import EngineConfig
 from ..errors import EngineError, MalformedRequestError
-from ..geometry import CoordinateSpace
 from ..grpo import group_advantages, grpo_objective_detailed
 from ..matching import MatcherPolicy
-from ..parsing import CompletionFormat, default_format
+from ..parsing import default_format
 from ..rewards import in_advanced_phase, phase_thresholds, score_completion
 from .wire import (
     ScoringRequest,
@@ -36,14 +36,6 @@ def decode_line(line: str) -> Any:
         raise ValueError("number too long") from None
 
 
-def completion_format(
-    req: ScoringRequest, config: EngineConfig
-) -> tuple[CompletionFormat, CoordinateSpace]:
-    """The completions' format (request over config) and the space their boxes use."""
-    fmt = req.format or default_format(config.completion_format)
-    return fmt, CoordinateSpace(fmt.space_kind, req.sample.space.width, req.sample.space.height)
-
-
 def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> ScoringResponse:
     """Score every completion of one group and derive group statistics.
 
@@ -58,7 +50,8 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     if req.logprobs is not None and len(req.logprobs) != len(req.completions):
         raise MalformedRequestError("one log-prob record per completion is required")
 
-    fmt, completion_space = completion_format(req, config)
+    fmt = req.format or default_format(config.completion_format)
+    completion_space = replace(req.sample.space, kind=fmt.space_kind)
     try:
         matcher = MatcherPolicy(req.matcher) if req.matcher is not None else config.matcher
     except ValueError as exc:

@@ -13,21 +13,22 @@ reduced cost is at most ``_COST_TIE_ATOL`` form the tight subgraph, whose
 perfect matchings are exactly the optimal assignments. Walking predictions in
 order, each is rotated along an alternating path of tight edges to the
 lowest-indexed ground truth it can reach, which yields the lexicographically
-first optimum with graph searches only. The IoU matrix is built by
-broadcasting, bit for bit equal to ``geometry.iou`` on every pair.
+first optimum with graph searches only. IoUs come from
+``geometry.iou_matrix``, bit for bit equal to ``geometry.iou`` on every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SpaceMismatchError
-from .geometry import Box, CoordinateSpace, iou, validate_box
+from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_box
 from .parsing import normalize_label
 
 LABEL_MISMATCH_PENALTY = 1.0
@@ -70,6 +71,22 @@ class GroundTruthSet:
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return box_array(inst.box for inst in self.instances)
+
+    @cached_property
+    def label_keys(self) -> tuple[str, ...]:
+        return tuple(normalize_label(inst.label) for inst in self.instances)
+
+    @cached_property
+    def by_label(self) -> dict[str, tuple[int, ...]]:
+        """Normalized label -> instance indices, both in instance order."""
+        groups: dict[str, list[int]] = {}
+        for index, key in enumerate(self.label_keys):
+            groups.setdefault(key, []).append(index)
+        return {key: tuple(indices) for key, indices in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -233,28 +250,12 @@ def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int)
         fixed[assigned[i]] = True
 
 
-def _iou_matrix(pred_boxes: Sequence[Box], gt_boxes: Sequence[Box]) -> np.ndarray:
-    """All pairwise ``iou`` values by broadcasting, bit for bit.
-
-    The same float64 operations in the same order as ``geometry.iou``; the
-    boxes must already be valid (no structural re-check here). A pair whose
-    intersection is zero, or underflows to zero, gets IoU 0.
-    """
-    p = np.array([box.coords() for box in pred_boxes], dtype=float).T[:, :, None]
-    t = np.array([box.coords() for box in gt_boxes], dtype=float).T[:, None, :]
-    width = np.maximum(np.minimum(p[2], t[2]) - np.maximum(p[0], t[0]), 0.0)
-    height = np.maximum(np.minimum(p[3], t[3]) - np.maximum(p[1], t[1]), 0.0)
-    inter = width * height
-    union = (p[2] - p[0]) * (p[3] - p[1]) + (t[2] - t[0]) * (t[3] - t[1]) - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
-
-
 def _cost_matrix(
     predictions: Sequence[tuple[str, Box]],
     gt: GroundTruthSet,
     policy: MatcherPolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    ious = _iou_matrix([box for _, box in predictions], [inst.box for inst in gt.instances])
+    ious = iou_matrix(box_array(box for _, box in predictions), gt.coords)
     cost = 1.0 - ious
     if policy is MatcherPolicy.BOX_AND_LABEL:
         # normalized labels as small integers (numpy strings drop trailing NULs)
@@ -262,9 +263,7 @@ def _cost_matrix(
         pred_ids = np.array(
             [ids.setdefault(normalize_label(label), len(ids)) for label, _ in predictions]
         )
-        gt_ids = np.array(
-            [ids.setdefault(normalize_label(inst.label), len(ids)) for inst in gt.instances]
-        )
+        gt_ids = np.array([ids.setdefault(key, len(ids)) for key in gt.label_keys])
         cost = cost + np.where(pred_ids[:, None] == gt_ids[None, :], 0.0, LABEL_MISMATCH_PENALTY)
     return cost, ious
 
@@ -300,6 +299,6 @@ def match(
         if gt_index is None:
             out.append(MatchedPrediction(box, label, 0.0, None, False))
         else:
-            correct = normalize_label(label) == normalize_label(gt.instances[gt_index].label)
+            correct = normalize_label(label) == gt.label_keys[gt_index]
             out.append(MatchedPrediction(box, label, float(ious[index, gt_index]), gt_index, correct))
     return out

@@ -20,11 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .errors import InvalidBoxError
-from .geometry import Box, CoordinateSpace, iou, validate_box
+from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_box
 from .matching import GroundTruthSet
 from .parsing import normalize_label
 
@@ -43,23 +43,11 @@ MAX_DETECTIONS_PER_IMAGE = 100
 _RECALL_GRID = tuple(i / 100 for i in range(101))
 
 
-def _boxes_by_label(gt: GroundTruthSet) -> dict[str, list[Box]]:
-    """Ground-truth boxes grouped by normalized label, in instance order."""
-    groups: dict[str, list[Box]] = defaultdict(list)
-    for inst in gt.instances:
-        groups[normalize_label(inst.label)].append(inst.box)
-    return dict(groups)
-
-
 @dataclass(frozen=True)
 class EvalImage:
     image_id: str
     space: CoordinateSpace
     gt: GroundTruthSet
-
-    @cached_property
-    def gt_by_label(self) -> dict[str, list[Box]]:
-        return _boxes_by_label(self.gt)
 
 
 @dataclass(frozen=True)
@@ -73,7 +61,7 @@ class EvalDataset:
             raise ValueError("image ids must be unique")
         known = {normalize_label(c) for c in self.categories}
         for img in self.images:
-            missing = img.gt_by_label.keys() - known
+            missing = img.gt.by_label.keys() - known
             if missing:
                 label = min(missing)
                 raise ValueError(f"ground-truth label {label!r} missing from the category list")
@@ -122,11 +110,10 @@ def per_image_counts(
     Predictions are matched in rank order against the ground truths of their
     own label (see ``_greedy_flags``).
     """
-    groups = _boxes_by_label(gt)
     rows: dict[str, list[list[float]]] = defaultdict(list)
     for label, box in predictions:
         norm = normalize_label(label)
-        rows[norm].append([iou(box, gt_box) for gt_box in groups.get(norm, ())])
+        rows[norm].append([iou(box, gt.instances[j].box) for j in gt.by_label.get(norm, ())])
     tp = sum(sum(_greedy_flags(label_rows, iou_threshold)) for label_rows in rows.values())
     return tp, len(predictions) - tp, len(gt.instances) - tp
 
@@ -169,11 +156,12 @@ def evaluate(
     diagnostics: list[str] = []
     normalized = [normalize_label(c) for c in dataset.categories]
     known = set(normalized)
-    present = {label for img in dataset.images for label in img.gt_by_label}
+    present = {label for img in dataset.images for label in img.gt.by_label}
     active = list(dict.fromkeys(c for c in normalized if c in present))
 
     # IoU rows (detection x same-category ground truth) per category and image,
-    # computed once and swept over every threshold below
+    # sliced in ``active`` order from one matrix per image, swept over every
+    # threshold below
     ious: dict[str, list[list[list[float]]]] = {c: [] for c in active}
     npos: Counter[str] = Counter()
     unknown = 0
@@ -191,12 +179,14 @@ def evaluate(
                 continue
             if len(per_category[norm]) < MAX_DETECTIONS_PER_IMAGE:
                 per_category[norm].append(box)
+        boxes = [box for category in active for box in per_category.get(category, ())]
+        rows = iter(iou_matrix(box_array(boxes), img.gt.coords).tolist() if boxes else ())
         for category in active:
-            gt_boxes = img.gt_by_label.get(category, [])
-            npos[category] += len(gt_boxes)
+            cols = img.gt.by_label.get(category, ())
+            npos[category] += len(cols)
             dets = per_category.get(category)
             if dets:
-                ious[category].append([[iou(det, g) for g in gt_boxes] for det in dets])
+                ious[category].append([[row[j] for j in cols] for row in islice(rows, len(dets))])
     if unknown:
         diagnostics.append(
             f"{unknown} prediction(s) with labels outside the category list; "

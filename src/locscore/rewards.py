@@ -16,7 +16,7 @@ schedule that switches at a configured fraction of training progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidConfigError
@@ -161,6 +161,8 @@ class RewardBreakdown:
     m_predictions: int
     n_gt: int
     n_valid: int
+    # the matched predictions, in ground-truth space; in-process only, never on the wire
+    matches: tuple[MatchedPrediction, ...] = field(default=(), compare=False, repr=False)
 
 
 def score_matches(
@@ -187,6 +189,7 @@ def score_matches(
         m_predictions=len(matches),
         n_gt=n_gt,
         n_valid=count_valid(matches, t.xi0, rules.require_label_match),
+        matches=tuple(matches),
     )
 
 

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locscore import (
     Box,
+    GroundTruthSet,
     InvalidBoxError,
     SpaceMismatchError,
     iou,
@@ -14,9 +16,10 @@ from locscore import (
     to_space,
     validate_box,
 )
-from locscore.geometry import structural_fault
+from locscore.geometry import box_array, iou_matrix, structural_fault
+from locscore.parsing import normalize_label
 
-from conftest import box_strategy
+from conftest import box_strategy, related_boxes
 
 
 class TestIou:
@@ -63,6 +66,53 @@ class TestIou:
     @given(box_strategy(), box_strategy(), st.floats(0.1, 8.0))
     def test_scale_invariance(self, a, b, factor):
         assert iou(a.scaled(factor), b.scaled(factor)) == pytest.approx(iou(a, b), abs=1e-9)
+
+
+class TestIouMatrix:
+    @given(boxes=related_boxes(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_iou(self, boxes, data):
+        split = data.draw(st.integers(1, len(boxes) - 1))
+        a, b = boxes[:split], boxes[split:]
+        expected = np.array([[iou(p, t) for t in b] for p in a])
+        assert np.array_equal(iou_matrix(box_array(a), box_array(b)), expected)
+
+    def test_empty_sides(self):
+        some = box_array([Box(0, 0, 10, 10)])
+        assert iou_matrix(box_array([]), some).shape == (0, 1)
+        assert iou_matrix(some, box_array([])).shape == (1, 0)
+
+
+class TestGroundTruthIndex:
+    PAIRS = [
+        ("Traffic  Light", Box(0, 0, 10, 10)),
+        ("cat", Box(5, 5, 20, 20)),
+        ("traffic light", Box(1, 1, 3, 3)),
+        ("Cat", Box(0, 0, 1, 1)),
+        ("dog", Box(2, 2, 9, 9)),
+    ]
+
+    def test_index_agrees_with_instances(self):
+        gt = GroundTruthSet.from_pairs(self.PAIRS, pixel_space(64, 64))
+        assert gt.coords.shape == (5, 4) and gt.coords.dtype == np.float64
+        assert gt.coords.tolist() == [list(box.coords()) for _, box in self.PAIRS]
+        assert gt.label_keys == tuple(normalize_label(label) for label, _ in self.PAIRS)
+        assert gt.by_label == {"traffic light": (0, 2), "cat": (1, 3), "dog": (4,)}
+        first_spellings = [gt.instances[indices[0]].label for indices in gt.by_label.values()]
+        assert first_spellings == ["Traffic  Light", "cat", "dog"]
+
+    def test_empty_set(self):
+        gt = GroundTruthSet((), pixel_space(64, 64))
+        assert gt.coords.shape == (0, 4)
+        assert gt.label_keys == () and gt.by_label == {}
+
+    def test_caching_keeps_equality_and_hash(self):
+        cached = GroundTruthSet.from_pairs(self.PAIRS, pixel_space(64, 64))
+        fresh = GroundTruthSet.from_pairs(self.PAIRS, pixel_space(64, 64))
+        before = hash(cached)
+        assert cached.coords is cached.coords and cached.by_label is cached.by_label
+        assert cached.label_keys is cached.label_keys
+        assert cached == fresh and hash(cached) == hash(fresh) == before
 
 
 class TestValidateBox:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import locscore.harness.batch as batch_module
 import locscore.harness.engine as engine_module
+import locscore.rewards as rewards_module
 from locscore import Box, EngineConfig, PhaseConfig, pixel_space
 from locscore.config import apply_cli_overrides, config_from_dict, config_to_dict, load_config
 from locscore.errors import InvalidConfigError, MalformedRequestError
@@ -576,6 +577,22 @@ class TestBatch:
         assert report["groups"] == 2
         assert report["errors"] == [{"line": 2, "error": "invalid JSON: number too long"}]
 
+    def test_each_completion_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = rewards_module.parse_completion
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rewards_module, "parse_completion", counting)
+        manifest = Path(SRC).parent / "fixtures" / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines() if line.strip()]
+        assert any(entry.get("final") for entry in entries)
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == [] and "eval" in report
+        assert len(calls) == sum(len(entry["completions"]) for entry in entries)
+
     def test_report_contents_and_eval(self, tmp_path, rng):
         entries = _manifest_entries(rng, 5)
         manifest = tmp_path / "manifest.jsonl"
@@ -968,3 +985,35 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["map_5095"] == 1.0
+
+    @pytest.mark.parametrize(
+        "prediction, message",
+        [
+            (
+                {"label": "cat", "bbox": [0, 0, 642, 100]},
+                "locscore eval: prediction box (0.0, 0.0, 642.0, 100.0) invalid in image img0: "
+                "x2 = 642.0 exceeds extent 640.0",
+            ),
+            ({"label": "cat"}, "locscore eval: missing field 'bbox'"),
+            (None, "locscore eval: {pred_path}:1: prediction lines must be objects"),
+        ],
+        ids=["past-extent", "no-bbox", "not-an-object"],
+    )
+    def test_cli_eval_bad_input_is_one_line_error(self, tmp_path, capsys, prediction, message):
+        from locscore.harness.cli import main as cli_main
+
+        ann_path = tmp_path / "ann.jsonl"
+        write_annotations(
+            [ImageAnnotation("img0", 640, 480, (("cat", Box(0, 0, 100, 100)),))], ann_path
+        )
+        pred_path = tmp_path / "pred.jsonl"
+        line = [] if prediction is None else {"image_id": "img0", "predictions": [prediction]}
+        pred_path.write_text(json.dumps(line) + "\n")
+        message = message.format(pred_path=pred_path)
+        code = cli_main(
+            ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"

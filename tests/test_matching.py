@@ -14,11 +14,11 @@ from locscore import (
     match,
     pixel_space,
 )
-from locscore.geometry import iou
+from locscore.geometry import box_array, iou_matrix
 from locscore.matching import _COST_TIE_ATOL, _canonical_pairs
 from locscore.matching import _cost_matrix as engine_cost_matrix
 
-from conftest import LABELS, box_strategy, random_box, random_gt
+from conftest import INT_BOXES, LABELS, box_strategy, random_box, random_gt, related_boxes
 from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
 
 SPACE = pixel_space(640, 480)
@@ -280,15 +280,6 @@ def tie_cost_matrices(draw, shape):
     return np.array(draw(st.lists(values, min_size=m * g, max_size=m * g))).reshape(m, g)
 
 
-def _int_box(x1, y1, w, h):
-    return Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
-
-
-INT_BOXES = st.builds(
-    _int_box, st.integers(0, 30), st.integers(0, 30), st.integers(1, 12), st.integers(1, 12)
-)
-
-
 @st.composite
 def box_cost_matrices(draw, shape):
     m, g = _orient(draw(st.integers(1, 9)), draw(st.integers(1, 9)), shape)
@@ -320,44 +311,16 @@ class TestCanonicalPairsDifferential:
         assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
 
-def _tiny_box(x1, y1, w, h):
-    return Box(x1, y1, x1 + w, y1 + h)
-
-
-# integer and float corners, sub-1e-6 sizes
-BASE_BOXES = st.one_of(
-    INT_BOXES,
-    box_strategy(100.0, 100.0, min_size=0.5),
-    st.builds(
-        _tiny_box, st.floats(0, 1), st.floats(0, 1), st.floats(1e-9, 1e-6), st.floats(1e-9, 1e-6)
-    ),
-)
-
-
-@st.composite
-def related_boxes(draw):
-    """Boxes plus copies, touching neighbours and boxes nested inside them."""
-    boxes = draw(st.lists(BASE_BOXES, min_size=1, max_size=5))
-    out = list(boxes)
-    for box in boxes:
-        w, h = box.x2 - box.x1, box.y2 - box.y1
-        out.append(Box(box.x1, box.y1, box.x2, box.y2))
-        out.append(Box(box.x2, box.y1, box.x2 + w, box.y2))  # shares the right edge
-        out.append(Box(box.x1, box.y2, box.x2, box.y2 + h))  # shares the bottom edge
-        out.append(Box(box.x1 + w / 4, box.y1 + h / 4, box.x2 - w / 4, box.y2 - h / 4))
-    return draw(st.permutations(out))
-
-
 class TestCostMatrix:
     @given(boxes=related_boxes(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_iou_matrix_bit_identical_and_cost_matches(self, boxes, data):
+    def test_cost_matches_assignment_cost(self, boxes, data):
         split = data.draw(st.integers(1, len(boxes) - 1))
         labels = st.sampled_from(LABELS[:3])
         preds = [(data.draw(labels), box) for box in boxes[:split]]
         gt_pairs = [(data.draw(labels), box) for box in boxes[split:]]
         gt = GroundTruthSet.from_pairs(gt_pairs, pixel_space(300, 300))
-        expected = np.array([[iou(box, inst.box) for inst in gt.instances] for _, box in preds])
+        expected = iou_matrix(box_array(box for _, box in preds), gt.coords)
         for policy in MatcherPolicy:
             cost, ious = engine_cost_matrix(preds, gt, policy)
             assert np.array_equal(ious, expected)

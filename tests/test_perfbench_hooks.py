@@ -1,12 +1,9 @@
 """The benchmark tracer (perfbench/tracing.py) wraps engine functions by name;
 a rename in the engine must fail here rather than break ``--trace 1``."""
 
+import importlib
 import importlib.util
 from pathlib import Path
-
-import locscore.harness.batch as batch
-import locscore.rewards as rewards
-from locscore.config import EngineConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -19,11 +16,20 @@ def _load_tracing():
 
 
 def test_tracer_installs_and_uninstalls():
-    originals = (rewards.parse_completion, batch.to_space, EngineConfig.validate)
-    tracer = _load_tracing().Tracer()
+    tracing = _load_tracing()
+    hooks = [(module, attr) for module, attr, _ in tracing.SPANS]
+    hooks += [(owner, attr) for owner, attr, _ in tracing.COUNTS]
+    hooks += [(module, "json") for module in tracing.JSON_USERS]
+    owners = [
+        importlib.import_module(owner) if isinstance(owner, str) else owner for owner, _ in hooks
+    ]
+    originals = [getattr(owner, attr) for owner, (_, attr) in zip(owners, hooks)]
+    tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert rewards.parse_completion is not originals[0]
+        for owner, (name, attr), original in zip(owners, hooks, originals):
+            assert getattr(owner, attr) is not original, (name, attr)
     finally:
         tracer.uninstall()
-    assert (rewards.parse_completion, batch.to_space, EngineConfig.validate) == originals
+    for owner, (name, attr), original in zip(owners, hooks, originals):
+        assert getattr(owner, attr) is original, (name, attr)
