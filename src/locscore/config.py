@@ -1,4 +1,4 @@
-"""Engine configuration: defaults, JSON loading, and precedence helpers.
+"""Engine configuration: defaults, JSON loading and decoding.
 
 Precedence is request-level override > config file > built-in defaults
 (box-only matcher, beginner/advanced triples, beta 0.2, k3 KL estimator).
@@ -7,7 +7,7 @@ Precedence is request-level override > config file > built-in defaults
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -111,15 +111,20 @@ def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
     )
 
 
-def load_config(path: str | Path) -> EngineConfig:
+def read_config_file(path: str | Path) -> dict[str, Any]:
+    """The JSON object a config file holds, not yet decoded."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfigError("config file must hold a JSON object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> EngineConfig:
+    return config_from_dict(read_config_file(path))
 
 
 def config_to_dict(config: EngineConfig) -> dict[str, Any]:
@@ -139,20 +144,3 @@ def config_to_dict(config: EngineConfig) -> dict[str, Any]:
         },
     }
 
-
-def apply_cli_overrides(config: EngineConfig, **overrides: Any) -> EngineConfig:
-    """Return a copy with any non-None override applied."""
-    updates: dict[str, Any] = {}
-    if overrides.get("matcher") is not None:
-        updates["matcher"] = MatcherPolicy(overrides["matcher"])
-    if overrides.get("completion_format") is not None:
-        updates["completion_format"] = FormatKind(overrides["completion_format"])
-    if overrides.get("beta") is not None:
-        updates["beta"] = float(overrides["beta"])
-    if overrides.get("kl_mode") is not None:
-        updates["kl_mode"] = KlMode(overrides["kl_mode"])
-    if overrides.get("step_fraction") is not None:
-        updates["phase"] = replace(config.phase, step_fraction=float(overrides["step_fraction"]))
-    if not updates:
-        return config
-    return replace(config, **updates)

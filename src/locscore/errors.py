@@ -1,37 +1,37 @@
 """Exception types shared across the engine."""
 
 
-class EngineError(Exception):
-    """Base class for every error the engine raises on purpose."""
+class EngineError(ValueError):
+    """Base class for every error the engine raises on purpose; each is a ``ValueError``."""
 
 
-class InvalidBoxError(EngineError, ValueError):
+class InvalidBoxError(EngineError):
     """A box violates its structural or coordinate-space invariants."""
 
 
-class SpaceMismatchError(EngineError, ValueError):
+class SpaceMismatchError(EngineError):
     """Two operands do not share a coordinate space."""
 
 
-class GroupTooSmallError(EngineError, ValueError):
+class GroupTooSmallError(EngineError):
     """A completion group is too small for group-relative statistics."""
 
 
-class LengthMismatchError(EngineError, ValueError):
+class LengthMismatchError(EngineError):
     """Parallel sequences disagree in length."""
 
 
-class NonFiniteInputError(EngineError, ValueError):
+class NonFiniteInputError(EngineError):
     """An input that must be finite is NaN or infinite."""
 
 
-class InvalidConfigError(EngineError, ValueError):
+class InvalidConfigError(EngineError):
     """A configuration value violates its invariants."""
 
 
-class UnknownStyleError(EngineError, ValueError):
+class UnknownStyleError(EngineError):
     """A prompt style / task combination has no template."""
 
 
-class MalformedRequestError(EngineError, ValueError):
+class MalformedRequestError(EngineError):
     """A scoring request is structurally invalid."""

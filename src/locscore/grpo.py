@@ -101,6 +101,7 @@ class ObjectiveResult:
     clamped_ratios: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite objective raises instead
 def grpo_objective_detailed(
     records: Sequence[LogProbRecord],
     advantages: Sequence[float],
@@ -141,8 +142,11 @@ def grpo_objective_detailed(
         ratios.append(ratio)
         kl_values.append(kl)
         terms.append(surrogate - beta * kl)
+    objective = sum(terms) / len(terms)
+    if not math.isfinite(objective):  # as it is whenever a KL estimate is not
+        raise NonFiniteInputError("KL estimate or objective overflows float64")
     return ObjectiveResult(
-        objective=sum(terms) / len(terms),
+        objective=objective,
         ratios=tuple(ratios),
         kl_values=tuple(kl_values),
         clamped_ratios=clamped,

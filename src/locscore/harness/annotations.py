@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..curation import Sample, TaskKind
 from ..geometry import Box, CoordinateSpace, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
+from . import wire
+from .engine import decode_line
 
 
 @dataclass(frozen=True)
@@ -37,33 +39,33 @@ class ImageAnnotation:
         return GroundTruthSet.from_pairs(self.instances, self.space())
 
 
-def _read_jsonl(path: str | Path) -> Iterable[tuple[int, Any]]:
+def _read_jsonl(path: str | Path, what: str, decode: Callable[[Mapping[str, Any]], Any]) -> list:
+    """Decode each non-blank line of a JSONL file; a fault names its file and line."""
+    out = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            yield lineno, json.loads(line)
+            try:
+                data = decode_line(line)
+                if not isinstance(data, Mapping):
+                    raise ValueError(f"{what} lines must be objects")
+                out.append(decode(data))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def _annotation_from_dict(data: Mapping[str, Any]) -> ImageAnnotation:
+    image_id = wire.parse_id(data, "image_id")
+    space = wire.parse_space(data)
+    instances = tuple(wire.parse_objects(data, "instances"))
+    return ImageAnnotation(image_id, space.width, space.height, instances)
 
 
 def load_annotations(path: str | Path) -> list[ImageAnnotation]:
-    annotations = []
-    for lineno, data in _read_jsonl(path):
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}:{lineno}: annotation lines must be objects")
-        instances = tuple(
-            (str(inst["label"]), Box(*(float(v) for v in inst["bbox"])))
-            for inst in data.get("instances", [])
-        )
-        annotations.append(
-            ImageAnnotation(
-                image_id=str(data["image_id"]),
-                width=int(data["width"]),
-                height=int(data["height"]),
-                instances=instances,
-            )
-        )
-    return annotations
+    return _read_jsonl(path, "annotation", _annotation_from_dict)
 
 
 def write_annotations(annotations: Sequence[ImageAnnotation], path: str | Path) -> None:
@@ -75,10 +77,7 @@ def write_annotations(annotations: Sequence[ImageAnnotation], path: str | Path) 
                         "image_id": ann.image_id,
                         "width": ann.width,
                         "height": ann.height,
-                        "instances": [
-                            {"label": label, "bbox": list(box.coords())}
-                            for label, box in ann.instances
-                        ],
+                        "instances": wire.objects_to_list(ann.instances),
                     },
                     sort_keys=True,
                 )
@@ -104,40 +103,43 @@ def to_eval_dataset(annotations: Sequence[ImageAnnotation]) -> EvalDataset:
 
 def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
     """Convert an images/annotations/categories export into native JSONL."""
-    with open(src, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    categories = {c["id"]: str(c["name"]) for c in data.get("categories", [])}
-    by_image: dict[Any, list[tuple[str, Box]]] = {}
-    for ann in data.get("annotations", []):
-        x, y, w, h = (float(v) for v in ann["bbox"])
-        by_image.setdefault(ann["image_id"], []).append(
-            (categories[ann["category_id"]], Box(x, y, x + w, y + h))
-        )
-    annotations = [
-        ImageAnnotation(
-            image_id=str(img["id"]),
-            width=int(img["width"]),
-            height=int(img["height"]),
-            instances=tuple(by_image.get(img["id"], [])),
-        )
-        for img in data.get("images", [])
-    ]
+    try:
+        with open(src, "r", encoding="utf-8") as handle:
+            data = decode_line(handle.read())
+        if not isinstance(data, Mapping):
+            raise ValueError("the file must hold a JSON object")
+        categories = {
+            wire.require_field(c, "id", int): wire.require_field(c, "name", str)
+            for c in wire.object_array(data, "categories")
+        }
+        by_image: dict[str, list[tuple[str, Box]]] = {}
+        for ann in wire.object_array(data, "annotations"):
+            category = wire.require_field(ann, "category_id", int)
+            if category not in categories:
+                raise ValueError(f"unknown category_id {category}")
+            x, y, w, h = wire.require_bbox(ann)
+            by_image.setdefault(wire.parse_id(ann, "image_id"), []).append(
+                (categories[category], Box(x, y, x + w, y + h))
+            )
+        annotations = []
+        for img in wire.object_array(data, "images"):
+            image_id = wire.parse_id(img, "id")
+            space = wire.parse_space(img)
+            instances = tuple(by_image.get(image_id, []))
+            annotations.append(ImageAnnotation(image_id, space.width, space.height, instances))
+    except ValueError as exc:
+        raise ValueError(f"{src}: {exc}") from None
     write_annotations(annotations, dst)
     return len(annotations)
 
 
+def _predictions_from_dict(data: Mapping[str, Any]) -> tuple[str, list[tuple[str, Box]]]:
+    return wire.parse_id(data, "image_id"), wire.parse_objects(data, "predictions")
+
+
 def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
     """Prediction JSONL: ``{"image_id", "predictions": [{"label", "bbox"}]}``."""
-    out: dict[str, list[tuple[str, Box]]] = {}
-    for lineno, data in _read_jsonl(path):
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}:{lineno}: prediction lines must be objects")
-        preds = [
-            (str(p["label"]), Box(*(float(v) for v in p["bbox"])))
-            for p in data.get("predictions", [])
-        ]
-        out[str(data["image_id"])] = preds
-    return out
+    return dict(_read_jsonl(path, "prediction", _predictions_from_dict))
 
 
 def sample_to_dict(sample: Sample) -> dict[str, Any]:
@@ -147,39 +149,31 @@ def sample_to_dict(sample: Sample) -> dict[str, Any]:
         "width": sample.gt.space.width,
         "height": sample.gt.space.height,
         "coord_space": sample.gt.space.kind.value,
-        "gt": [
-            {"label": inst.label, "bbox": list(inst.box.coords())}
-            for inst in sample.gt.instances
-        ],
+        "gt": wire.objects_to_list((inst.label, inst.box) for inst in sample.gt.instances),
         "query": list(sample.query) if isinstance(sample.query, tuple) else sample.query,
         "is_negative": sample.is_negative,
     }
 
 
 def sample_from_dict(data: Mapping[str, Any]) -> Sample:
-    from ..geometry import SpaceKind
-
-    space = CoordinateSpace(
-        SpaceKind(data.get("coord_space", "pixels")), int(data["width"]), int(data["height"])
-    )
-    gt = GroundTruthSet.from_pairs(
-        ((str(e["label"]), Box(*(float(v) for v in e["bbox"]))) for e in data.get("gt", [])),
-        space,
-    )
-    query_raw = data["query"]
-    query: tuple[str, ...] | str
-    query = tuple(str(q) for q in query_raw) if isinstance(query_raw, list) else str(query_raw)
+    """A corpus line: a wire sample plus ``task``, ``query`` and ``is_negative``."""
+    spec = wire.parse_sample(data)
+    query = wire.require_field(data, "query", (str, list))
+    if isinstance(query, list):
+        if not all(isinstance(q, str) for q in query):
+            raise ValueError("field 'query' must be a string or an array of strings")
+        query = tuple(query)
     return Sample(
-        task=TaskKind(data["task"]),
-        image_id=str(data["image_id"]),
-        gt=gt,
+        task=TaskKind(wire.require_field(data, "task", str)),
+        image_id=spec.image_id,
+        gt=spec.gt,
         query=query,
-        is_negative=bool(data.get("is_negative", len(gt.instances) == 0)),
+        is_negative=wire.require_field(data, "is_negative", bool),
     )
 
 
 def load_corpus(path: str | Path) -> list[Sample]:
-    return [sample_from_dict(data) for _, data in _read_jsonl(path)]
+    return _read_jsonl(path, "corpus", sample_from_dict)
 
 
 def write_corpus(samples: Sequence[Sample], path: str | Path) -> None:

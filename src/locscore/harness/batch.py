@@ -117,7 +117,7 @@ def run_batch(
     if eval_images:
         try:
             result = evaluate(final_predictions, dataset_from_images(eval_images))
-        except (EngineError, ValueError) as exc:
+        except ValueError as exc:
             report["eval_error"] = str(exc)
         else:
             report["eval"] = eval_to_dict(result)

@@ -8,7 +8,7 @@ import logging
 import os
 import sys
 
-from ..config import EngineConfig, apply_cli_overrides, load_config
+from ..config import EngineConfig, config_from_dict, read_config_file
 from ..curation import MixtureSpec, PromptStyle, TaskKind, classify_difficulty, render_prompt, sample_mixture
 from ..metrics import evaluate
 from . import annotations as ann_io
@@ -35,15 +35,19 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
-    config = load_config(args.config) if args.config else EngineConfig()
-    return apply_cli_overrides(
-        config,
-        completion_format=args.completion_format,
-        matcher=args.matcher,
-        step_fraction=args.step_fraction,
-        beta=args.beta,
-        kl_mode=args.kl_mode,
-    )
+    """Lay each given flag over the config file's object, then decode it once."""
+    data = read_config_file(args.config) if args.config else {}
+    flags = {
+        "format": args.completion_format,
+        "matcher": args.matcher,
+        "beta": args.beta,
+        "kl_mode": args.kl_mode,
+    }
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    phase = data.setdefault("phase", {})
+    if args.step_fraction is not None and isinstance(phase, dict):  # others fail below
+        phase["step_fraction"] = args.step_fraction
+    return config_from_dict(data)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -58,14 +62,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
-        predictions = ann_io.load_predictions(args.predictions)
-        result = evaluate(predictions, dataset)
-    except (KeyError, OSError, TypeError, ValueError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        print(f"locscore eval: {detail}", file=sys.stderr)
-        return 2
+    dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
+    result = evaluate(ann_io.load_predictions(args.predictions), dataset)
     json.dump(eval_to_dict(result), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -172,10 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input of any kind is one stderr line and exit code 2."""
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # every EngineError is a ValueError
+        print(f"locscore {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

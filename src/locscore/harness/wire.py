@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..config import phase_from_dict, phase_to_dict
 from ..errors import MalformedRequestError
@@ -17,7 +17,7 @@ from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthSet
 from ..metrics import EvalResult
-from ..parsing import CompletionFormat, FormatKind, default_format
+from ..parsing import CompletionFormat, FormatKind, coerce_coords, default_format
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
 WIRE_VERSION = 1
@@ -58,74 +58,88 @@ class ScoringResponse:
     diagnostics: tuple[str, ...] = ()
 
 
-def _require(data: Mapping[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
+def require_field(data: Mapping[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
+    """``data[key]`` if present and of ``kind``; a boolean is an int only when asked for."""
     if key not in data:
         raise MalformedRequestError(f"missing field {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise MalformedRequestError(f"field {key!r} must be {'/'.join(k.__name__ for k in kinds)}")
     return value
 
 
-def _parse_box(value: Any) -> Box:
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise MalformedRequestError(f"bbox must be a 4-number array, got {value!r}")
-    try:
-        return Box(*(float(v) for v in value))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRequestError(f"bbox must hold numbers: {exc}") from exc
+def require_bbox(data: Mapping[str, Any]) -> tuple[float, float, float, float]:
+    coords = coerce_coords(require_field(data, "bbox", list))
+    if coords is None:
+        raise MalformedRequestError("field 'bbox' must be an array of four finite numbers")
+    return coords
 
 
-def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
-    if not isinstance(data, Mapping):
-        raise MalformedRequestError("sample must be an object")
-    image_id = str(_require(data, "image_id", (str, int)))
-    width = _require(data, "width", int)
-    height = _require(data, "height", int)
+def object_array(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    """The optional array of objects ``data[key]``; absent means empty."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise MalformedRequestError(f"{key} must be an array")
+    if not all(isinstance(entry, Mapping) for entry in entries):
+        raise MalformedRequestError(f"each {key} entry must be an object")
+    return entries
+
+
+def parse_id(data: Mapping[str, Any], key: str) -> str:
+    """An identifier field: a JSON string or integer, as a string."""
+    return str(require_field(data, key, (str, int)))
+
+
+def parse_space(data: Mapping[str, Any]) -> CoordinateSpace:
+    """``width``, ``height`` and the optional ``coord_space`` (default pixels)."""
+    width = require_field(data, "width", int)
+    height = require_field(data, "height", int)
     kind_raw = data.get("coord_space", SpaceKind.PIXELS.value)
     try:
         kind = SpaceKind(kind_raw)
     except ValueError as exc:
         raise MalformedRequestError(f"unknown coord_space {kind_raw!r}") from exc
     try:
-        space = CoordinateSpace(kind, width, height)
+        return CoordinateSpace(kind, width, height)
     except ValueError as exc:
         raise MalformedRequestError(str(exc)) from exc
-    gt_entries = data.get("gt", [])
-    if not isinstance(gt_entries, list):
-        raise MalformedRequestError("gt must be an array")
-    pairs = []
-    for entry in gt_entries:
-        if not isinstance(entry, Mapping):
-            raise MalformedRequestError("each gt entry must be an object")
-        label = _require(entry, "label", str)
-        pairs.append((label, _parse_box(_require(entry, "bbox", (list, tuple)))))
+
+
+def parse_objects(data: Mapping[str, Any], key: str) -> list[tuple[str, Box]]:
+    """The optional ``[{"label", "bbox"}]`` array ``data[key]`` as (label, box) pairs."""
+    return [
+        (require_field(entry, "label", str), Box(*require_bbox(entry)))
+        for entry in object_array(data, key)
+    ]
+
+
+def objects_to_list(pairs: Iterable[tuple[str, Box]]) -> list[dict[str, Any]]:
+    """(label, box) pairs as the array ``parse_objects`` reads."""
+    return [{"label": label, "bbox": list(box.coords())} for label, box in pairs]
+
+
+def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
+    image_id = parse_id(data, "image_id")
+    space = parse_space(data)
     try:
-        gt = GroundTruthSet.from_pairs(pairs, space)
+        gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
     except ValueError as exc:
         raise MalformedRequestError(str(exc)) from exc
     return SampleSpec(image_id, space, gt, str(data.get("task", "object-detection")))
 
 
-def _parse_logprobs(value: Any, n_completions: int) -> tuple[LogProbRecord, ...]:
-    if not isinstance(value, list) or len(value) != n_completions:
+def _parse_logprobs(data: Mapping[str, Any], n_completions: int) -> tuple[LogProbRecord, ...]:
+    entries = object_array(data, "logprobs")
+    if len(entries) != n_completions:
         raise MalformedRequestError("logprobs must be an array with one entry per completion")
-    records = []
-    for entry in value:
-        if not isinstance(entry, Mapping):
-            raise MalformedRequestError("each logprob entry must be an object")
-        try:
-            records.append(
-                LogProbRecord.from_lists(
-                    _require(entry, "policy", list),
-                    _require(entry, "old", list),
-                    _require(entry, "ref", list),
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRequestError(str(exc)) from exc
-    return tuple(records)
+    try:
+        return tuple(
+            LogProbRecord.from_lists(*(require_field(e, k, list) for k in ("policy", "old", "ref")))
+            for e in entries
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRequestError(str(exc)) from exc
 
 
 def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
@@ -135,20 +149,14 @@ def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
     version = data.get("v", WIRE_VERSION)
     if version != WIRE_VERSION:
         raise MalformedRequestError(f"unsupported wire version {version!r}")
-    request_id = str(_require(data, "request_id", (str, int)))
-    sample = parse_sample(_require(data, "sample", Mapping))
-    completions_raw = _require(data, "completions", list)
+    request_id = parse_id(data, "request_id")
+    sample = parse_sample(require_field(data, "sample", Mapping))
+    completions_raw = require_field(data, "completions", list)
     if not completions_raw or not all(isinstance(c, str) for c in completions_raw):
         raise MalformedRequestError("completions must be a non-empty array of strings")
     completions = tuple(completions_raw)
-    progress = data.get("progress", 0.0)
-    if isinstance(progress, bool) or not isinstance(progress, (int, float)):
-        raise MalformedRequestError("progress must be a number")
-    try:
-        progress = float(progress)
-    except OverflowError:
-        raise MalformedRequestError("progress must lie in [0, 1]") from None
-    if not 0.0 <= progress <= 1.0:
+    progress = require_field(data, "progress", (int, float)) if "progress" in data else 0.0
+    if not 0 <= progress <= 1:  # also rejects NaN, without converting an overlong int
         raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
 
     fmt: CompletionFormat | None = None
@@ -167,7 +175,7 @@ def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
 
     logprobs = None
     if data.get("logprobs") is not None:
-        logprobs = _parse_logprobs(data["logprobs"], len(completions))
+        logprobs = _parse_logprobs(data, len(completions))
 
     matcher = data.get("matcher")
     if matcher is not None and not isinstance(matcher, str):
@@ -182,7 +190,7 @@ def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
         sample=sample,
         completions=completions,
         logprobs=logprobs,
-        progress=progress,
+        progress=float(progress),
         format=fmt,
         matcher=matcher,
         phase=phase,
@@ -200,10 +208,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
             "height": req.sample.space.height,
             "coord_space": req.sample.space.kind.value,
             "task": req.sample.task,
-            "gt": [
-                {"label": inst.label, "bbox": list(inst.box.coords())}
-                for inst in req.sample.gt.instances
-            ],
+            "gt": objects_to_list((inst.label, inst.box) for inst in req.sample.gt.instances),
         },
         "completions": list(req.completions),
         "progress": req.progress,

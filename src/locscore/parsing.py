@@ -98,7 +98,8 @@ class ParseOutcome:
     diagnostics: tuple[str, ...]
 
 
-def _coerce_coords(value: object) -> tuple[float, float, float, float] | None:
+def coerce_coords(value: object) -> tuple[float, float, float, float] | None:
+    """Four finite JSON numbers (not booleans) as floats, or ``None``: every JSON box."""
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         return None
     out = []
@@ -146,7 +147,7 @@ def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | N
     entries: list[tuple[str, tuple[float, ...]]] = []
     faults: list[str] = []
     for index, entry in enumerate(value):
-        coords = _coerce_coords(entry.get("bbox_2d"))
+        coords = coerce_coords(entry.get("bbox_2d"))
         if coords is None:
             faults.append(f"entry {index}: bbox_2d must be an array of four finite numbers")
             continue

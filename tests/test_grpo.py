@@ -188,6 +188,22 @@ class TestObjective:
         with pytest.raises(NonFiniteInputError):
             grpo_objective([record([-1.0]), record([-1.0])], [math.inf, 0.0])
 
+    @pytest.mark.parametrize(
+        "rec, kl_mode, beta",
+        [
+            (record([-1000.0], ref=[0.0]), KlMode.K3, 0.2),  # expm1(1000) overflows
+            (record([-1e308] * 2, ref=[0.0] * 2), KlMode.SEQUENCE, 0.2),
+            # both sequence sums overflow to -inf, so their difference is NaN
+            (record([-1e308] * 2), KlMode.K3, 0.2),
+            (record([-700.0], ref=[0.0]), KlMode.K3, 1e300),
+            (record([-1000.0], ref=[0.0]), KlMode.K3, 0.0),  # 0 * inf is NaN
+        ],
+        ids=["k3-expm1", "seq-sum", "log-ratio-nan", "beta-times-kl", "zero-beta"],
+    )
+    def test_overflow_raises_instead_of_infinity(self, rec, kl_mode, beta):
+        with pytest.raises(NonFiniteInputError, match="KL estimate or objective overflows float64"):
+            grpo_objective_detailed([rec, record([-1.0])], [1.0, -1.0], beta, kl_mode)
+
 
 class TestGroupScore:
     def test_without_records(self):

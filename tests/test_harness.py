@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import io
@@ -6,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import locscore.harness.batch as batch_module
 import locscore.harness.engine as engine_module
 import locscore.rewards as rewards_module
 from locscore import Box, EngineConfig, PhaseConfig, pixel_space
-from locscore.config import apply_cli_overrides, config_from_dict, config_to_dict, load_config
+from locscore.config import config_from_dict, config_to_dict, load_config
 from locscore.errors import InvalidConfigError, MalformedRequestError
 from locscore.harness import (
     convert_coco_layout,
@@ -29,6 +31,8 @@ from locscore.harness import (
     score_group,
 )
 from locscore.harness.annotations import ImageAnnotation, write_annotations
+from locscore.harness.cli import _build_config, build_parser
+from locscore.harness.cli import main as cli_main
 from locscore.harness.wire import dump_line, request_to_dict
 from locscore.parsing import emit_structured
 
@@ -94,11 +98,26 @@ def _replaced(data, path, value):
     return out
 
 
+def _reject_constant(name):
+    raise ValueError(f"reply holds {name}, which strict JSON parsers reject")
+
+
+def _strict_loads(line):
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+def _apply_replacements(data, replacements):
+    # deepest first, so an ancestor replaced later still resolves its path
+    for path, value in sorted(replacements, key=lambda r: -len(r[0])):
+        data = _replaced(data, path, value)
+    return data
+
+
 def _serve(lines):
     out = io.StringIO()
     code = run_service(EngineConfig(), stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
     assert code == 0
-    return [json.loads(line) for line in out.getvalue().splitlines()]
+    return [_strict_loads(line) for line in out.getvalue().splitlines()]
 
 
 def _fuzz_base():
@@ -332,6 +351,12 @@ class TestService:
                 logprobs=[{"policy": [None], "old": [0.0], "ref": [0.0]}] * 2,
             ),
             make_request_dict(request_id=None),
+            _with_sample(width=True, gt=[]),  # would be read as width 1
+            _with_sample(height=True, gt=[]),
+            _with_sample(image_id=True),
+            make_request_dict(request_id=True),
+            make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": ["10", 0, 20, 20]}]),
+            make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [True, 0, 1, 1]}]),
         ],
         ids=[
             "step-fraction-null",
@@ -342,6 +367,12 @@ class TestService:
             "bbox-beyond-float",
             "logprob-null",
             "request-id-null",
+            "width-true",
+            "height-true",
+            "image-id-true",
+            "request-id-true",
+            "bbox-numeric-string",
+            "bbox-boolean",
         ],
     )
     def test_malformed_request_between_good_ones(self, bad):
@@ -355,6 +386,21 @@ class TestService:
         assert responses[0]["ok"] and responses[2]["ok"]
         assert responses[1]["ok"] is False
         assert responses[1]["error"]["kind"] == "malformed-request"
+
+    def test_kl_overflow_is_scoring_error(self):
+        overflowing = {"policy": [-1000.0], "old": [-1000.0], "ref": [0.0]}
+        finite = {"policy": [-1.0], "old": [-1.0], "ref": [-1.0]}
+        lines = [
+            json.dumps(make_request_dict(request_id="before", logprobs=[finite] * 2)),
+            json.dumps(make_request_dict(request_id="kl", logprobs=[overflowing, finite])),
+            json.dumps(make_request_dict(request_id="after", logprobs=[finite] * 2)),
+        ]
+        responses = _serve(lines)
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["error"] == {
+            "kind": "scoring-error",
+            "detail": "KL estimate or objective overflows float64",
+        }
 
     def test_overlong_integer_gets_parse_error(self):
         # json.loads raises a plain ValueError past the interpreter's digit limit
@@ -396,15 +442,11 @@ class TestService:
         trailer=st.text(),
     )
     def test_whole_line_fuzz_gets_one_reply_per_line(self, replacements, trailer):
-        data = _fuzz_base()
-        # deepest first, so an ancestor replaced later still resolves its path
-        for path, value in sorted(replacements, key=lambda r: -len(r[0])):
-            data = _replaced(data, path, value)
-        text = json.dumps(data) + "\n" + trailer + "\n"
+        text = json.dumps(_apply_replacements(_fuzz_base(), replacements)) + "\n" + trailer + "\n"
         expected = sum(1 for line in text.split("\n") if line.strip())
         out = io.StringIO()
         assert run_service(EngineConfig(), stdin=io.StringIO(text), stdout=out) == 0
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        responses = [_strict_loads(line) for line in out.getvalue().splitlines()]
         assert len(responses) == expected
         assert all(r["ok"] or r["error"]["kind"] != "internal-error" for r in responses)
 
@@ -664,7 +706,7 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             dataclasses.replace(EngineConfig(), epsilon=0.0)
         with pytest.raises(InvalidConfigError):
-            apply_cli_overrides(EngineConfig(), step_fraction=1.5)
+            _build_config(build_parser().parse_args(["serve", "--step-fraction", "1.5"]))
 
     @pytest.mark.parametrize(
         "data",
@@ -683,7 +725,9 @@ class TestConfig:
             config_from_dict(data)
 
     def test_cli_overrides(self):
-        config = apply_cli_overrides(EngineConfig(), beta=0.5, step_fraction=0.75)
+        config = _build_config(
+            build_parser().parse_args(["serve", "--beta", "0.5", "--step-fraction", "0.75"])
+        )
         assert config.beta == 0.5
         assert config.phase.step_fraction == 0.75
 
@@ -994,7 +1038,7 @@ class TestCli:
                 "locscore eval: prediction box (0.0, 0.0, 642.0, 100.0) invalid in image img0: "
                 "x2 = 642.0 exceeds extent 640.0",
             ),
-            ({"label": "cat"}, "locscore eval: missing field 'bbox'"),
+            ({"label": "cat"}, "locscore eval: {pred_path}:1: missing field 'bbox'"),
             (None, "locscore eval: {pred_path}:1: prediction lines must be objects"),
         ],
         ids=["past-extent", "no-bbox", "not-an-object"],
@@ -1017,3 +1061,117 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+
+_GOOD_LINES = {
+    "annotations": {"image_id": "img0", "width": 640, "height": 480,
+                    "instances": [{"label": "cat", "bbox": [0, 0, 100, 100]}]},
+    "predictions": {"image_id": "img0",
+                    "predictions": [{"label": "cat", "bbox": [0, 0, 100, 100]}]},
+    "corpus": {"task": "visual-grounding", "image_id": "img0", "width": 640, "height": 480,
+               "coord_space": "pixels", "gt": [{"label": "cat", "bbox": [0, 0, 100, 100]}],
+               "query": "cat", "is_negative": False},
+}
+# (command, the file that gets the arbitrary line); the other inputs are valid
+_FILE_COMMANDS = [
+    ("eval", "annotations"),
+    ("eval", "predictions"),
+    ("curate", "annotations"),
+    ("curate", "corpus"),
+    ("prompts", "corpus"),
+]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _odd_record(kind):
+    good = _GOOD_LINES[kind]
+    replaced = st.lists(
+        st.tuples(st.sampled_from(list(_leaf_paths(good))), _json_values), min_size=1, max_size=3
+    ).map(lambda pairs: _apply_replacements(good, pairs))
+    return st.one_of(replaced, _json_values).map(json.dumps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.sampled_from(_FILE_COMMANDS),
+    data=st.data(),
+)
+def test_cli_any_bad_file_line_is_one_line_error(target, data):
+    command, kind = target
+    line = data.draw(_odd_record(kind) | st.text(st.characters(blacklist_categories=("Cs",))))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, good in _GOOD_LINES.items():
+            paths[name] = Path(tmp) / f"{name}.jsonl"
+            text = line if name == kind else json.dumps(good)
+            paths[name].write_text(text + "\n", encoding="utf-8")
+        if command == "eval":
+            argv = ["eval", "--annotations", str(paths["annotations"]),
+                    "--predictions", str(paths["predictions"])]
+        elif command == "curate":
+            argv = ["curate", f"--{kind}", str(paths[kind]), "--out", str(Path(tmp) / "mix.jsonl")]
+        else:
+            argv = ["prompts", "--corpus", str(paths["corpus"])]
+        code, out, err = _run_cli(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"locscore {command}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _write(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case", ["missing-file", "bad-json", "three-number-bbox", "height-true", "bad-config",
+             "unknown-coco-category"],
+)
+def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
+    good = {name: json.dumps(line) for name, line in _GOOD_LINES.items()}
+    if case == "missing-file":
+        missing = tmp_path / "nope.jsonl"
+        argv = ["score", str(missing), "--out", str(tmp_path / "out")]
+        message = f"locscore score: manifest not found: {missing}"
+    elif case == "bad-json":
+        corpus = _write(tmp_path / "corpus.jsonl", [good["corpus"], "{not json"])
+        argv = ["prompts", "--corpus", corpus]
+        message = (
+            f"locscore prompts: {corpus}:2: "
+            "Expecting property name enclosed in double quotes at position 1"
+        )
+    elif case == "three-number-bbox":
+        annotations = _write(tmp_path / "ann.jsonl", [good["annotations"]])
+        line = {"image_id": "img0", "predictions": [{"label": "cat", "bbox": [0, 0, 100]}]}
+        predictions = _write(tmp_path / "pred.jsonl", [json.dumps(line)])
+        argv = ["eval", "--annotations", annotations, "--predictions", predictions]
+        message = (
+            f"locscore eval: {predictions}:1: field 'bbox' must be an array of four finite numbers"
+        )
+    elif case == "height-true":
+        line = dict(_GOOD_LINES["annotations"], height=True)
+        annotations = _write(tmp_path / "ann.jsonl", [json.dumps(line)])
+        argv = ["curate", "--annotations", annotations, "--out", str(tmp_path / "mix.jsonl")]
+        message = f"locscore curate: {annotations}:1: field 'height' must be int"
+    elif case == "bad-config":
+        config = _write(tmp_path / "engine.json", [json.dumps({"betta": 0.3})])
+        argv = ["serve", "--config", config]
+        message = "locscore serve: unknown config keys: ['betta']"
+    else:
+        coco = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 9, "bbox": [0, 0, 5, 5]}],
+            "categories": [{"id": 2, "name": "dog"}],
+        }
+        src = _write(tmp_path / "coco.json", [json.dumps(coco)])
+        argv = ["convert", src, str(tmp_path / "native.jsonl")]
+        message = f"locscore convert: {src}: unknown category_id 9"
+    assert _run_cli(argv) == (2, "", message + "\n")
