@@ -7,11 +7,12 @@ Precedence is request-level override > config file > built-in defaults
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import InvalidConfigError
+from .fields import read_field, read_numbers
 from .grpo import DEFAULT_BETA, DEFAULT_EPSILON, KlMode
 from .matching import MatcherPolicy
 from .parsing import FormatKind
@@ -28,7 +29,7 @@ _KNOWN_KEYS = {
     "rules",
 }
 _KNOWN_PHASE_KEYS = {"beginner", "advanced", "step_fraction"}
-_KNOWN_RULE_KEYS = {"require_label_match", "use_dual_format", "use_recall", "use_precision"}
+_KNOWN_RULE_KEYS = {f.name for f in fields(RewardRules)}
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,23 @@ class EngineConfig:
         return self
 
 
+def _check_keys(data: Mapping[str, Any], known: set[str], what: str) -> None:
+    unknown = set(data) - known
+    if unknown:
+        raise InvalidConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def phase_from_dict(data: Mapping[str, Any]) -> PhaseConfig:
+    """A ``phase`` object; its callers map a ``ValueError`` to their own error type."""
     if not isinstance(data, Mapping):
         raise InvalidConfigError("phase must be an object")
-    unknown = set(data) - _KNOWN_PHASE_KEYS
-    if unknown:
-        raise InvalidConfigError(f"unknown phase keys: {sorted(unknown)}")
+    _check_keys(data, _KNOWN_PHASE_KEYS, "phase")
     defaults = PhaseConfig()
-    try:
-        beginner = ThresholdTriple(*map(float, data.get("beginner", defaults.beginner)))
-        advanced = ThresholdTriple(*map(float, data.get("advanced", defaults.advanced)))
-        step_fraction = float(data.get("step_fraction", defaults.step_fraction))
-    except (TypeError, OverflowError) as exc:
-        raise InvalidConfigError(f"phase triples and step_fraction must be numbers: {exc}") from exc
-    return PhaseConfig(beginner=beginner, advanced=advanced, step_fraction=step_fraction)
+    return PhaseConfig(
+        beginner=ThresholdTriple(*read_numbers(data, "beginner", 3, defaults.beginner)),
+        advanced=ThresholdTriple(*read_numbers(data, "advanced", 3, defaults.advanced)),
+        step_fraction=read_field(data, "step_fraction", float, defaults.step_fraction),
+    )
 
 
 def phase_to_dict(phase: PhaseConfig) -> dict[str, Any]:
@@ -80,35 +84,25 @@ def phase_to_dict(phase: PhaseConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    rules_data = data.get("rules", {})
-    if not isinstance(rules_data, Mapping):
-        raise InvalidConfigError("rules must be an object")
-    unknown_rules = set(rules_data) - _KNOWN_RULE_KEYS
-    if unknown_rules:
-        raise InvalidConfigError(f"unknown rule keys: {sorted(unknown_rules)}")
-    clip = data.get("clip_range")
+    """Decode a config object; any fault in it is an ``InvalidConfigError``."""
     try:
-        matcher = MatcherPolicy(data.get("matcher", MatcherPolicy.BOX_ONLY.value))
-        completion_format = FormatKind(data.get("format", FormatKind.STRUCTURED.value))
-        kl_mode = KlMode(data.get("kl_mode", KlMode.K3.value))
-        beta = float(data.get("beta", DEFAULT_BETA))
-        epsilon = float(data.get("epsilon", DEFAULT_EPSILON))
-        clip_range = None if clip is None else float(clip)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfigError(str(exc)) from exc
-    return EngineConfig(
-        phase=phase_from_dict(data.get("phase", {})),
-        matcher=matcher,
-        completion_format=completion_format,
-        beta=beta,
-        kl_mode=kl_mode,
-        epsilon=epsilon,
-        clip_range=clip_range,
-        rules=RewardRules(**rules_data),
-    )
+        _check_keys(data, _KNOWN_KEYS, "config")
+        rules = read_field(data, "rules", Mapping, {})
+        _check_keys(rules, _KNOWN_RULE_KEYS, "rule")
+        return EngineConfig(
+            phase=phase_from_dict(data.get("phase", {})),
+            matcher=read_field(data, "matcher", MatcherPolicy, MatcherPolicy.BOX_ONLY),
+            completion_format=read_field(data, "format", FormatKind, FormatKind.STRUCTURED),
+            beta=read_field(data, "beta", float, DEFAULT_BETA),
+            kl_mode=read_field(data, "kl_mode", KlMode, KlMode.K3),
+            epsilon=read_field(data, "epsilon", float, DEFAULT_EPSILON),
+            clip_range=read_field(data, "clip_range", float, None),
+            rules=RewardRules(
+                **{f.name: read_field(rules, f.name, bool, f.default) for f in fields(RewardRules)}
+            ),
+        )
+    except ValueError as exc:
+        raise InvalidConfigError(str(exc)) from None
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import UnknownStyleError
+from .errors import InvalidConfigError, UnknownStyleError
 from .matching import GroundTruthSet
 
 HARD_INSTANCE_THRESHOLD = 10
@@ -74,6 +74,17 @@ class MixtureSpec:
     hard_fraction: float = 0.5
     negative_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for task, count in self.counts.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise InvalidConfigError(
+                    f"counts[{task.value}] must be a non-negative integer, got {count!r}"
+                )
+        for name in ("hard_fraction", "negative_fraction"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # also rejects NaN
+                raise InvalidConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,7 @@ def sample_mixture(corpus: Sequence[Sample], spec: MixtureSpec) -> MixtureResult
     shortages: list[str] = []
     labels = _label_universe(corpus)
     for task in TaskKind:
-        want = int(spec.counts.get(task, 0))
+        want = spec.counts.get(task, 0)
         if want <= 0:
             continue
         rng = random.Random(f"{spec.seed}:{task.value}")
@@ -201,7 +212,7 @@ def sample_mixture(corpus: Sequence[Sample], spec: MixtureSpec) -> MixtureResult
 def _category_list(query: tuple[str, ...] | str) -> str:
     if isinstance(query, tuple):
         return ", ".join(query)
-    return str(query)
+    return query
 
 
 def render_prompt(sample: Sample, style: PromptStyle | str) -> str:

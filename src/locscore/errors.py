@@ -5,6 +5,10 @@ class EngineError(ValueError):
     """Base class for every error the engine raises on purpose; each is a ``ValueError``."""
 
 
+class FieldError(EngineError):
+    """A JSON field is missing or its value is not of the field's kind."""
+
+
 class InvalidBoxError(EngineError):
     """A box violates its structural or coordinate-space invariants."""
 

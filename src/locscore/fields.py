@@ -1,0 +1,68 @@
+"""The one place that decides a JSON value's kind, for requests, config and data files.
+
+A fault raises ``FieldError``; each boundary turns it into its own error once.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from enum import Enum
+from typing import Any, Mapping
+
+from .errors import FieldError
+
+REQUIRED: Any = object()  # the default of a field that must be present
+
+_NUMBER_TYPES = frozenset((int, float))
+_COUNT_WORDS = {3: "three ", 4: "four "}
+
+
+def read_field(data: Mapping[str, Any], key: str, kind: Any, default: Any = REQUIRED) -> Any:
+    """``data[key]`` of ``kind``: ``float`` (a number), an ``Enum`` (a name) or type(s).
+
+    A number is a JSON int or float, finite as a float64; a boolean is never
+    an int. An absent key gives ``default``, and so does a null one when
+    ``default`` is None.
+    """
+    if key not in data or (default is None and data[key] is None):
+        if default is REQUIRED:
+            raise FieldError(f"missing field {key!r}")
+        return default
+    value = data[key]
+    if kind is float:
+        if type(value) in _NUMBER_TYPES and abs(value) <= sys.float_info.max:  # also not NaN
+            return float(value)
+        raise FieldError(f"field {key!r} must be a finite number")
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        if isinstance(value, str) and value in [member.value for member in kind]:
+            return kind(value)
+        raise FieldError(f"unknown {key} {value!r}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise FieldError(f"field {key!r} must be {'/'.join(k.__name__ for k in kinds)}")
+    return value
+
+
+def read_numbers(
+    data: Mapping[str, Any], key: str, length: int | None = None, default: Any = REQUIRED
+) -> tuple[float, ...]:
+    """``data[key]`` as an array of numbers (of ``length`` when given), as floats."""
+    values = read_field(data, key, list, default)
+    if values is default:
+        return default
+    types = set(map(type, values))
+    if (length is None or len(values) == length) and types <= _NUMBER_TYPES:
+        try:
+            out = tuple(map(float, values)) if int in types else tuple(values)
+        except OverflowError:  # an integer beyond float64
+            out = (math.inf,)
+        if math.isfinite(sum(out)) or all(map(math.isfinite, out)):  # a finite sum has finite terms
+            return out
+    count = _COUNT_WORDS.get(length, "")
+    raise FieldError(f"field {key!r} must be an array of {count}finite numbers")
+
+
+def read_id(data: Mapping[str, Any], key: str) -> str:
+    """An id field: a JSON string or integer, as a string."""
+    return str(read_field(data, key, (str, int)))

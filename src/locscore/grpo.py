@@ -41,7 +41,9 @@ class LogProbRecord:
         if n < 1 or len(self.old) != n or len(self.ref) != n:
             raise LengthMismatchError("policy/old/ref must have equal length >= 1")
         for series in (self.policy, self.old, self.ref):
-            for value in series:
+            if math.isfinite(sum(series)) and max(series) <= 0:  # a finite sum has finite terms
+                continue
+            for value in series:  # name the first bad value
                 if not math.isfinite(value):
                     raise NonFiniteInputError("log-probabilities must be finite")
                 if value > 0:

@@ -13,12 +13,13 @@ xywh boxes) is provided under the ``convert`` subcommand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..curation import Sample, TaskKind
-from ..geometry import Box, CoordinateSpace, pixel_space
+from ..fields import read_field, read_id, read_numbers
+from ..geometry import Box, CoordinateSpace, SpaceKind, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
 from . import wire
@@ -31,12 +32,14 @@ class ImageAnnotation:
     width: int
     height: int
     instances: tuple[tuple[str, Box], ...]
+    gt: GroundTruthSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # built, and its boxes checked against the image, once
+        object.__setattr__(self, "gt", GroundTruthSet.from_pairs(self.instances, self.space()))
 
     def space(self) -> CoordinateSpace:
         return pixel_space(self.width, self.height)
-
-    def gt(self) -> GroundTruthSet:
-        return GroundTruthSet.from_pairs(self.instances, self.space())
 
 
 def _read_jsonl(path: str | Path, what: str, decode: Callable[[Mapping[str, Any]], Any]) -> list:
@@ -58,8 +61,10 @@ def _read_jsonl(path: str | Path, what: str, decode: Callable[[Mapping[str, Any]
 
 
 def _annotation_from_dict(data: Mapping[str, Any]) -> ImageAnnotation:
-    image_id = wire.parse_id(data, "image_id")
+    image_id = read_id(data, "image_id")
     space = wire.parse_space(data)
+    if space.kind is not SpaceKind.PIXELS:
+        raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
     instances = tuple(wire.parse_objects(data, "instances"))
     return ImageAnnotation(image_id, space.width, space.height, instances)
 
@@ -98,7 +103,7 @@ def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
 
 
 def to_eval_dataset(annotations: Sequence[ImageAnnotation]) -> EvalDataset:
-    return dataset_from_images([EvalImage(a.image_id, a.space(), a.gt()) for a in annotations])
+    return dataset_from_images([EvalImage(a.image_id, a.space(), a.gt) for a in annotations])
 
 
 def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
@@ -109,21 +114,21 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
         if not isinstance(data, Mapping):
             raise ValueError("the file must hold a JSON object")
         categories = {
-            wire.require_field(c, "id", int): wire.require_field(c, "name", str)
+            read_field(c, "id", int): read_field(c, "name", str)
             for c in wire.object_array(data, "categories")
         }
         by_image: dict[str, list[tuple[str, Box]]] = {}
         for ann in wire.object_array(data, "annotations"):
-            category = wire.require_field(ann, "category_id", int)
+            category = read_field(ann, "category_id", int)
             if category not in categories:
                 raise ValueError(f"unknown category_id {category}")
-            x, y, w, h = wire.require_bbox(ann)
-            by_image.setdefault(wire.parse_id(ann, "image_id"), []).append(
+            x, y, w, h = read_numbers(ann, "bbox", 4)
+            by_image.setdefault(read_id(ann, "image_id"), []).append(
                 (categories[category], Box(x, y, x + w, y + h))
             )
         annotations = []
         for img in wire.object_array(data, "images"):
-            image_id = wire.parse_id(img, "id")
+            image_id = read_id(img, "id")
             space = wire.parse_space(img)
             instances = tuple(by_image.get(image_id, []))
             annotations.append(ImageAnnotation(image_id, space.width, space.height, instances))
@@ -134,7 +139,7 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
 
 
 def _predictions_from_dict(data: Mapping[str, Any]) -> tuple[str, list[tuple[str, Box]]]:
-    return wire.parse_id(data, "image_id"), wire.parse_objects(data, "predictions")
+    return read_id(data, "image_id"), wire.parse_objects(data, "predictions")
 
 
 def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
@@ -158,17 +163,17 @@ def sample_to_dict(sample: Sample) -> dict[str, Any]:
 def sample_from_dict(data: Mapping[str, Any]) -> Sample:
     """A corpus line: a wire sample plus ``task``, ``query`` and ``is_negative``."""
     spec = wire.parse_sample(data)
-    query = wire.require_field(data, "query", (str, list))
+    query = read_field(data, "query", (str, list))
     if isinstance(query, list):
         if not all(isinstance(q, str) for q in query):
             raise ValueError("field 'query' must be a string or an array of strings")
         query = tuple(query)
     return Sample(
-        task=TaskKind(wire.require_field(data, "task", str)),
+        task=read_field(data, "task", TaskKind),
         image_id=spec.image_id,
         gt=spec.gt,
         query=query,
-        is_negative=wire.require_field(data, "is_negative", bool),
+        is_negative=read_field(data, "is_negative", bool),
     )
 
 
@@ -193,7 +198,7 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
     """
     corpus: list[Sample] = []
     for ann in annotations:
-        gt = ann.gt()
+        gt = ann.gt
         groups = [
             GroundTruthSet(tuple(gt.instances[i] for i in indices), gt.space)
             for indices in gt.by_label.values()

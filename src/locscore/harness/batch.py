@@ -15,6 +15,7 @@ from typing import Any
 
 from ..config import EngineConfig
 from ..errors import EngineError
+from ..fields import read_field
 from ..geometry import to_space  # looked up by perfbench/tracing.py
 from ..metrics import EvalImage, evaluate
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
@@ -77,9 +78,9 @@ def run_batch(
             except ValueError as exc:
                 errors.append({"line": lineno, "error": f"invalid JSON: {exc}"})
                 continue
-            final = bool(data.pop("final", False)) if isinstance(data, dict) else False
             try:
                 request = parse_request(data)
+                final = read_field(data, "final", bool, False)
                 response = score_group(request, config)
             except EngineError as exc:
                 errors.append({"line": lineno, "error": str(exc)})

@@ -8,9 +8,9 @@ from dataclasses import replace
 from typing import Any, Mapping
 
 from ..config import EngineConfig
-from ..errors import EngineError, MalformedRequestError
+from ..errors import EngineError, FieldError, MalformedRequestError
+from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
-from ..matching import MatcherPolicy
 from ..parsing import default_format
 from ..rewards import in_advanced_phase, phase_thresholds, score_completion
 from .wire import (
@@ -52,10 +52,7 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
 
     fmt = req.format or default_format(config.completion_format)
     completion_space = replace(req.sample.space, kind=fmt.space_kind)
-    try:
-        matcher = MatcherPolicy(req.matcher) if req.matcher is not None else config.matcher
-    except ValueError as exc:
-        raise MalformedRequestError(f"unknown matcher {req.matcher!r}") from exc
+    matcher = req.matcher or config.matcher
     phase_cfg = req.phase or config.phase
     thresholds = phase_thresholds(phase_cfg, req.progress)
     breakdowns = tuple(
@@ -104,9 +101,10 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
 
 def handle_request_object(data: Any, config: EngineConfig | None = None) -> dict[str, Any]:
     """Request dict in, response dict out; faults become error responses."""
-    request_id = data.get("request_id") if isinstance(data, Mapping) else None
-    if request_id is not None:
-        request_id = str(request_id)
+    try:  # the echo of a request whose id is itself bad is null
+        request_id = read_id(data, "request_id") if isinstance(data, Mapping) else None
+    except FieldError:
+        request_id = None
     try:
         req = parse_request(data)
         return response_to_dict(score_group(req, config))

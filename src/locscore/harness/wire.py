@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..config import phase_from_dict, phase_to_dict
-from ..errors import MalformedRequestError
+from ..errors import FieldError, MalformedRequestError
+from ..fields import REQUIRED, read_field, read_id, read_numbers
 from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
-from ..matching import GroundTruthSet
+from ..matching import GroundTruthSet, MatcherPolicy
 from ..metrics import EvalResult
-from ..parsing import CompletionFormat, FormatKind, coerce_coords, default_format
+from ..parsing import CompletionFormat, FormatKind, default_format
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
 WIRE_VERSION = 1
@@ -41,7 +42,7 @@ class ScoringRequest:
     logprobs: tuple[LogProbRecord, ...] | None = None
     progress: float = 0.0
     format: CompletionFormat | None = None
-    matcher: str | None = None
+    matcher: MatcherPolicy | None = None
     phase: PhaseConfig | None = None
     want_advantages: bool = True
 
@@ -58,58 +59,27 @@ class ScoringResponse:
     diagnostics: tuple[str, ...] = ()
 
 
-def require_field(data: Mapping[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
-    """``data[key]`` if present and of ``kind``; a boolean is an int only when asked for."""
-    if key not in data:
-        raise MalformedRequestError(f"missing field {key!r}")
-    value = data[key]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise MalformedRequestError(f"field {key!r} must be {'/'.join(k.__name__ for k in kinds)}")
-    return value
-
-
-def require_bbox(data: Mapping[str, Any]) -> tuple[float, float, float, float]:
-    coords = coerce_coords(require_field(data, "bbox", list))
-    if coords is None:
-        raise MalformedRequestError("field 'bbox' must be an array of four finite numbers")
-    return coords
-
-
-def object_array(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-    """The optional array of objects ``data[key]``; absent means empty."""
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        raise MalformedRequestError(f"{key} must be an array")
+def object_array(data: Mapping[str, Any], key: str, default: Any = ()) -> list[Mapping[str, Any]]:
+    """The array of objects ``data[key]``; absent means ``default``."""
+    entries = read_field(data, key, list, default)
     if not all(isinstance(entry, Mapping) for entry in entries):
-        raise MalformedRequestError(f"each {key} entry must be an object")
+        raise FieldError(f"each {key} entry must be an object")
     return entries
-
-
-def parse_id(data: Mapping[str, Any], key: str) -> str:
-    """An identifier field: a JSON string or integer, as a string."""
-    return str(require_field(data, key, (str, int)))
 
 
 def parse_space(data: Mapping[str, Any]) -> CoordinateSpace:
     """``width``, ``height`` and the optional ``coord_space`` (default pixels)."""
-    width = require_field(data, "width", int)
-    height = require_field(data, "height", int)
-    kind_raw = data.get("coord_space", SpaceKind.PIXELS.value)
-    try:
-        kind = SpaceKind(kind_raw)
-    except ValueError as exc:
-        raise MalformedRequestError(f"unknown coord_space {kind_raw!r}") from exc
-    try:
-        return CoordinateSpace(kind, width, height)
-    except ValueError as exc:
-        raise MalformedRequestError(str(exc)) from exc
+    return CoordinateSpace(
+        read_field(data, "coord_space", SpaceKind, SpaceKind.PIXELS),
+        read_field(data, "width", int),
+        read_field(data, "height", int),
+    )
 
 
 def parse_objects(data: Mapping[str, Any], key: str) -> list[tuple[str, Box]]:
     """The optional ``[{"label", "bbox"}]`` array ``data[key]`` as (label, box) pairs."""
     return [
-        (require_field(entry, "label", str), Box(*require_bbox(entry)))
+        (read_field(entry, "label", str), Box(*read_numbers(entry, "bbox", 4)))
         for entry in object_array(data, key)
     ]
 
@@ -120,81 +90,56 @@ def objects_to_list(pairs: Iterable[tuple[str, Box]]) -> list[dict[str, Any]]:
 
 
 def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
-    image_id = parse_id(data, "image_id")
+    image_id = read_id(data, "image_id")
     space = parse_space(data)
-    try:
-        gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
-    except ValueError as exc:
-        raise MalformedRequestError(str(exc)) from exc
-    return SampleSpec(image_id, space, gt, str(data.get("task", "object-detection")))
+    gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
+    return SampleSpec(image_id, space, gt, read_field(data, "task", str, "object-detection"))
 
 
 def _parse_logprobs(data: Mapping[str, Any], n_completions: int) -> tuple[LogProbRecord, ...]:
     entries = object_array(data, "logprobs")
     if len(entries) != n_completions:
         raise MalformedRequestError("logprobs must be an array with one entry per completion")
-    try:
-        return tuple(
-            LogProbRecord.from_lists(*(require_field(e, k, list) for k in ("policy", "old", "ref")))
-            for e in entries
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRequestError(str(exc)) from exc
+    return tuple(
+        LogProbRecord(*(read_numbers(e, k) for k in ("policy", "old", "ref"))) for e in entries
+    )
 
 
 def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
-    """Decode a request object, raising ``MalformedRequestError`` on any fault."""
+    """Decode a request object; any fault in it is a ``MalformedRequestError``."""
+    try:
+        return _request_from_dict(data)
+    except ValueError as exc:
+        raise MalformedRequestError(str(exc)) from None
+
+
+def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
     if not isinstance(data, Mapping):
         raise MalformedRequestError("request must be a JSON object")
-    version = data.get("v", WIRE_VERSION)
+    version = read_field(data, "v", int, WIRE_VERSION)
     if version != WIRE_VERSION:
         raise MalformedRequestError(f"unsupported wire version {version!r}")
-    request_id = parse_id(data, "request_id")
-    sample = parse_sample(require_field(data, "sample", Mapping))
-    completions_raw = require_field(data, "completions", list)
-    if not completions_raw or not all(isinstance(c, str) for c in completions_raw):
+    request_id = read_id(data, "request_id")
+    sample = parse_sample(read_field(data, "sample", Mapping))
+    completions = read_field(data, "completions", list)
+    if not completions or not all(isinstance(c, str) for c in completions):
         raise MalformedRequestError("completions must be a non-empty array of strings")
-    completions = tuple(completions_raw)
-    progress = require_field(data, "progress", (int, float)) if "progress" in data else 0.0
-    if not 0 <= progress <= 1:  # also rejects NaN, without converting an overlong int
+    progress = read_field(data, "progress", float, 0.0)
+    if not 0 <= progress <= 1:
         raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
-
-    fmt: CompletionFormat | None = None
-    if "format" in data and data["format"] is not None:
-        try:
-            fmt = default_format(FormatKind(data["format"]))
-        except ValueError as exc:
-            raise MalformedRequestError(f"unknown format {data['format']!r}") from exc
-
-    phase: PhaseConfig | None = None
-    if data.get("phase") is not None:
-        try:
-            phase = phase_from_dict(data["phase"])
-        except ValueError as exc:
-            raise MalformedRequestError(str(exc)) from exc
-
-    logprobs = None
-    if data.get("logprobs") is not None:
-        logprobs = _parse_logprobs(data, len(completions))
-
-    matcher = data.get("matcher")
-    if matcher is not None and not isinstance(matcher, str):
-        raise MalformedRequestError("matcher must be a string")
-
-    want_advantages = data.get("advantages", True)
-    if not isinstance(want_advantages, bool):
-        raise MalformedRequestError("advantages must be a boolean")
-
+    kind = read_field(data, "format", FormatKind, None)
+    phase = data.get("phase")
+    logprobs = data.get("logprobs")
     return ScoringRequest(
         request_id=request_id,
         sample=sample,
-        completions=completions,
-        logprobs=logprobs,
-        progress=float(progress),
-        format=fmt,
-        matcher=matcher,
-        phase=phase,
-        want_advantages=want_advantages,
+        completions=tuple(completions),
+        logprobs=None if logprobs is None else _parse_logprobs(data, len(completions)),
+        progress=progress,
+        format=None if kind is None else default_format(kind),
+        matcher=read_field(data, "matcher", MatcherPolicy, None),
+        phase=None if phase is None else phase_from_dict(phase),
+        want_advantages=read_field(data, "advantages", bool, True),
     )
 
 
@@ -217,7 +162,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
     if req.format is not None:
         data["format"] = req.format.kind.value
     if req.matcher is not None:
-        data["matcher"] = req.matcher
+        data["matcher"] = req.matcher.value
     if req.phase is not None:
         data["phase"] = phase_to_dict(req.phase)
     if req.logprobs is not None:
@@ -261,38 +206,34 @@ def response_to_dict(resp: ScoringResponse) -> dict[str, Any]:
 
 
 def breakdown_from_dict(data: Mapping[str, Any]) -> RewardBreakdown:
+    numbers = ("dual_format", "recall", "precision", "total")
     return RewardBreakdown(
-        dual_format=float(data["dual_format"]),
-        recall=float(data["recall"]),
-        precision=float(data["precision"]),
-        total=float(data["total"]),
-        m_predictions=int(data["m_predictions"]),
-        n_gt=int(data["n_gt"]),
-        n_valid=int(data["n_valid"]),
+        **{key: read_field(data, key, float) for key in numbers},
+        **{key: read_field(data, key, int) for key in ("m_predictions", "n_gt", "n_valid")},
     )
 
 
 def parse_response(data: Mapping[str, Any]) -> ScoringResponse:
-    """Decode a success response (the trainer-side counterpart of emit)."""
-    if data.get("v", WIRE_VERSION) != WIRE_VERSION:
-        raise MalformedRequestError(f"unsupported wire version {data.get('v')!r}")
-    if not data.get("ok", False):
-        raise MalformedRequestError("cannot decode an error response as a scoring response")
-    thresholds = data["thresholds"]
-    advantages = data.get("advantages")
-    kl_values = data.get("kl")
-    return ScoringResponse(
-        request_id=str(data["request_id"]),
-        rewards=tuple(breakdown_from_dict(b) for b in data["rewards"]),
-        advantages=None if advantages is None else tuple(float(a) for a in advantages),
-        objective=None if data.get("objective") is None else float(data["objective"]),
-        kl_values=None if kl_values is None else tuple(float(k) for k in kl_values),
-        thresholds=ThresholdTriple(
-            float(thresholds["xi0"]), float(thresholds["xi1"]), float(thresholds["xi2"])
-        ),
-        phase_name=str(thresholds["phase"]),
-        diagnostics=tuple(data.get("diagnostics", ())),
-    )
+    """Decode a success response; any fault in it is a ``MalformedRequestError``."""
+    try:
+        if read_field(data, "v", int, WIRE_VERSION) != WIRE_VERSION:
+            raise MalformedRequestError(f"unsupported wire version {data['v']!r}")
+        if not read_field(data, "ok", bool, False):
+            raise MalformedRequestError("cannot decode an error response as a scoring response")
+        thresholds = read_field(data, "thresholds", Mapping)
+        xi = [read_field(thresholds, key, float) for key in ThresholdTriple._fields]
+        return ScoringResponse(
+            request_id=read_field(data, "request_id", str),
+            rewards=tuple(map(breakdown_from_dict, object_array(data, "rewards", REQUIRED))),
+            advantages=read_numbers(data, "advantages", default=None),
+            objective=read_field(data, "objective", float, None),
+            kl_values=read_numbers(data, "kl", default=None),
+            thresholds=ThresholdTriple(*xi),
+            phase_name=read_field(thresholds, "phase", str),
+            diagnostics=tuple(read_field(data, "diagnostics", list, ())),
+        )
+    except ValueError as exc:
+        raise MalformedRequestError(str(exc)) from None
 
 
 def eval_to_dict(result: EvalResult) -> dict[str, Any]:

@@ -20,13 +20,13 @@ Entries that are well formed but carry an invalid box are retained (marked
 from __future__ import annotations
 
 import json
-import math
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from .errors import FieldError
+from .fields import read_numbers
 from .geometry import Box, CoordinateSpace, SpaceKind, validate_box
 
 _WS_RUN = re.compile(r"\s+")
@@ -98,21 +98,6 @@ class ParseOutcome:
     diagnostics: tuple[str, ...]
 
 
-def coerce_coords(value: object) -> tuple[float, float, float, float] | None:
-    """Four finite JSON numbers (not booleans) as floats, or ``None``: every JSON box."""
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
-        return None
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            return None
-        number = float(item) if abs(item) <= sys.float_info.max else math.inf
-        if not math.isfinite(number):
-            return None
-        out.append(number)
-    return (out[0], out[1], out[2], out[3])
-
-
 def _strip_fences(text: str) -> str | None:
     """Remove one optional surrounding markdown fence; None when unbalanced."""
     s = text.strip()
@@ -147,8 +132,9 @@ def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | N
     entries: list[tuple[str, tuple[float, ...]]] = []
     faults: list[str] = []
     for index, entry in enumerate(value):
-        coords = coerce_coords(entry.get("bbox_2d"))
-        if coords is None:
+        try:
+            coords = read_numbers(entry, "bbox_2d", 4)
+        except FieldError:
             faults.append(f"entry {index}: bbox_2d must be an array of four finite numbers")
             continue
         label = entry.get("label")

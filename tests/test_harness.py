@@ -77,6 +77,36 @@ def _with_sample(**fields):
     return data
 
 
+def _logprobs_with(policy):
+    """Two log-prob records whose policy series is ``policy``."""
+    return [{"policy": policy, "old": [-0.5], "ref": [-0.5]}] * 2
+
+
+def _value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+_NAME_KEYS = {"format", "matcher", "coord_space", "kl_mode", "task"}
+
+
+def _wrong_kinds(base):
+    """(path, value) for a value of another kind at every number, boolean and name leaf."""
+    for path in _leaf_paths(base):
+        value = _value_at(base, path)
+        if isinstance(value, bool):
+            wrong = [1, "true"]
+        elif isinstance(value, (int, float)):
+            wrong = [True, False, "0.5"]
+        elif path[-1] in _NAME_KEYS:
+            wrong = [1]
+        else:
+            continue
+        for other in wrong:
+            yield path, other
+
+
 def _leaf_paths(value, path=()):
     """Key/index path of every nested value of a JSON-like object."""
     if path:
@@ -201,6 +231,14 @@ class TestWire:
             )
             req = parse_request(data)
             assert parse_request(request_to_dict(req)) == req
+
+    def test_response_missing_field_rejected(self):
+        from locscore.harness import parse_response, response_to_dict
+
+        data = response_to_dict(score_group(parse_request(make_request_dict())))
+        del data["thresholds"]["xi1"]
+        with pytest.raises(MalformedRequestError, match="missing field 'xi1'"):
+            parse_response(data)
 
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedRequestError):
@@ -357,6 +395,13 @@ class TestService:
             make_request_dict(request_id=True),
             make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": ["10", 0, 20, 20]}]),
             make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [True, 0, 1, 1]}]),
+            make_request_dict(request_id="bad", phase={"beginner": "111"}),
+            make_request_dict(request_id="bad", phase={"beginner": [True, True, True]}),
+            make_request_dict(request_id="bad", logprobs=_logprobs_with(["-0.5"])),
+            make_request_dict(request_id="bad", logprobs=_logprobs_with([False])),
+            make_request_dict(request_id="bad", logprobs=_logprobs_with([" -1 "])),
+            _with_sample(task=None),
+            make_request_dict(request_id="bad", advantages=1),
         ],
         ids=[
             "step-fraction-null",
@@ -373,6 +418,13 @@ class TestService:
             "request-id-true",
             "bbox-numeric-string",
             "bbox-boolean",
+            "beginner-string",
+            "beginner-booleans",
+            "logprob-numeric-string",
+            "logprob-false",
+            "logprob-padded-string",
+            "task-null",
+            "advantages-one",
         ],
     )
     def test_malformed_request_between_good_ones(self, bad):
@@ -433,6 +485,18 @@ class TestService:
         assert len(responses) == len(lines)
         kinds = {r["error"]["kind"] for r in responses if not r["ok"]}
         assert kinds <= {"malformed-request", "scoring-error"}
+
+    def test_every_value_of_the_wrong_kind_is_malformed(self):
+        base = _fuzz_base()
+        cases = list(_wrong_kinds(base))
+        assert {path[-1] for path, _ in cases} >= {"v", "progress", "advantages", "matcher", 3}
+        responses = _serve([json.dumps(_replaced(base, path, value)) for path, value in cases])
+        accepted = [
+            (path, value, reply.get("error", {}).get("kind", "ok"))
+            for (path, value), reply in zip(cases, responses)
+            if reply["ok"] or reply["error"]["kind"] != "malformed-request"
+        ]
+        assert accepted == []
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -619,6 +683,15 @@ class TestBatch:
         assert report["groups"] == 2
         assert report["errors"] == [{"line": 2, "error": "invalid JSON: number too long"}]
 
+    def test_final_flag_must_be_boolean(self, tmp_path, rng):
+        entry = _manifest_entries(rng, 1)[0]
+        entry["final"] = "no"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(entry) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["groups"] == 0
+        assert report["errors"] == [{"line": 1, "error": "field 'final' must be bool"}]
+
     def test_each_completion_parsed_once(self, tmp_path, monkeypatch):
         calls = []
         original = rewards_module.parse_completion
@@ -718,11 +791,30 @@ class TestConfig:
             {"epsilon": "small"},
             {"clip_range": 10**400},
             {"rules": []},
+            {"phase": {"beginner": "111"}},
+            {"phase": {"beginner": [True, True, True]}},
+            {"rules": {"use_recall": "no"}},
+            {"beta": True},
+            {"rules": {"use_recall": 0}},
+            {"kl_mode": 3},
         ],
     )
     def test_wrong_types_are_invalid_config(self, data):
         with pytest.raises(InvalidConfigError):
             config_from_dict(data)
+
+    def test_every_value_of_the_wrong_kind_is_invalid_config(self):
+        base = config_to_dict(EngineConfig(clip_range=0.2))
+        cases = list(_wrong_kinds(base))
+        assert {path[-1] for path, _ in cases} >= {"beta", "clip_range", "use_recall", "kl_mode", 2}
+        accepted = []
+        for path, value in cases:
+            try:
+                config_from_dict(_replaced(base, path, value))
+            except InvalidConfigError:
+                continue
+            accepted.append((path, value))
+        assert accepted == []
 
     def test_cli_overrides(self):
         config = _build_config(
@@ -1133,7 +1225,8 @@ def _write(path, lines):
 
 @pytest.mark.parametrize(
     "case", ["missing-file", "bad-json", "three-number-bbox", "height-true", "bad-config",
-             "unknown-coco-category"],
+             "unknown-coco-category", "config-beta-true", "annotation-thousandths",
+             "annotation-box-past-image"],
 )
 def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
     good = {name: json.dumps(line) for name, line in _GOOD_LINES.items()}
@@ -1165,6 +1258,23 @@ def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
         config = _write(tmp_path / "engine.json", [json.dumps({"betta": 0.3})])
         argv = ["serve", "--config", config]
         message = "locscore serve: unknown config keys: ['betta']"
+    elif case == "config-beta-true":
+        config = _write(tmp_path / "engine.json", [json.dumps({"beta": True})])
+        argv = ["serve", "--config", config]
+        message = "locscore serve: field 'beta' must be a finite number"
+    elif case.startswith("annotation-"):
+        if case == "annotation-thousandths":
+            line = dict(_GOOD_LINES["annotations"], coord_space="thousandths")
+            detail = "coord_space must be 'pixels' in an annotation, got 'thousandths'"
+        else:
+            line = dict(_GOOD_LINES["annotations"],
+                        instances=[{"label": "cat", "bbox": [0, 0, 900, 100]}])
+            detail = ("ground-truth box (0.0, 0.0, 900.0, 100.0) invalid in its space: "
+                      "x2 = 900.0 exceeds extent 640.0")
+        annotations = _write(tmp_path / "ann.jsonl", [good["annotations"], json.dumps(line)])
+        predictions = _write(tmp_path / "pred.jsonl", [good["predictions"]])
+        argv = ["eval", "--annotations", annotations, "--predictions", predictions]
+        message = f"locscore eval: {annotations}:2: {detail}"
     else:
         coco = {
             "images": [{"id": 1, "width": 640, "height": 480}],
@@ -1175,3 +1285,17 @@ def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
         argv = ["convert", src, str(tmp_path / "native.jsonl")]
         message = f"locscore convert: {src}: unknown category_id 9"
     assert _run_cli(argv) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--det", "-1", "counts[object-detection] must be a non-negative integer, got -1"),
+        ("--hard-fraction", "-0.5", "hard_fraction must lie in [0, 1], got -0.5"),
+        ("--negative-fraction", "nan", "negative_fraction must lie in [0, 1], got nan"),
+    ],
+)
+def test_curate_rejects_an_invalid_mixture(tmp_path, flag, value, message):
+    corpus = _write(tmp_path / "corpus.jsonl", [json.dumps(_GOOD_LINES["corpus"])])
+    argv = ["curate", "--corpus", corpus, "--out", str(tmp_path / "mix.jsonl"), flag, value]
+    assert _run_cli(argv) == (2, "", f"locscore curate: {message}\n")
