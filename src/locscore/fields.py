@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .errors import FieldError
 
@@ -61,6 +61,42 @@ def read_numbers(
             return out
     count = _COUNT_WORDS.get(length, "")
     raise FieldError(f"field {key!r} must be an array of {count}finite numbers")
+
+
+def read_strings(data: Mapping[str, Any], key: str, default: Any = REQUIRED) -> tuple[str, ...]:
+    """``data[key]`` as an array of strings."""
+    values = read_field(data, key, list, default)
+    if values is default:
+        return default
+    if set(map(type, values)) <= {str}:
+        return tuple(values)
+    raise FieldError(f"field {key!r} must be an array of strings")
+
+
+def read_number_rows(
+    rows: Sequence[Mapping[str, Any]], key: str, length: int
+) -> list[tuple[float, ...] | None]:
+    """``read_numbers(row, key, length)`` of every row, or None where it fails.
+
+    All rows are checked at once with builtins; only when one fails are
+    they read again one by one, to find which.
+    """
+    values = [row.get(key) for row in rows]
+    flat = [v for value in values if type(value) is list and len(value) == length for v in value]
+    if len(flat) == length * len(values) and set(map(type, flat)) <= _NUMBER_TYPES:
+        try:
+            floats = list(map(float, flat))
+        except OverflowError:  # an integer beyond float64
+            floats = [math.inf]
+        if math.isfinite(sum(floats)):  # a finite sum has finite terms
+            return list(zip(*[iter(floats)] * length))
+    out: list[tuple[float, ...] | None] = []
+    for row in rows:
+        try:
+            out.append(read_numbers(row, key, length))
+        except FieldError:
+            out.append(None)
+    return out
 
 
 def read_id(data: Mapping[str, Any], key: str) -> str:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..curation import Sample, TaskKind
-from ..fields import read_field, read_id, read_numbers
+from ..fields import read_field, read_id, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
@@ -165,9 +165,7 @@ def sample_from_dict(data: Mapping[str, Any]) -> Sample:
     spec = wire.parse_sample(data)
     query = read_field(data, "query", (str, list))
     if isinstance(query, list):
-        if not all(isinstance(q, str) for q in query):
-            raise ValueError("field 'query' must be a string or an array of strings")
-        query = tuple(query)
+        query = read_strings(data, "query")
     return Sample(
         task=read_field(data, "task", TaskKind),
         image_id=spec.image_id,

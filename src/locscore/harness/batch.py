@@ -16,6 +16,7 @@ from typing import Any
 from ..config import EngineConfig
 from ..errors import EngineError
 from ..fields import read_field
+from ..geometry import Box
 from ..geometry import to_space  # looked up by perfbench/tracing.py
 from ..metrics import EvalImage, evaluate
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
@@ -101,8 +102,10 @@ def run_batch(
                 )
                 continue
             eval_images.append(EvalImage(sample.image_id, sample.space, sample.gt))
-            matches = response.rewards[0].matches
-            final_predictions[sample.image_id] = [(m.label, m.box) for m in matches]
+            labels, boxes = response.rewards[0].objects
+            final_predictions[sample.image_id] = [
+                (label, Box(*coords)) for label, coords in zip(labels, boxes.tolist())
+            ]
 
     totals = [b.total for b in breakdowns]
     report: dict[str, Any] = {

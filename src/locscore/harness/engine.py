@@ -12,7 +12,8 @@ from ..errors import EngineError, FieldError, MalformedRequestError
 from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
 from ..parsing import default_format
-from ..rewards import in_advanced_phase, phase_thresholds, score_completion
+from ..rewards import in_advanced_phase, phase_thresholds, score_completions
+from ..rewards import score_completion  # looked up by perfbench/tracing.py
 from .wire import (
     ScoringRequest,
     ScoringResponse,
@@ -55,18 +56,8 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     matcher = req.matcher or config.matcher
     phase_cfg = req.phase or config.phase
     thresholds = phase_thresholds(phase_cfg, req.progress)
-    breakdowns = tuple(
-        score_completion(
-            text,
-            fmt,
-            completion_space,
-            req.sample.gt,
-            matcher,
-            phase_cfg,
-            req.progress,
-            config.rules,
-        )
-        for text in req.completions
+    breakdowns = score_completions(
+        req.completions, fmt, completion_space, req.sample.gt, matcher, thresholds, config.rules
     )
     totals = [b.total for b in breakdowns]
 

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Mapping
 
 from ..config import phase_from_dict, phase_to_dict
 from ..errors import FieldError, MalformedRequestError
-from ..fields import REQUIRED, read_field, read_id, read_numbers
+from ..fields import REQUIRED, read_field, read_id, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthSet, MatcherPolicy
@@ -121,8 +121,8 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
         raise MalformedRequestError(f"unsupported wire version {version!r}")
     request_id = read_id(data, "request_id")
     sample = parse_sample(read_field(data, "sample", Mapping))
-    completions = read_field(data, "completions", list)
-    if not completions or not all(isinstance(c, str) for c in completions):
+    completions = read_strings(data, "completions")
+    if not completions:
         raise MalformedRequestError("completions must be a non-empty array of strings")
     progress = read_field(data, "progress", float, 0.0)
     if not 0 <= progress <= 1:
@@ -133,7 +133,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
     return ScoringRequest(
         request_id=request_id,
         sample=sample,
-        completions=tuple(completions),
+        completions=completions,
         logprobs=None if logprobs is None else _parse_logprobs(data, len(completions)),
         progress=progress,
         format=None if kind is None else default_format(kind),
@@ -230,7 +230,7 @@ def parse_response(data: Mapping[str, Any]) -> ScoringResponse:
             kl_values=read_numbers(data, "kl", default=None),
             thresholds=ThresholdTriple(*xi),
             phase_name=read_field(thresholds, "phase", str),
-            diagnostics=tuple(read_field(data, "diagnostics", list, ())),
+            diagnostics=read_strings(data, "diagnostics", ()),
         )
     except ValueError as exc:
         raise MalformedRequestError(str(exc)) from None

@@ -15,6 +15,10 @@ order, each is rotated along an alternating path of tight edges to the
 lowest-indexed ground truth it can reach, which yields the lexicographically
 first optimum with graph searches only. IoUs come from
 ``geometry.iou_matrix``, bit for bit equal to ``geometry.iou`` on every pair.
+
+``cost_matrices`` builds the matrices of a whole group's predictions at once,
+and ``assign_slices`` matches each completion's row slice of them on its own;
+``match`` is the two for one list of predictions.
 """
 
 from __future__ import annotations
@@ -250,22 +254,43 @@ def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int)
         fixed[assigned[i]] = True
 
 
-def _cost_matrix(
-    predictions: Sequence[tuple[str, Box]],
+def cost_matrices(
+    boxes: np.ndarray,
+    labels: Sequence[str],
     gt: GroundTruthSet,
     policy: MatcherPolicy,
-) -> tuple[np.ndarray, np.ndarray]:
-    ious = iou_matrix(box_array(box for _, box in predictions), gt.coords)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost, IoU and label-agreement matrices of (n, 4) ``boxes`` against ``gt``.
+
+    Each distinct label is normalized once; labels are compared as small
+    integers (numpy strings drop trailing NULs).
+    """
+    ious = iou_matrix(boxes, gt.coords)
+    ids = {key: index for index, key in enumerate(gt.by_label)}
+    distinct = dict.fromkeys(labels)
+    keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in distinct}
+    pred_ids = np.array([keys[label] for label in labels], dtype=np.intp)
+    gt_ids = np.array([ids[key] for key in gt.label_keys], dtype=np.intp)
+    same = pred_ids[:, None] == gt_ids[None, :]
     cost = 1.0 - ious
     if policy is MatcherPolicy.BOX_AND_LABEL:
-        # normalized labels as small integers (numpy strings drop trailing NULs)
-        ids: dict[str, int] = {}
-        pred_ids = np.array(
-            [ids.setdefault(normalize_label(label), len(ids)) for label, _ in predictions]
-        )
-        gt_ids = np.array([ids.setdefault(key, len(ids)) for key in gt.label_keys])
-        cost = cost + np.where(pred_ids[:, None] == gt_ids[None, :], 0.0, LABEL_MISMATCH_PENALTY)
-    return cost, ious
+        cost += np.where(same, 0.0, LABEL_MISMATCH_PENALTY)
+    return cost, ious, same
+
+
+def assign_slices(
+    cost: np.ndarray, ious: np.ndarray, same: np.ndarray, bounds: Sequence[int]
+) -> list[list[tuple[int, int, float, bool]]]:
+    """Match each row slice ``bounds[i]:bounds[i + 1]`` on its own.
+
+    Per slice, its canonical pairs as (row within the slice, ground-truth
+    index, IoU, labels agree), in row order.
+    """
+    slices = [_canonical_pairs(cost[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    rows = [lo + i for lo, pairs in zip(bounds, slices) for i, _ in pairs]
+    cols = [j for pairs in slices for _, j in pairs]
+    found = iter(zip(ious[rows, cols].tolist(), same[rows, cols].tolist()))
+    return [[(i, j, *next(found)) for i, j in pairs] for pairs in slices]
 
 
 def match(
@@ -287,18 +312,11 @@ def match(
             raise SpaceMismatchError(
                 f"prediction box {box.coords()} invalid in the ground-truth space: {reason}"
             )
-    if not predictions:
-        return []
-    if len(gt) == 0:
-        return [MatchedPrediction(box, label, 0.0, None, False) for label, box in predictions]
-    cost, ious = _cost_matrix(predictions, gt, policy)
-    assigned = dict(_canonical_pairs(cost))
+    labels = [label for label, _ in predictions]
+    costs = cost_matrices(box_array(box for _, box in predictions), labels, gt, policy)
+    assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)])[0]}
     out: list[MatchedPrediction] = []
     for index, (label, box) in enumerate(predictions):
-        gt_index = assigned.get(index)
-        if gt_index is None:
-            out.append(MatchedPrediction(box, label, 0.0, None, False))
-        else:
-            correct = normalize_label(label) == gt.label_keys[gt_index]
-            out.append(MatchedPrediction(box, label, float(ious[index, gt_index]), gt_index, correct))
+        gt_index, value, correct = assigned.get(index, (None, 0.0, False))
+        out.append(MatchedPrediction(box, label, value, gt_index, correct))
     return out

@@ -15,6 +15,10 @@ whole completion, the content flag additionally requires every entry to be
 well formed and every box to be valid in the declared coordinate space.
 Entries that are well formed but carry an invalid box are retained (marked
 ``box_valid=False``) so downstream rewards can still use them.
+
+``parse_completions`` parses a whole group at once and holds its boxes as one
+(n, 4) array, validated once, vectorised; ``parse_completion`` is that for a
+single completion.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import FieldError
-from .fields import read_numbers
-from .geometry import Box, CoordinateSpace, SpaceKind, validate_box
+import numpy as np
+
+from .fields import read_number_rows
+from .geometry import Box, CoordinateSpace, SpaceKind, validate_boxes
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -109,7 +114,16 @@ def _strip_fences(text: str) -> str | None:
     return "\n".join(lines[1:-1])
 
 
-def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+def _collapsed(label: str, names: dict[str, str]) -> str:
+    """``collapse_whitespace(label)``, computed once per distinct label in ``names``."""
+    if label not in names:
+        names[label] = collapse_whitespace(label)
+    return names[label]
+
+
+def _read_structured(
+    text: str, names: dict[str, str]
+) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
     body = _strip_fences(text)
     if body is None:
         return None, ["unbalanced code fence"]
@@ -131,21 +145,22 @@ def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | N
             return None, [f"array element {index} is not an object"]
     entries: list[tuple[str, tuple[float, ...]]] = []
     faults: list[str] = []
-    for index, entry in enumerate(value):
-        try:
-            coords = read_numbers(entry, "bbox_2d", 4)
-        except FieldError:
+    for index, (entry, coords) in enumerate(zip(value, read_number_rows(value, "bbox_2d", 4))):
+        if coords is None:
             faults.append(f"entry {index}: bbox_2d must be an array of four finite numbers")
             continue
         label = entry.get("label")
-        if not isinstance(label, str) or not collapse_whitespace(label):
+        label = _collapsed(label, names) if isinstance(label, str) else ""
+        if not label:
             faults.append(f"entry {index}: label must be a non-empty string")
             continue
-        entries.append((collapse_whitespace(label), coords))
+        entries.append((label, coords))
     return entries, faults
 
 
-def _read_plain(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+def _read_plain(
+    text: str, names: dict[str, str]
+) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
     s = text.strip()
     if not s:
         # canonical abstention: an empty completion declares zero objects
@@ -156,12 +171,78 @@ def _read_plain(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, 
         matched = _PLAIN_SEGMENT.match(segment) if segment else None
         if matched is None:
             return None, [f"segment {index} does not match label-[x1,y1,x2,y2]"]
-        label = collapse_whitespace(matched.group("label"))
+        label = _collapsed(matched.group("label"), names)
         if not label:
             return None, [f"segment {index} has an empty label"]
-        coords = tuple(float(matched.group(k)) for k in ("x1", "y1", "x2", "y2"))
+        coords = tuple(map(float, matched.group("x1", "y1", "x2", "y2")))
         entries.append((label, coords))
     return entries, []
+
+
+@dataclass(frozen=True)
+class ParsedGroup:
+    """A group of completions parsed together.
+
+    Every well-formed entry of every completion is one row, in emission
+    order: completion ``i`` holds rows ``bounds[i]:bounds[i + 1]``.
+    """
+
+    template_ok: list[bool]
+    content_ok: list[bool]
+    diagnostics: list[tuple[str, ...]]
+    bounds: list[int]
+    labels: list[str]
+    coords: np.ndarray  # (n, 4) float64, in the declared space
+    valid: np.ndarray  # (n,) bool: the row's box is valid in the declared space
+    faults: dict[int, str]  # why each invalid row is invalid
+
+    def outcome(self, index: int) -> ParseOutcome:
+        """The ``ParseOutcome`` of completion ``index``."""
+        lo, hi = self.bounds[index], self.bounds[index + 1]
+        rows = zip(range(lo, hi), self.labels[lo:hi], self.coords[lo:hi].tolist(), self.valid[lo:hi])
+        predictions = tuple(
+            RawPrediction(label, tuple(coords), bool(ok), self.faults.get(row))
+            for row, label, coords, ok in rows
+        )
+        return ParseOutcome(
+            self.template_ok[index], self.content_ok[index], predictions, self.diagnostics[index]
+        )
+
+
+def parse_completions(
+    texts: Sequence[str], fmt: CompletionFormat, space: CoordinateSpace
+) -> ParsedGroup:
+    """Parse every completion of a group; never raises.
+
+    Each box is validated once, vectorised over the whole group; the scalar
+    ``validate_box`` runs only on rejected rows, to name their fault.
+    """
+    read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
+    template_ok: list[bool] = []
+    entry_faults: list[list[str]] = []
+    labels: list[str] = []
+    flat: list[float] = []
+    bounds = [0]
+    names: dict[str, str] = {}
+    for text in texts:
+        entries, faults = read(text, names)
+        template_ok.append(entries is not None)
+        entry_faults.append(faults)
+        for label, coords in entries or ():
+            labels.append(label)
+            flat.extend(coords)
+        bounds.append(len(labels))
+    coords = np.array(flat, dtype=float).reshape(-1, 4)
+    valid, box_faults = validate_boxes(coords, space)
+    content_ok: list[bool] = []
+    diagnostics: list[tuple[str, ...]] = []
+    for template, faults, lo, hi in zip(template_ok, entry_faults, bounds, bounds[1:]):
+        bad = [
+            f"box {coords[row].tolist()}: {box_faults[row]}" for row in box_faults if lo <= row < hi
+        ]
+        content_ok.append(template and not faults and not bad)
+        diagnostics.append(tuple(faults + bad))
+    return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, box_faults)
 
 
 def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -> ParseOutcome:
@@ -170,21 +251,7 @@ def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -
     Deterministic and total: every malformation is reported through the flags
     and diagnostics, never an exception.
     """
-    if fmt.kind is FormatKind.STRUCTURED:
-        entries, faults = _read_structured(text)
-    else:
-        entries, faults = _read_plain(text)
-    if entries is None:
-        return ParseOutcome(False, False, (), tuple(faults))
-    diagnostics = list(faults)
-    predictions: list[RawPrediction] = []
-    for label, coords in entries:
-        ok, reason = validate_box(Box(*coords), space)
-        predictions.append(RawPrediction(label, coords, ok, reason))
-        if not ok:
-            diagnostics.append(f"box {list(coords)}: {reason}")
-    content_ok = not faults and all(p.box_valid for p in predictions)
-    return ParseOutcome(True, content_ok, tuple(predictions), tuple(diagnostics))
+    return parse_completions([text], fmt, space).outcome(0)
 
 
 def extract_objects(outcome: ParseOutcome) -> list[tuple[str, Box]]:

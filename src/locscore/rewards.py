@@ -12,17 +12,27 @@ Each completion earns three components, all in [0, 1]:
 A prediction is valid when its matched IoU reaches the active xi0 threshold
 and (by default) its label matches. Thresholds follow a beginner/advanced
 schedule that switches at a configured fraction of training progress.
+
+``score_completions`` is the group kernel: a group's boxes are parsed and
+validated once as one array, moved into the ground-truth space together and
+matched through one IoU matrix sliced per completion. ``score_completion``
+is that kernel for one completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidConfigError
-from .geometry import Box, CoordinateSpace, structural_fault, to_space
-from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, match
-from .parsing import CompletionFormat, ParseOutcome, extract_objects, parse_completion
+import numpy as np
+
+from .errors import InvalidConfigError, SpaceMismatchError
+from .geometry import Box, CoordinateSpace, structural_fault, to_space_array, validate_boxes
+from .geometry import to_space  # looked up by perfbench/tracing.py
+from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_slices, cost_matrices
+from .matching import match  # looked up by perfbench/tracing.py
+from .parsing import CompletionFormat, ParsedGroup, ParseOutcome, parse_completions
+from .parsing import parse_completion  # looked up by perfbench/tracing.py
 
 
 class ThresholdTriple(NamedTuple):
@@ -90,16 +100,28 @@ def dual_format_reward(outcome: ParseOutcome) -> float:
     return 1.0 if outcome.template_ok and outcome.content_ok else 0.0
 
 
-def _is_valid(m: MatchedPrediction, xi0: float, require_label: bool) -> bool:
-    if m.iou < xi0:
-        return False
-    return m.label_correct if require_label else True
+def _valid_ious(
+    pairs: Iterable[tuple[float, bool]], xi0: float, require_label: bool
+) -> list[float]:
+    """IoUs of the valid predictions among (IoU, label matches) pairs, in order."""
+    return [iou for iou, correct in pairs if not iou < xi0 and (correct or not require_label)]
 
 
-def count_valid(
-    matches: Sequence[MatchedPrediction], xi0: float, require_label: bool = True
-) -> int:
-    return sum(1 for m in matches if _is_valid(m, xi0, require_label))
+def _matched_pairs(matches: Sequence[MatchedPrediction]) -> Iterable[tuple[float, bool]]:
+    return ((m.iou, m.label_correct) for m in matches)
+
+
+def _recall(n_valid: int, m: int, n_gt: int, t: ThresholdTriple) -> float:
+    if n_gt == 0:
+        return 1.0 if m == 0 else 0.0
+    return differentiate(n_valid / n_gt, t.xi1, t.xi2)
+
+
+def _precision(valid_ious: list[float], m: int, n_gt: int, t: ThresholdTriple) -> float:
+    if m == 0:
+        return 1.0 if n_gt == 0 else 0.0
+    # a left-to-right sum in prediction order
+    return sum(differentiate(v, t.xi1, t.xi2) for v in valid_ious) / m
 
 
 def recall_reward(
@@ -114,10 +136,8 @@ def recall_reward(
     and 0 for predicting anything.
     """
     t = ThresholdTriple(*thresholds)
-    if n_gt == 0:
-        return 1.0 if len(matches) == 0 else 0.0
-    raw = count_valid(matches, t.xi0, require_label) / n_gt
-    return differentiate(raw, t.xi1, t.xi2)
+    valid = _valid_ious(_matched_pairs(matches), t.xi0, require_label)
+    return _recall(len(valid), len(matches), n_gt, t)
 
 
 def precision_reward(
@@ -133,13 +153,8 @@ def precision_reward(
     reward mirrors the recall convention: 1 on a negative sample, else 0.
     """
     t = ThresholdTriple(*thresholds)
-    total = len(matches)
-    if total == 0:
-        return 1.0 if n_gt == 0 else 0.0
-    sharpened = sum(
-        differentiate(m.iou, t.xi1, t.xi2) for m in matches if _is_valid(m, t.xi0, require_label)
-    )
-    return sharpened / total
+    valid = _valid_ious(_matched_pairs(matches), t.xi0, require_label)
+    return _precision(valid, len(matches), n_gt, t)
 
 
 @dataclass(frozen=True)
@@ -161,8 +176,25 @@ class RewardBreakdown:
     m_predictions: int
     n_gt: int
     n_valid: int
-    # the matched predictions, in ground-truth space; in-process only, never on the wire
-    matches: tuple[MatchedPrediction, ...] = field(default=(), compare=False, repr=False)
+    # the objects the completion was matched with, in ground-truth space: their
+    # labels and an (m, 4) view of the group's coordinate array; set by
+    # score_completions, in-process only, never on the wire
+    objects: tuple[Sequence[str], np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+
+def _breakdown(
+    format_ok: bool,
+    m: int,
+    n_gt: int,
+    valid_ious: list[float],
+    t: ThresholdTriple,
+    rules: RewardRules,
+    objects: tuple[Sequence[str], np.ndarray] | None = None,
+) -> RewardBreakdown:
+    dual = (1.0 if format_ok else 0.0) if rules.use_dual_format else 0.0
+    rec = _recall(len(valid_ious), m, n_gt, t) if rules.use_recall else 0.0
+    prec = _precision(valid_ious, m, n_gt, t) if rules.use_precision else 0.0
+    return RewardBreakdown(dual, rec, prec, dual + rec + prec, m, n_gt, len(valid_ious), objects)
 
 
 def score_matches(
@@ -174,23 +206,32 @@ def score_matches(
 ) -> RewardBreakdown:
     """Assemble the per-completion breakdown from parsed and matched pieces."""
     t = ThresholdTriple(*thresholds)
-    dual = dual_format_reward(outcome) if rules.use_dual_format else 0.0
-    rec = recall_reward(matches, n_gt, t, rules.require_label_match) if rules.use_recall else 0.0
-    prec = (
-        precision_reward(matches, n_gt, t, rules.require_label_match)
-        if rules.use_precision
-        else 0.0
-    )
-    return RewardBreakdown(
-        dual_format=dual,
-        recall=rec,
-        precision=prec,
-        total=dual + rec + prec,
-        m_predictions=len(matches),
-        n_gt=n_gt,
-        n_valid=count_valid(matches, t.xi0, rules.require_label_match),
-        matches=tuple(matches),
-    )
+    valid = _valid_ious(_matched_pairs(matches), t.xi0, rules.require_label_match)
+    format_ok = outcome.template_ok and outcome.content_ok
+    return _breakdown(format_ok, len(matches), n_gt, valid, t, rules)
+
+
+def _ground_truth_rows(
+    group: ParsedGroup, space: CoordinateSpace, gt_space: CoordinateSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The group's valid rows and their boxes in ``gt_space``.
+
+    Boxes that rounding collapses on conversion are dropped. A box that
+    rounds past the ground-truth extent is a ``SpaceMismatchError``.
+    """
+    rows = np.flatnonzero(group.valid)
+    boxes = group.coords[rows]
+    if space.kind is not gt_space.kind:
+        boxes = to_space_array(boxes, space, gt_space)
+        kept, faults = validate_boxes(boxes, gt_space)
+        for row, fault in faults.items():
+            box = Box(*boxes[row].tolist())
+            if structural_fault(box) is None:
+                raise SpaceMismatchError(
+                    f"prediction box {box.coords()} invalid in the ground-truth space: {fault}"
+                )
+        rows, boxes = rows[kept], boxes[kept]
+    return rows, boxes
 
 
 def completion_objects(
@@ -204,12 +245,49 @@ def completion_objects(
     ``space`` declares the coordinate convention of the completion itself.
     Boxes that rounding collapses on conversion are dropped.
     """
-    outcome = parse_completion(text, fmt, space)
-    objects = extract_objects(outcome)
-    if space.kind is not gt_space.kind:
-        moved = [(label, to_space(box, space, gt_space)) for label, box in objects]
-        objects = [(label, box) for label, box in moved if structural_fault(box) is None]
-    return outcome, objects
+    group = parse_completions([text], fmt, space)
+    rows, boxes = _ground_truth_rows(group, space, gt_space)
+    objects = [(group.labels[row], Box(*box)) for row, box in zip(rows.tolist(), boxes.tolist())]
+    return group.outcome(0), objects
+
+
+def score_completions(
+    texts: Sequence[str],
+    fmt: CompletionFormat,
+    space: CoordinateSpace,
+    gt: GroundTruthSet,
+    policy: MatcherPolicy,
+    thresholds: ThresholdTriple,
+    rules: RewardRules = RewardRules(),
+) -> tuple[RewardBreakdown, ...]:
+    """Parse, match, and reward every completion of a group against one ground truth.
+
+    ``space`` declares the coordinate convention of the completions. The
+    group's boxes form one array: validated once, converted to the
+    ground-truth space once, and matched through one IoU matrix whose row
+    slices go to the canonical matcher one completion at a time. Each
+    breakdown equals ``score_matches`` on ``parse_completion``,
+    ``extract_objects``, ``to_space`` and ``match``, bit for bit.
+    """
+    t = ThresholdTriple(*thresholds)
+    _check_triple("thresholds", t)  # xi0 > 0: a prediction left unassigned is never valid
+    group = parse_completions(texts, fmt, space)
+    rows, boxes = _ground_truth_rows(group, space, gt.space)
+    labels = [group.labels[row] for row in rows.tolist()]
+    bounds = np.searchsorted(rows, group.bounds).tolist()
+    assigned = assign_slices(*cost_matrices(boxes, labels, gt, policy), bounds)
+    return tuple(
+        _breakdown(
+            group.content_ok[index],  # implies template_ok
+            hi - lo,
+            len(gt),
+            _valid_ious(((v, ok) for _, _, v, ok in pairs), t.xi0, rules.require_label_match),
+            t,
+            rules,
+            (labels[lo:hi], boxes[lo:hi]),
+        )
+        for index, (pairs, lo, hi) in enumerate(zip(assigned, bounds, bounds[1:]))
+    )
 
 
 def score_completion(
@@ -229,6 +307,4 @@ def score_completion(
     Pure in all arguments.
     """
     thresholds = phase_thresholds(cfg, progress)
-    outcome, objects = completion_objects(text, fmt, space, gt.space)
-    matches = match(objects, gt, policy)
-    return score_matches(outcome, matches, len(gt.instances), thresholds, rules)
+    return score_completions([text], fmt, space, gt, policy, thresholds, rules)[0]

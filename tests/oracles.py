@@ -1,9 +1,11 @@
 """Independent slow reference implementations for checking the fast paths.
 
-Nothing here imports engine internals beyond plain data: assignment optima
-are found by exhaustive enumeration, the canonical tie-break by repeated
-sub-solves, statistics by compensated summation, and detection metrics by a
-direct transcription of the textbook procedure.
+Assignment optima are found by exhaustive enumeration, the canonical
+tie-break by repeated sub-solves, statistics by compensated summation, and
+detection metrics by a direct transcription of the textbook procedure; none
+of these imports engine internals beyond plain data. ``reference_breakdowns``
+is the one exception: the per-completion, per-box scoring path composed from
+the engine's public single-completion functions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from locscore.geometry import structural_fault, to_space
+from locscore.matching import match
+from locscore.parsing import extract_objects, parse_completion
+from locscore.rewards import score_matches
 
 
 def mean_std(values):
@@ -229,3 +236,21 @@ def reference_image_counts(predictions, gts, threshold):
                 taken.add(best_j)
                 tp += 1
     return tp, len(predictions) - tp, len(gts) - tp
+
+
+def reference_breakdowns(texts, fmt, space, gt, policy, thresholds, rules):
+    """Each completion scored on its own, box by box: ``parse_completion``,
+    ``extract_objects``, ``to_space`` (dropping boxes that collapse), ``match``
+    and ``score_matches``. Returns (breakdown, objects in ground-truth space)
+    per completion: the slow reference for ``rewards.score_completions``.
+    """
+    out = []
+    for text in texts:
+        outcome = parse_completion(text, fmt, space)
+        objects = extract_objects(outcome)
+        if space.kind is not gt.space.kind:
+            moved = [(label, to_space(box, space, gt.space)) for label, box in objects]
+            objects = [(label, box) for label, box in moved if structural_fault(box) is None]
+        matches = match(objects, gt, policy)
+        out.append((score_matches(outcome, matches, len(gt), thresholds, rules), objects))
+    return out

@@ -1,0 +1,60 @@
+"""The field reader's whole-array fast path against its one-value-at-a-time form."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locscore.errors import FieldError
+from locscore.fields import read_number_rows, read_numbers
+
+# JSON values a bbox array may hold: numbers near and beyond float64, and the wrong kinds
+ELEMENTS = st.one_of(
+    st.integers(-5, 5000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), 1e308, True, False, None, "1", [1]]),
+)
+VALUES = st.one_of(
+    st.lists(st.integers(0, 5000) | st.floats(0, 5000), min_size=4, max_size=4),  # mostly good
+    st.lists(ELEMENTS, min_size=0, max_size=6),
+    st.sampled_from([None, "1,2,3,4", 7, {"x": 1}]),
+)
+ROWS = st.lists(
+    st.one_of(st.fixed_dictionaries({"bbox_2d": VALUES}), st.just({"label": "cat"})), max_size=8
+)
+# every row four values, so that only the values decide between the two paths
+NUMBERS = st.integers(0, 5000) | st.floats(0, 5000)
+FOUR_VALUE_ROWS = st.lists(
+    st.fixed_dictionaries({"bbox_2d": st.lists(NUMBERS | NUMBERS | ELEMENTS, min_size=4, max_size=4)}),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _one_by_one(rows):
+    out = []
+    for row in rows:
+        try:
+            out.append(read_numbers(row, "bbox_2d", 4))
+        except FieldError:
+            out.append(None)
+    return out
+
+
+@given(ROWS | FOUR_VALUE_ROWS)
+@settings(max_examples=500)
+def test_number_rows_equal_read_numbers_per_row(rows):
+    got = read_number_rows(rows, "bbox_2d", 4)
+    expected = _one_by_one(rows)
+    assert [None if r is None else [float(v).hex() for v in r] for r in got] == [
+        None if r is None else [float(v).hex() for v in r] for r in expected
+    ]
+    assert all(r is None or all(type(v) is float for v in r) for r in got)
+
+
+def test_all_good_rows_read_at_once():
+    rows = [{"bbox_2d": [0, 1, 2.5, 3]}, {"bbox_2d": [1e-320, 0.0, 1e308, 5]}]
+    assert read_number_rows(rows, "bbox_2d", 4) == [(0.0, 1.0, 2.5, 3.0), (1e-320, 0.0, 1e308, 5.0)]
+
+
+def test_one_bad_row_leaves_the_others():
+    rows = [{"bbox_2d": [0, 1, 2, 3]}, {"bbox_2d": [0, 1, 2]}, {"bbox_2d": [1e308, 1e308, 1e308, 1e308]}]
+    assert read_number_rows(rows, "bbox_2d", 4) == [(0.0, 1.0, 2.0, 3.0), None, (1e308,) * 4]

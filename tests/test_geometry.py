@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locscore import (
@@ -16,7 +16,15 @@ from locscore import (
     to_space,
     validate_box,
 )
-from locscore.geometry import box_array, iou_matrix, structural_fault
+from locscore.geometry import (
+    CoordinateSpace,
+    SpaceKind,
+    box_array,
+    iou_matrix,
+    structural_fault,
+    to_space_array,
+    validate_boxes,
+)
 from locscore.parsing import normalize_label
 
 from conftest import box_strategy, related_boxes
@@ -213,3 +221,93 @@ def test_structural_fault_messages():
     assert "negative" in structural_fault(Box(-1, 0, 10, 10))
     assert "x2" in structural_fault(Box(10, 0, 10, 10))
     assert "y2" in structural_fault(Box(0, 10, 10, 10))
+
+
+SPACES = [pixel_space(640, 480), thousandths_space(640, 480), pixel_space(1, 1), pixel_space(3, 1000)]
+
+
+def _axis(limit):
+    """A coordinate on one axis: in range, exactly at the extent, just past it, or not finite."""
+    special = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, limit, math.nextafter(limit, math.inf), 2 * limit]
+    return st.one_of(st.sampled_from(special), st.floats(0, limit))
+
+
+@st.composite
+def box_rows(draw):
+    """A space and (x1, y1, x2, y2) rows, some of them degenerate on purpose."""
+    space = draw(st.sampled_from(SPACES))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        x1, x2 = draw(_axis(space.max_x)), draw(_axis(space.max_x))
+        y1, y2 = draw(_axis(space.max_y)), draw(_axis(space.max_y))
+        flat = draw(st.sampled_from(["", "x", "y"]))
+        rows.append((x1, y1, x1 if flat == "x" else x2, y1 if flat == "y" else y2))
+    return space, rows
+
+
+@st.composite
+def valid_boxes_in(draw, space):
+    """Boxes valid in ``space``, among them specks that collapse when rescaled."""
+    def side(limit):
+        ends = sorted(draw(st.one_of(st.floats(0, limit), st.floats(0, 1e-300))) for _ in range(2))
+        assume(ends[0] < ends[1])
+        return ends
+
+    (x1, x2), (y1, y2) = side(space.max_x), side(space.max_y)
+    return Box(x1, y1, x2, y2)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestArrayForms:
+    """The vectorised validation and conversion against their scalar forms."""
+
+    @given(box_rows())
+    @settings(max_examples=300)
+    def test_mask_and_reasons_equal_validate_box(self, case):
+        space, rows = case
+        coords = np.array(rows, dtype=float).reshape(-1, 4)
+        valid, reasons = validate_boxes(coords, space)
+        expected = [validate_box(Box(*row), space) for row in rows]
+        assert valid.tolist() == [ok for ok, _ in expected]
+        assert reasons == {row: reason for row, (ok, reason) in enumerate(expected) if not ok}
+        assert list(reasons) == sorted(reasons)
+
+    def test_edge_rows(self):
+        space = pixel_space(640, 480)
+        rows = [
+            (0.0, 0.0, 640.0, 480.0),  # exactly at the extent
+            (0.0, 0.0, math.nextafter(640.0, math.inf), 480.0),
+            (math.nan, 0.0, 1.0, 1.0),
+            (-1.0, 0.0, 1.0, 1.0),
+            (5.0, 0.0, 5.0, 1.0),
+        ]
+        valid, reasons = validate_boxes(np.array(rows), space)
+        assert valid.tolist() == [True, False, False, False, False]
+        assert reasons == {row: validate_box(Box(*rows[row]), space)[1] for row in (1, 2, 3, 4)}
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_array_conversion_equals_to_space(self, data):
+        width, height = data.draw(st.integers(1, 5000)), data.draw(st.integers(1, 5000))
+        src_kind, dst_kind = data.draw(st.sampled_from(list(SpaceKind))), data.draw(st.sampled_from(list(SpaceKind)))
+        src, dst = CoordinateSpace(src_kind, width, height), CoordinateSpace(dst_kind, width, height)
+        boxes = data.draw(st.lists(valid_boxes_in(src), max_size=10))
+        moved = to_space_array(box_array(boxes), src, dst)
+        scalar = [to_space(box, src, dst) for box in boxes]
+        assert [_bits(row) for row in moved.tolist()] == [_bits(box.coords()) for box in scalar]
+        # a box that collapses on conversion is dropped, and only such a box
+        kept, _ = validate_boxes(moved, dst)
+        assert kept.tolist() == [structural_fault(box) is None for box in scalar]
+
+    def test_collapsing_speck_is_dropped(self):
+        src, dst = thousandths_space(1, 1), pixel_space(1, 1)
+        moved = to_space_array(np.array([[0.0, 0.0, 5e-324, 5e-324], [0.0, 0.0, 500.0, 1000.0]]), src, dst)
+        assert validate_boxes(moved, dst)[0].tolist() == [False, True]
+        assert moved[1].tolist() == [0.0, 0.0, 0.5, 1.0]
+
+    def test_array_conversion_rejects_another_image(self):
+        with pytest.raises(SpaceMismatchError):
+            to_space_array(np.zeros((0, 4)), pixel_space(640, 480), thousandths_space(480, 640))

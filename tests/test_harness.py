@@ -240,6 +240,33 @@ class TestWire:
         with pytest.raises(MalformedRequestError, match="missing field 'xi1'"):
             parse_response(data)
 
+    @pytest.mark.parametrize("diagnostics", [[1, None], ["clamped", 2], "clamped", None])
+    def test_response_diagnostics_must_be_strings(self, diagnostics):
+        from locscore.harness import parse_response, response_to_dict
+
+        data = response_to_dict(score_group(parse_request(make_request_dict())))
+        data["diagnostics"] = diagnostics
+        with pytest.raises(MalformedRequestError, match="'diagnostics'"):
+            parse_response(data)
+
+    @pytest.mark.parametrize("key", ["completions", "query", "diagnostics"])
+    def test_string_arrays_share_one_reader(self, key):
+        from locscore.harness import parse_response, response_to_dict
+        from locscore.harness.annotations import sample_from_dict
+
+        if key == "completions":
+            data, decode = make_request_dict(completions=["[]", None]), parse_request
+        elif key == "query":
+            sample = make_request_dict()["sample"]
+            data = {**sample, "task": "object-detection", "query": ["cat", 7], "is_negative": False}
+            decode = sample_from_dict
+        else:
+            data = response_to_dict(score_group(parse_request(make_request_dict())))
+            data["diagnostics"] = ["clamped", None]
+            decode = parse_response
+        with pytest.raises(ValueError, match=f"^field '{key}' must be an array of strings$"):
+            decode(data)
+
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedRequestError):
             parse_request({"v": 1, "request_id": "r"})
@@ -694,13 +721,13 @@ class TestBatch:
 
     def test_each_completion_parsed_once(self, tmp_path, monkeypatch):
         calls = []
-        original = rewards_module.parse_completion
+        original = rewards_module.parse_completions
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
+            calls.extend(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(rewards_module, "parse_completion", counting)
+        monkeypatch.setattr(rewards_module, "parse_completions", counting)
         manifest = Path(SRC).parent / "fixtures" / "manifest.jsonl"
         entries = [json.loads(line) for line in manifest.read_text().splitlines() if line.strip()]
         assert any(entry.get("final") for entry in entries)

@@ -15,13 +15,18 @@ from locscore import (
     pixel_space,
 )
 from locscore.geometry import box_array, iou_matrix
-from locscore.matching import _COST_TIE_ATOL, _canonical_pairs
-from locscore.matching import _cost_matrix as engine_cost_matrix
+from locscore.matching import _COST_TIE_ATOL, _canonical_pairs, cost_matrices
 
 from conftest import INT_BOXES, LABELS, box_strategy, random_box, random_gt, related_boxes
 from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
 
 SPACE = pixel_space(640, 480)
+
+
+def engine_cost_matrix(preds, gt, policy):
+    """The engine's (cost, IoU) matrices for (label, box) predictions."""
+    boxes = box_array(box for _, box in preds)
+    return cost_matrices(boxes, [label for label, _ in preds], gt, policy)[:2]
 
 
 def _cost_matrix(preds, gt, policy):

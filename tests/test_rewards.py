@@ -1,7 +1,8 @@
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locscore import (
@@ -21,16 +22,19 @@ from locscore import (
     score_completion,
     thousandths_space,
 )
-from locscore.matching import MatchedPrediction
-from locscore.parsing import STRUCTURED_FORMAT, emit_structured
+from locscore.geometry import CoordinateSpace, SpaceKind, to_space
+from locscore.matching import MatchedPrediction, MatcherPolicy
+from locscore.parsing import PLAIN_FORMAT, STRUCTURED_FORMAT, emit_structured
 from locscore.rewards import (
     ADVANCED_THRESHOLDS,
     BEGINNER_THRESHOLDS,
     RewardRules,
     completion_objects,
+    score_completions,
 )
 
 from conftest import random_box, random_gt
+from oracles import reference_breakdowns
 
 SPACE = pixel_space(640, 480)
 BEGINNER = BEGINNER_THRESHOLDS
@@ -324,3 +328,112 @@ class TestProperties:
         assert b.m_predictions == n_pred
         assert b.n_gt == n_gt
         assert 0 <= b.n_valid <= min(b.m_predictions, b.n_gt)
+
+
+KERNEL_LABELS = ("cat", "Cat", " cat\t", "dog", "traffic  light", "traffic light")
+
+
+# specks that rounding collapses when rescaled to a small image
+SPECKS = st.sampled_from([0.0, 5e-324, 1e-321, 2e-320, 1e-310])
+
+
+def _side(draw, limit):
+    ends = sorted(draw(st.one_of(st.floats(0, limit), SPECKS)) for _ in range(2))
+    assume(ends[0] < ends[1])
+    return ends
+
+
+def _any_box(draw, space):
+    """A box for a completion in ``space``: mostly valid, sometimes past the
+    extent, negative or degenerate."""
+    (x1, x2), (y1, y2) = _side(draw, space.max_x), _side(draw, space.max_y)
+    fault = draw(st.sampled_from([None] * 6 + ["past", "negative", "flat"]))
+    if fault == "past":
+        x2 = space.max_x + draw(st.floats(0.001, 50))
+    elif fault == "negative":
+        x1 = -draw(st.floats(0.5, 5))
+    elif fault == "flat":
+        y2 = y1
+    return [x1, y1, x2, y2]
+
+
+def _render(entries, fmt, draw):
+    if fmt is PLAIN_FORMAT:
+        digits = draw(st.integers(0, 4))
+
+        def number(v):
+            return f"{v:.340f}" if 0 < abs(v) < 1e-300 else f"{v:.{digits}f}"
+
+        return ";".join(f"{label.strip()}-[{','.join(map(number, box))}]" for label, box in entries)
+    payload = [{"bbox_2d": box, "label": label} for label, box in entries]
+    if draw(st.booleans()):  # an entry that is not well formed, kept out of the predictions
+        payload.insert(draw(st.integers(0, len(payload))), {"bbox_2d": [1, 2, 3], "label": "cat"})
+    return json.dumps(payload)
+
+
+@st.composite
+def scoring_groups(draw):
+    """A group of completions with its ground truth, matcher, thresholds and rules."""
+    width, height = draw(st.sampled_from([(1, 1), (37, 5), (640, 480)]))
+    fmt = draw(st.sampled_from([STRUCTURED_FORMAT, PLAIN_FORMAT]))
+    space = CoordinateSpace(fmt.space_kind, width, height)
+    gt_space = CoordinateSpace(draw(st.sampled_from(list(SpaceKind))), width, height)
+    gt_boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        (x1, x2), (y1, y2) = _side(draw, gt_space.max_x), _side(draw, gt_space.max_y)
+        gt_boxes.append(Box(x1, y1, x2, y2))
+    gt = GroundTruthSet.from_pairs([(draw(st.sampled_from(KERNEL_LABELS)), box) for box in gt_boxes], gt_space)
+    # ground-truth boxes restated in the completion's space: exact hits and ties
+    hits = [list(to_space(box, gt_space, space).coords()) for box in gt_boxes]
+    texts = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["boxes", "boxes", "boxes", "ties", "garbage", "empty"]))
+        if kind == "garbage":
+            texts.append(draw(st.sampled_from(["I see a cat.", "[{", "cat-[1,2", "```json\n[]"])))
+        elif kind == "empty":
+            texts.append(draw(st.sampled_from(["", "[]"])))
+        else:
+            boxes = [hits[0]] * draw(st.integers(1, 8)) if kind == "ties" and hits else [
+                draw(st.sampled_from(hits)) if hits and draw(st.booleans()) else _any_box(draw, space)
+                for _ in range(draw(st.integers(0, 8)))
+            ]
+            entries = [(draw(st.sampled_from(KERNEL_LABELS)), box) for box in boxes]
+            texts.append(_render(entries, fmt, draw))
+    policy = draw(st.sampled_from(list(MatcherPolicy)))
+    thresholds = draw(st.sampled_from([BEGINNER_THRESHOLDS, ADVANCED_THRESHOLDS, ThresholdTriple(0.3, 0.2, 0.9)]))
+    rules = RewardRules(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans())))
+    return texts, fmt, space, gt, policy, thresholds, rules
+
+
+class TestGroupKernel:
+    @given(scoring_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_equals_per_box_path(self, case):
+        got = score_completions(*case)
+        expected = reference_breakdowns(*case)
+        # repr shows every float exactly, so equal reprs mean bit-identical rewards
+        assert [repr(b) for b in got] == [repr(b) for b, _ in expected]
+        for breakdown, (_, objects) in zip(got, expected):
+            labels, boxes = breakdown.objects
+            assert [(label, [v.hex() for v in row]) for label, row in zip(labels, boxes.tolist())] == [
+                (label, [float(v).hex() for v in box.coords()]) for label, box in objects
+            ]
+
+    def test_thresholds_looked_up_once_per_group(self, monkeypatch):
+        import locscore.harness.engine as engine
+        from locscore.harness import handle_request_line
+
+        calls = []
+        original = engine.phase_thresholds
+        monkeypatch.setattr(engine, "phase_thresholds", lambda *a: calls.append(a) or original(*a))
+        gt = [{"label": "cat", "bbox": [10.0, 10.0, 50.0, 50.0]}]
+        completions = ['[{"bbox_2d": [10, 10, 50, 50], "label": "cat"}]'] * 8
+        request = {"v": 1, "request_id": "r", "completions": completions,
+                   "sample": {"image_id": "i", "width": 64, "height": 64, "gt": gt}}
+        assert handle_request_line(json.dumps(request))["ok"]
+        assert len(calls) == 1
+
+    def test_invalid_thresholds_rejected(self):
+        gt = GroundTruthSet((), SPACE)
+        with pytest.raises(InvalidConfigError):
+            score_completions(["[]"], STRUCTURED_FORMAT, SPACE, gt, MatcherPolicy.BOX_ONLY, ThresholdTriple(0.0, 0.5, 0.75))
