@@ -240,15 +240,6 @@ class TestWire:
         with pytest.raises(MalformedRequestError, match="missing field 'xi1'"):
             parse_response(data)
 
-    @pytest.mark.parametrize("diagnostics", [[1, None], ["clamped", 2], "clamped", None])
-    def test_response_diagnostics_must_be_strings(self, diagnostics):
-        from locscore.harness import parse_response, response_to_dict
-
-        data = response_to_dict(score_group(parse_request(make_request_dict())))
-        data["diagnostics"] = diagnostics
-        with pytest.raises(MalformedRequestError, match="'diagnostics'"):
-            parse_response(data)
-
     @pytest.mark.parametrize("key", ["completions", "query", "diagnostics"])
     def test_string_arrays_share_one_reader(self, key):
         from locscore.harness import parse_response, response_to_dict
@@ -262,7 +253,7 @@ class TestWire:
             decode = sample_from_dict
         else:
             data = response_to_dict(score_group(parse_request(make_request_dict())))
-            data["diagnostics"] = ["clamped", None]
+            data["diagnostics"] = [1, None]
             decode = parse_response
         with pytest.raises(ValueError, match=f"^field '{key}' must be an array of strings$"):
             decode(data)
