@@ -201,7 +201,7 @@ def special_requests():
          "sample": {"image_id": "c5", "width": 640, "height": 480,
                     "gt": [{"label": "Cat", "bbox": [10.0, 10.0, 100.0, 100.0]}]},
          "completions": ["", "[]", "```json\n[]\n```", '[{"bbox_2d": [10, 10, 100, 100], "label": " cAT "}]']},
-        # a box at the pixel extent that rounds past 1000 thousandths: a scoring error
+        # a box at the pixel extent that rounds past 1000 thousandths: dropped, like a speck
         {**base, "request_id": "extent-rounding", "format": "structured",
          "sample": {"image_id": "c6", "width": 9007199254736064, "height": 1,
                     "coord_space": "thousandths",

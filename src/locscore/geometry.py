@@ -1,4 +1,10 @@
-"""Axis-aligned box primitives: validation, IoU, and coordinate rescaling."""
+"""Axis-aligned box primitives: validation, IoU, and coordinate rescaling.
+
+Each box rule is written once, as a kernel over (n, 4) corner arrays:
+``validate_boxes`` (the invariants), ``iou_matrix`` (overlap) and
+``to_space_array`` (conversion). ``validate_box``, ``structural_fault``,
+``iou`` and ``to_space`` are one-row calls into them.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -77,9 +84,6 @@ class Box:
     def coords(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def translated(self, dx: float, dy: float) -> "Box":
         return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
@@ -87,78 +91,93 @@ class Box:
         return Box(self.x1 * factor, self.y1 * factor, self.x2 * factor, self.y2 * factor)
 
 
-def structural_fault(box: Box) -> str | None:
-    """First space-independent invariant the box violates, or ``None``."""
-    for value in box.coords():
-        if not math.isfinite(value):
-            return "coordinate is not finite"
-    if min(box.coords()) < 0:
-        return "coordinate is negative"
-    if box.x2 <= box.x1:
-        return "x2 <= x1 (non-positive width)"
-    if box.y2 <= box.y1:
-        return "y2 <= y1 (non-positive height)"
-    return None
+# the box invariants in the order they are checked; an extent reason is
+# formatted with the row's coordinates and the two extents
+_FAULTS = (
+    "coordinate is not finite",
+    "coordinate is negative",
+    "x2 <= x1 (non-positive width)",
+    "y2 <= y1 (non-positive height)",
+    "x2 = {0[2]} exceeds extent {1}",
+    "y2 = {0[3]} exceeds extent {2}",
+)
 
 
-def validate_box(box: Box, space: CoordinateSpace) -> tuple[bool, str | None]:
-    """Check every box invariant inside ``space``; never raises.
+def _box_faults(coords: np.ndarray, max_x: float, max_y: float) -> tuple[np.ndarray, dict[int, str]]:
+    """The one check of the box invariants, over every row of an (n, 4) corner array.
 
-    Returns ``(True, None)`` for a valid box, otherwise ``(False, reason)``
-    naming the first violated invariant. Degenerate boxes are rejected, never
-    repaired.
+    A box is valid when its coordinates are finite and non-negative, ``x2 >
+    x1``, ``y2 > y1``, ``x2 <= max_x`` and ``y2 <= max_y``. Returns the
+    validity mask and, for each rejected row in row order, the first of these
+    it breaks.
     """
-    fault = structural_fault(box)
-    if fault is not None:
-        return False, fault
-    if box.x2 > space.max_x:
-        return False, f"x2 = {box.x2} exceeds extent {space.max_x}"
-    if box.y2 > space.max_y:
-        return False, f"y2 = {box.y2} exceeds extent {space.max_y}"
-    return True, None
+    x1, y1, x2, y2 = coords.T
+    broken = [
+        ~np.isfinite(np.asarray(coords, dtype=float)).all(axis=1),
+        (coords < 0).any(axis=1),
+        x2 <= x1,
+        y2 <= y1,
+        x2 > max_x,
+        y2 > max_y,
+    ]
+    valid = ~reduce(np.logical_or, broken)
+    if valid.all():  # the common case
+        return valid, {}
+    reasons = {}
+    for row in np.flatnonzero(~valid).tolist():
+        first = next(index for index, rows in enumerate(broken) if rows[row])
+        reasons[row] = _FAULTS[first].format(coords[row].tolist(), max_x, max_y)
+    return valid, reasons
 
 
 def validate_boxes(coords: np.ndarray, space: CoordinateSpace) -> tuple[np.ndarray, dict[int, str]]:
-    """``validate_box`` for every row of an (n, 4) corner array, vectorised.
+    """Check every row of an (n, 4) corner array inside ``space``.
 
-    Returns the validity mask and, for each rejected row only, its reason
-    from ``validate_box``, in row order.
+    Returns the validity mask and, for each rejected row only, the reason
+    naming the first invariant it breaks, in row order. Degenerate boxes are
+    rejected, never repaired.
     """
-    x1, y1, x2, y2 = coords.T
-    valid = np.isfinite(coords).all(axis=1) & (coords >= 0).all(axis=1)
-    valid &= (x2 > x1) & (y2 > y1) & (x2 <= space.max_x) & (y2 <= space.max_y)
-    return valid, {
-        row: validate_box(Box(*coords[row].tolist()), space)[1]
-        for row in np.flatnonzero(~valid).tolist()
-    }
+    return _box_faults(coords, space.max_x, space.max_y)
 
 
-def _require_structural(box: Box) -> None:
-    fault = structural_fault(box)
-    if fault is not None:
-        raise InvalidBoxError(f"invalid box {box.coords()}: {fault}")
+def _checked_rows(
+    *boxes: Box, max_x: float = math.inf, max_y: float = math.inf
+) -> tuple[np.ndarray, dict[int, str]]:
+    """The boxes' own coordinates as rows, and ``_box_faults`` of them.
+
+    The rows are float64 when every coordinate is a float, else the values
+    themselves as objects, so that the array kernels do Python's arithmetic
+    on a box with integer coordinates.
+    """
+    coords = [box.coords() for box in boxes]
+    floats = all(type(value) is float for row in coords for value in row)
+    rows = np.array(coords, dtype=float if floats else object)
+    with np.errstate(invalid="ignore"):  # comparing a NaN held as an object sets the invalid flag
+        return rows, _box_faults(rows, max_x, max_y)[1]
+
+
+def structural_fault(box: Box) -> str | None:
+    """First space-independent invariant the box violates, or ``None``."""
+    return _checked_rows(box)[1].get(0)
+
+
+def validate_box(box: Box, space: CoordinateSpace) -> tuple[bool, str | None]:
+    """``validate_boxes`` for one box: ``(True, None)`` or ``(False, reason)``."""
+    reason = _checked_rows(box, max_x=space.max_x, max_y=space.max_y)[1].get(0)
+    return reason is None, reason
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes sharing one coordinate space.
+    """``iou_matrix`` for one pair of boxes sharing one coordinate space.
 
-    Area is continuous, ``(x2 - x1) * (y2 - y1)`` with no one-pixel
-    correction, so boxes that merely touch have intersection measure zero and
-    IoU 0. An intersection that underflows to zero also gives IoU 0.
+    Raises ``InvalidBoxError`` for a box that breaks a space-independent
+    invariant.
     """
-    _require_structural(a)
-    _require_structural(b)
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    if ix2 <= ix1 or iy2 <= iy1:
-        return 0.0
-    inter = (ix2 - ix1) * (iy2 - iy1)
-    if inter == 0.0:
-        return 0.0
-    union = a.area() + b.area() - inter
-    return inter / union
+    rows, faults = _checked_rows(a, b)
+    if faults:
+        row = min(faults)
+        raise InvalidBoxError(f"invalid box {(a, b)[row].coords()}: {faults[row]}")
+    return float(iou_matrix(rows[:1], rows[1:])[0, 0])
 
 
 def box_array(boxes: Iterable[Box]) -> np.ndarray:
@@ -167,10 +186,12 @@ def box_array(boxes: Iterable[Box]) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise ``iou`` of (n, 4) and (g, 4) corner arrays, as an (n, g) array.
+    """Pairwise intersection over union of (n, 4) and (g, 4) corner arrays, as (n, g).
 
-    The same float64 operations in the same order as ``iou``, so bit for bit
-    equal to it, but without its checks: the boxes must already be valid.
+    Area is continuous, ``(x2 - x1) * (y2 - y1)`` with no one-pixel
+    correction, so boxes that merely touch have intersection measure zero and
+    IoU 0. An intersection that underflows to zero also gives IoU 0. The
+    boxes must already be valid; they are not checked here.
     """
     p = a.T[:, :, None]
     t = b.T[:, None, :]
@@ -190,43 +211,31 @@ def _require_same_image(src: CoordinateSpace, dst: CoordinateSpace) -> None:
 
 
 def to_space(box: Box, src: CoordinateSpace, dst: CoordinateSpace) -> Box:
-    """Linearly rescale ``box`` between the pixel and thousandths conventions.
+    """``to_space_array`` for one box, which must be valid in ``src``.
 
-    Both spaces must describe the same image. Converting between identical
-    kinds returns the box unchanged.
+    Converting between identical kinds returns the box unchanged.
     """
     _require_same_image(src, dst)
-    ok, reason = validate_box(box, src)
-    if not ok:
-        raise InvalidBoxError(f"box {box.coords()} invalid in source space: {reason}")
+    rows, faults = _checked_rows(box, max_x=src.max_x, max_y=src.max_y)
+    if faults:
+        raise InvalidBoxError(f"box {box.coords()} invalid in source space: {faults[0]}")
     if src.kind == dst.kind:
         return box
-    # multiply before dividing: integer-valued coordinates stay exact
-    if src.kind is SpaceKind.THOUSANDTHS:
-        return Box(
-            box.x1 * src.width / THOUSANDTHS_EXTENT,
-            box.y1 * src.height / THOUSANDTHS_EXTENT,
-            box.x2 * src.width / THOUSANDTHS_EXTENT,
-            box.y2 * src.height / THOUSANDTHS_EXTENT,
-        )
-    return Box(
-        box.x1 * THOUSANDTHS_EXTENT / src.width,
-        box.y1 * THOUSANDTHS_EXTENT / src.height,
-        box.x2 * THOUSANDTHS_EXTENT / src.width,
-        box.y2 * THOUSANDTHS_EXTENT / src.height,
-    )
+    return Box(*to_space_array(rows, src, dst)[0].tolist())
 
 
 def to_space_array(coords: np.ndarray, src: CoordinateSpace, dst: CoordinateSpace) -> np.ndarray:
-    """``to_space`` on every row of an (n, 4) array of boxes valid in ``src``.
+    """Linearly rescale (n, 4) boxes between the pixel and thousandths conventions.
 
-    The same float64 operations in the same order, so bit for bit equal to
-    it; the rows are not validated again. Identical kinds return ``coords``.
+    Both spaces must describe the same image. The rows must be valid in
+    ``src``; they are not checked here. Identical kinds return ``coords``.
     """
     _require_same_image(src, dst)
     if src.kind == dst.kind:
         return coords
-    extent = np.array([src.width, src.height, src.width, src.height], dtype=float)
+    # in the rows' own dtype, so an object row multiplies by the exact integer extent;
+    # multiply before dividing: integer-valued coordinates stay exact
+    extent = np.array([src.width, src.height] * 2, dtype=coords.dtype)
     if src.kind is SpaceKind.THOUSANDTHS:
         return coords * extent / THOUSANDTHS_EXTENT
     return coords * THOUSANDTHS_EXTENT / extent

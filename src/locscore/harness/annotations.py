@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..curation import Sample, TaskKind
+from ..errors import FieldError
 from ..fields import read_field, read_id, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind, pixel_space
 from ..matching import GroundTruthSet
@@ -166,8 +167,10 @@ def sample_from_dict(data: Mapping[str, Any]) -> Sample:
     query = read_field(data, "query", (str, list))
     if isinstance(query, list):
         query = read_strings(data, "query")
+    if "task" not in data:  # a request may leave it out, a corpus line may not
+        raise FieldError("missing field 'task'")
     return Sample(
-        task=read_field(data, "task", TaskKind),
+        task=spec.task,
         image_id=spec.image_id,
         gt=spec.gt,
         query=query,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..config import phase_from_dict, phase_to_dict
+from ..curation import TaskKind
 from ..errors import FieldError, MalformedRequestError
 from ..fields import REQUIRED, read_field, read_id, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind
@@ -31,7 +32,7 @@ class SampleSpec:
     image_id: str
     space: CoordinateSpace
     gt: GroundTruthSet
-    task: str = "object-detection"
+    task: TaskKind = TaskKind.DETECTION
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
     image_id = read_id(data, "image_id")
     space = parse_space(data)
     gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
-    return SampleSpec(image_id, space, gt, read_field(data, "task", str, "object-detection"))
+    return SampleSpec(image_id, space, gt, read_field(data, "task", TaskKind, TaskKind.DETECTION))
 
 
 def _parse_logprobs(data: Mapping[str, Any], n_completions: int) -> tuple[LogProbRecord, ...]:
@@ -152,7 +153,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
             "width": req.sample.space.width,
             "height": req.sample.space.height,
             "coord_space": req.sample.space.kind.value,
-            "task": req.sample.task,
+            "task": req.sample.task.value,
             "gt": objects_to_list((inst.label, inst.box) for inst in req.sample.gt.instances),
         },
         "completions": list(req.completions),

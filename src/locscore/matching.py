@@ -14,7 +14,7 @@ perfect matchings are exactly the optimal assignments. Walking predictions in
 order, each is rotated along an alternating path of tight edges to the
 lowest-indexed ground truth it can reach, which yields the lexicographically
 first optimum with graph searches only. IoUs come from
-``geometry.iou_matrix``, bit for bit equal to ``geometry.iou`` on every pair.
+``geometry.iou_matrix``, the one place IoU is computed.
 
 ``cost_matrices`` builds the matrices of a whole group's predictions at once,
 and ``assign_slices`` matches each completion's row slice of them on its own;
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SpaceMismatchError
-from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_box
+from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_boxes
 from .parsing import normalize_label
 
 LABEL_MISMATCH_PENALTY = 1.0
@@ -62,12 +62,10 @@ class GroundTruthSet:
     space: CoordinateSpace
 
     def __post_init__(self) -> None:
-        for instance in self.instances:
-            ok, reason = validate_box(instance.box, self.space)
-            if not ok:
-                raise SpaceMismatchError(
-                    f"ground-truth box {instance.box.coords()} invalid in its space: {reason}"
-                )
+        for row, reason in validate_boxes(self.coords, self.space)[1].items():  # the first one
+            raise SpaceMismatchError(
+                f"ground-truth box {self.instances[row].box.coords()} invalid in its space: {reason}"
+            )
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Box]], space: CoordinateSpace) -> "GroundTruthSet":
@@ -306,14 +304,13 @@ def match(
     1; they are reported with their index but never reach any validity
     threshold.
     """
-    for label, box in predictions:
-        ok, reason = validate_box(box, gt.space)
-        if not ok:
-            raise SpaceMismatchError(
-                f"prediction box {box.coords()} invalid in the ground-truth space: {reason}"
-            )
+    boxes = box_array(box for _, box in predictions)
+    for row, reason in validate_boxes(boxes, gt.space)[1].items():  # the first one
+        raise SpaceMismatchError(
+            f"prediction box {predictions[row][1].coords()} invalid in the ground-truth space: {reason}"
+        )
     labels = [label for label, _ in predictions]
-    costs = cost_matrices(box_array(box for _, box in predictions), labels, gt, policy)
+    costs = cost_matrices(boxes, labels, gt, policy)
     assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)])[0]}
     out: list[MatchedPrediction] = []
     for index, (label, box) in enumerate(predictions):

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Mapping, Sequence
 
 from .errors import InvalidBoxError
-from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_box
+from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_boxes
 from .matching import GroundTruthSet
 from .parsing import normalize_label
 
@@ -166,21 +166,22 @@ def evaluate(
     npos: Counter[str] = Counter()
     unknown = 0
     for img in dataset.images:
-        per_category: dict[str, list[Box]] = defaultdict(list)
-        for label, box in predictions.get(img.image_id, ()):
-            ok, reason = validate_box(box, img.space)
-            if not ok:
-                raise InvalidBoxError(
-                    f"prediction box {box.coords()} invalid in image {img.image_id}: {reason}"
-                )
+        detections = predictions.get(img.image_id, ())
+        coords = box_array(box for _, box in detections)
+        for row, reason in validate_boxes(coords, img.space)[1].items():  # the first one
+            raise InvalidBoxError(
+                f"prediction box {detections[row][1].coords()} invalid in image {img.image_id}: {reason}"
+            )
+        per_category: dict[str, list[int]] = defaultdict(list)
+        for row, (label, _) in enumerate(detections):
             norm = normalize_label(label)
             if norm not in known:
                 unknown += 1
                 continue
             if len(per_category[norm]) < MAX_DETECTIONS_PER_IMAGE:
-                per_category[norm].append(box)
-        boxes = [box for category in active for box in per_category.get(category, ())]
-        rows = iter(iou_matrix(box_array(boxes), img.gt.coords).tolist() if boxes else ())
+                per_category[norm].append(row)
+        order = [row for category in active for row in per_category.get(category, ())]
+        rows = iter(iou_matrix(coords[order], img.gt.coords).tolist() if order else ())
         for category in active:
             cols = img.gt.by_label.get(category, ())
             npos[category] += len(cols)

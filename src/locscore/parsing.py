@@ -214,8 +214,8 @@ def parse_completions(
 ) -> ParsedGroup:
     """Parse every completion of a group; never raises.
 
-    Each box is validated once, vectorised over the whole group; the scalar
-    ``validate_box`` runs only on rejected rows, to name their fault.
+    Each box is validated once, by one ``validate_boxes`` call over the
+    whole group, which also names each rejected box's fault.
     """
     read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
     template_ok: list[bool] = []

@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, SpaceMismatchError
-from .geometry import Box, CoordinateSpace, structural_fault, to_space_array, validate_boxes
+from .errors import InvalidConfigError
+from .geometry import CoordinateSpace, to_space_array, validate_boxes
 from .geometry import to_space  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_slices, cost_matrices
 from .matching import match  # looked up by perfbench/tracing.py
@@ -216,39 +216,16 @@ def _ground_truth_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The group's valid rows and their boxes in ``gt_space``.
 
-    Boxes that rounding collapses on conversion are dropped. A box that
-    rounds past the ground-truth extent is a ``SpaceMismatchError``.
+    A box that conversion makes invalid there, by collapsing it or rounding
+    it past the extent, is dropped.
     """
     rows = np.flatnonzero(group.valid)
     boxes = group.coords[rows]
     if space.kind is not gt_space.kind:
         boxes = to_space_array(boxes, space, gt_space)
-        kept, faults = validate_boxes(boxes, gt_space)
-        for row, fault in faults.items():
-            box = Box(*boxes[row].tolist())
-            if structural_fault(box) is None:
-                raise SpaceMismatchError(
-                    f"prediction box {box.coords()} invalid in the ground-truth space: {fault}"
-                )
+        kept, _ = validate_boxes(boxes, gt_space)
         rows, boxes = rows[kept], boxes[kept]
     return rows, boxes
-
-
-def completion_objects(
-    text: str,
-    fmt: CompletionFormat,
-    space: CoordinateSpace,
-    gt_space: CoordinateSpace,
-) -> tuple[ParseOutcome, list[tuple[str, Box]]]:
-    """Parse one completion and return its objects in the ground-truth space.
-
-    ``space`` declares the coordinate convention of the completion itself.
-    Boxes that rounding collapses on conversion are dropped.
-    """
-    group = parse_completions([text], fmt, space)
-    rows, boxes = _ground_truth_rows(group, space, gt_space)
-    objects = [(group.labels[row], Box(*box)) for row, box in zip(rows.tolist(), boxes.tolist())]
-    return group.outcome(0), objects
 
 
 def score_completions(
@@ -267,7 +244,8 @@ def score_completions(
     ground-truth space once, and matched through one IoU matrix whose row
     slices go to the canonical matcher one completion at a time. Each
     breakdown equals ``score_matches`` on ``parse_completion``,
-    ``extract_objects``, ``to_space`` and ``match``, bit for bit.
+    ``extract_objects``, ``to_space`` and ``match``, bit for bit, where a box
+    that conversion makes invalid in the ground-truth space is dropped.
     """
     t = ThresholdTriple(*thresholds)
     _check_triple("thresholds", t)  # xi0 > 0: a prediction left unassigned is never valid

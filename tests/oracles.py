@@ -2,10 +2,11 @@
 
 Assignment optima are found by exhaustive enumeration, the canonical
 tie-break by repeated sub-solves, statistics by compensated summation, and
-detection metrics by a direct transcription of the textbook procedure; none
-of these imports engine internals beyond plain data. ``reference_breakdowns``
-is the one exception: the per-completion, per-box scoring path composed from
-the engine's public single-completion functions.
+detection metrics by a direct transcription of the textbook procedure, and
+box validity, IoU and space conversion by scalar formulas; none of these
+imports engine internals beyond plain data. ``reference_breakdowns`` is the
+one exception: the per-completion, per-box scoring path composed from the
+engine's public single-completion functions and the scalar box formulas.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from locscore.geometry import structural_fault, to_space
+from locscore.geometry import THOUSANDTHS_EXTENT, Box, SpaceKind
 from locscore.matching import match
 from locscore.parsing import extract_objects, parse_completion
 from locscore.rewards import score_matches
@@ -116,7 +117,28 @@ def reference_canonical_pairs(cost: np.ndarray, atol: float = 1e-9) -> list[tupl
     return pairs
 
 
+def box_fault_xyxy(box, max_x=math.inf, max_y=math.inf):
+    """First invariant an (x1, y1, x2, y2) box breaks, or None: the scalar
+    reference for ``geometry.validate_boxes``."""
+    x1, y1, x2, y2 = box
+    if not all(math.isfinite(v) for v in box):
+        return "coordinate is not finite"
+    if min(box) < 0:
+        return "coordinate is negative"
+    if x2 <= x1:
+        return "x2 <= x1 (non-positive width)"
+    if y2 <= y1:
+        return "y2 <= y1 (non-positive height)"
+    if x2 > max_x:
+        return f"x2 = {x2} exceeds extent {max_x}"
+    if y2 > max_y:
+        return f"y2 = {y2} exceeds extent {max_y}"
+    return None
+
+
 def iou_xyxy(a, b) -> float:
+    """IoU of two valid (x1, y1, x2, y2) boxes: the scalar reference for
+    ``geometry.iou_matrix``. An intersection that underflows to zero gives 0."""
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b
     iw = min(ax2, bx2) - max(ax1, bx1)
@@ -124,9 +146,23 @@ def iou_xyxy(a, b) -> float:
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
+    if inter == 0.0:
+        return 0.0
     area_a = (ax2 - ax1) * (ay2 - ay1)
     area_b = (bx2 - bx1) * (by2 - by1)
     return inter / (area_a + area_b - inter)
+
+
+def to_space_xyxy(box, src, dst):
+    """A valid (x1, y1, x2, y2) box rescaled from space ``src`` to ``dst`` of
+    the same image, multiplying before dividing: the scalar reference for
+    ``geometry.to_space_array``."""
+    if src.kind == dst.kind:
+        return tuple(box)
+    extent = (src.width, src.height, src.width, src.height)
+    if src.kind is SpaceKind.THOUSANDTHS:
+        return tuple(v * e / THOUSANDTHS_EXTENT for v, e in zip(box, extent))
+    return tuple(v * THOUSANDTHS_EXTENT / e for v, e in zip(box, extent))
 
 
 def _norm(label: str) -> str:
@@ -240,17 +276,21 @@ def reference_image_counts(predictions, gts, threshold):
 
 def reference_breakdowns(texts, fmt, space, gt, policy, thresholds, rules):
     """Each completion scored on its own, box by box: ``parse_completion``,
-    ``extract_objects``, ``to_space`` (dropping boxes that collapse), ``match``
-    and ``score_matches``. Returns (breakdown, objects in ground-truth space)
-    per completion: the slow reference for ``rewards.score_completions``.
+    ``extract_objects``, ``to_space_xyxy`` (dropping boxes that conversion
+    makes invalid in the ground-truth space), ``match`` and ``score_matches``.
+    Returns (breakdown, objects in ground-truth space) per completion: the
+    slow reference for ``rewards.score_completions``.
     """
     out = []
     for text in texts:
         outcome = parse_completion(text, fmt, space)
         objects = extract_objects(outcome)
         if space.kind is not gt.space.kind:
-            moved = [(label, to_space(box, space, gt.space)) for label, box in objects]
-            objects = [(label, box) for label, box in moved if structural_fault(box) is None]
+            moved = [(label, to_space_xyxy(box.coords(), space, gt.space)) for label, box in objects]
+            objects = [
+                (label, Box(*box)) for label, box in moved
+                if box_fault_xyxy(box, gt.space.max_x, gt.space.max_y) is None
+            ]
         matches = match(objects, gt, policy)
         out.append((score_matches(outcome, matches, len(gt), thresholds, rules), objects))
     return out

@@ -28,6 +28,7 @@ from locscore.geometry import (
 from locscore.parsing import normalize_label
 
 from conftest import box_strategy, related_boxes
+from oracles import box_fault_xyxy, iou_xyxy, to_space_xyxy
 
 
 class TestIou:
@@ -80,9 +81,10 @@ class TestIouMatrix:
     @given(boxes=related_boxes(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_iou(self, boxes, data):
+        """The kernel against the scalar reference ``oracles.iou_xyxy``."""
         split = data.draw(st.integers(1, len(boxes) - 1))
         a, b = boxes[:split], boxes[split:]
-        expected = np.array([[iou(p, t) for t in b] for p in a])
+        expected = np.array([[iou_xyxy(p.coords(), t.coords()) for t in b] for p in a])
         assert np.array_equal(iou_matrix(box_array(a), box_array(b)), expected)
 
     def test_empty_sides(self):
@@ -262,7 +264,8 @@ def _bits(values):
 
 
 class TestArrayForms:
-    """The vectorised validation and conversion against their scalar forms."""
+    """The vectorised validation and conversion against the scalar references
+    in ``tests/oracles.py``."""
 
     @given(box_rows())
     @settings(max_examples=300)
@@ -270,9 +273,9 @@ class TestArrayForms:
         space, rows = case
         coords = np.array(rows, dtype=float).reshape(-1, 4)
         valid, reasons = validate_boxes(coords, space)
-        expected = [validate_box(Box(*row), space) for row in rows]
-        assert valid.tolist() == [ok for ok, _ in expected]
-        assert reasons == {row: reason for row, (ok, reason) in enumerate(expected) if not ok}
+        expected = [box_fault_xyxy(row, space.max_x, space.max_y) for row in rows]
+        assert valid.tolist() == [fault is None for fault in expected]
+        assert reasons == {row: fault for row, fault in enumerate(expected) if fault is not None}
         assert list(reasons) == sorted(reasons)
 
     def test_edge_rows(self):
@@ -286,7 +289,7 @@ class TestArrayForms:
         ]
         valid, reasons = validate_boxes(np.array(rows), space)
         assert valid.tolist() == [True, False, False, False, False]
-        assert reasons == {row: validate_box(Box(*rows[row]), space)[1] for row in (1, 2, 3, 4)}
+        assert reasons == {row: box_fault_xyxy(rows[row], 640.0, 480.0) for row in (1, 2, 3, 4)}
 
     @given(data=st.data())
     @settings(max_examples=300)
@@ -296,11 +299,11 @@ class TestArrayForms:
         src, dst = CoordinateSpace(src_kind, width, height), CoordinateSpace(dst_kind, width, height)
         boxes = data.draw(st.lists(valid_boxes_in(src), max_size=10))
         moved = to_space_array(box_array(boxes), src, dst)
-        scalar = [to_space(box, src, dst) for box in boxes]
-        assert [_bits(row) for row in moved.tolist()] == [_bits(box.coords()) for box in scalar]
+        scalar = [to_space_xyxy(box.coords(), src, dst) for box in boxes]
+        assert [_bits(row) for row in moved.tolist()] == [_bits(box) for box in scalar]
         # a box that collapses on conversion is dropped, and only such a box
         kept, _ = validate_boxes(moved, dst)
-        assert kept.tolist() == [structural_fault(box) is None for box in scalar]
+        assert kept.tolist() == [box_fault_xyxy(box, dst.max_x, dst.max_y) is None for box in scalar]
 
     def test_collapsing_speck_is_dropped(self):
         src, dst = thousandths_space(1, 1), pixel_space(1, 1)
@@ -311,3 +314,53 @@ class TestArrayForms:
     def test_array_conversion_rejects_another_image(self):
         with pytest.raises(SpaceMismatchError):
             to_space_array(np.zeros((0, 4)), pixel_space(640, 480), thousandths_space(480, 640))
+
+
+# integers on both sides of 2**53, where a float64 would round them
+_INTS = st.one_of(st.integers(0, 2000), st.integers(2**53 - 4, 2**53 + 4), st.integers(-3, 10**20))
+
+
+class TestOneBoxForms:
+    """``validate_box``, ``structural_fault``, ``iou`` and ``to_space`` are one-row
+    calls into the kernels; on a box with integer coordinates they still do
+    Python's exact arithmetic, as the scalar references do."""
+
+    SPACES = [pixel_space(2**53 + 2, 3), thousandths_space(1333, 777), pixel_space(640, 480)]
+
+    @given(st.lists(st.one_of(_INTS, st.floats(-1, 2000)), min_size=4, max_size=4), st.sampled_from(SPACES))
+    @settings(max_examples=300)
+    def test_validate_box_and_structural_fault(self, coords, space):
+        box = Box(*coords)
+        fault = box_fault_xyxy(coords, space.max_x, space.max_y)
+        assert validate_box(box, space) == (fault is None, fault)
+        assert structural_fault(box) == box_fault_xyxy(coords)
+
+    @given(st.lists(_INTS, min_size=8, max_size=8))
+    @settings(max_examples=300)
+    def test_iou_of_integer_boxes(self, coords):
+        a, b, c, d = (sorted(coords[i:i + 2]) for i in range(0, 8, 2))
+        first, second = Box(a[0], b[0], a[1], b[1]), Box(c[0], d[0], c[1], d[1])
+        assume(box_fault_xyxy(first.coords()) is None and box_fault_xyxy(second.coords()) is None)
+        value = iou(first, second)
+        assert type(value) is float
+        assert value.hex() == float(iou_xyxy(first.coords(), second.coords())).hex()
+
+    @given(st.lists(st.integers(0, 1000), min_size=4, max_size=4), st.sampled_from([1, 3, 2**53 + 1, 10**20]))
+    @settings(max_examples=300)
+    def test_to_space_of_integer_boxes(self, coords, width):
+        x1, x2 = sorted(coords[0:2])
+        y1, y2 = sorted(coords[2:4])
+        assume(x1 < x2 and y1 < y2)
+        src, dst = thousandths_space(width, 7), pixel_space(width, 7)
+        moved = to_space(Box(x1, y1, x2, y2), src, dst)
+        assert _bits(moved.coords()) == _bits(to_space_xyxy((x1, y1, x2, y2), src, dst))
+
+    def test_integer_messages_keep_their_text(self):
+        space = pixel_space(640, 480)
+        assert validate_box(Box(0, 0, 700, 100), space) == (False, "x2 = 700 exceeds extent 640.0")
+        with pytest.raises(InvalidBoxError, match=r"invalid box \(10, 10, 5, 20\): x2 <= x1"):
+            iou(Box(10, 10, 5, 20), Box(0, 0, 10, 10))
+        with pytest.raises(InvalidBoxError, match=r"box \(0, 0, 2000, 10\) invalid in source space: x2 = 2000"):
+            to_space(Box(0, 0, 2000, 10), thousandths_space(640, 480), pixel_space(640, 480))
+        with pytest.raises(OverflowError):  # as math.isfinite raises for an int past float64
+            validate_box(Box(0, 0, 10**400, 1), space)

@@ -419,6 +419,7 @@ class TestService:
             make_request_dict(request_id="bad", logprobs=_logprobs_with([False])),
             make_request_dict(request_id="bad", logprobs=_logprobs_with([" -1 "])),
             _with_sample(task=None),
+            _with_sample(task="segmentation"),
             make_request_dict(request_id="bad", advantages=1),
         ],
         ids=[
@@ -442,6 +443,7 @@ class TestService:
             "logprob-false",
             "logprob-padded-string",
             "task-null",
+            "task-unknown",
             "advantages-one",
         ],
     )
@@ -456,6 +458,20 @@ class TestService:
         assert responses[0]["ok"] and responses[2]["ok"]
         assert responses[1]["ok"] is False
         assert responses[1]["error"]["kind"] == "malformed-request"
+
+    def test_task_is_decoded_once_as_a_name(self):
+        from locscore import TaskKind
+        from locscore.harness.annotations import sample_from_dict
+
+        reply = handle_request_line(json.dumps(_with_sample(task="segmentation")))
+        assert reply["error"] == {"kind": "malformed-request", "detail": "unknown task 'segmentation'"}
+        sample = make_request_dict()["sample"]
+        assert parse_request(make_request_dict()).sample.task is TaskKind.DETECTION
+        corpus_line = {**sample, "task": "rec", "query": "the cat", "is_negative": False}
+        assert sample_from_dict(corpus_line).task is TaskKind.REC
+        del corpus_line["task"]  # optional in a request, required in a corpus line
+        with pytest.raises(ValueError, match="^missing field 'task'$"):
+            sample_from_dict(corpus_line)
 
     def test_kl_overflow_is_scoring_error(self):
         overflowing = {"policy": [-1000.0], "old": [-1000.0], "ref": [0.0]}

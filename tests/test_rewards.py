@@ -29,7 +29,6 @@ from locscore.rewards import (
     ADVANCED_THRESHOLDS,
     BEGINNER_THRESHOLDS,
     RewardRules,
-    completion_objects,
     score_completions,
 )
 
@@ -97,18 +96,25 @@ class TestPhaseThresholds:
             phase_thresholds(PhaseConfig(beginner=ThresholdTriple(0.9, 0.5, 0.75)), 0.0)
 
 
+def completion_objects(text, space, gt_space):
+    """One structured completion scored alone: its breakdown and its objects in
+    the ground-truth space, as (label, Box) pairs."""
+    gt = GroundTruthSet((), gt_space)
+    breakdown, = score_completions([text], STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER)
+    labels, boxes = breakdown.objects
+    return breakdown, [(label, Box(*row)) for label, row in zip(labels, boxes.tolist())]
+
+
 class TestCompletionObjects:
     def test_same_space_returns_extracted_objects(self):
         text = emit_structured([("cat", Box(1, 2, 30, 40)), ("dog", Box(5, 5, 9, 9))])
-        outcome, objects = completion_objects(text, STRUCTURED_FORMAT, SPACE, SPACE)
-        assert outcome == parse_completion(text, STRUCTURED_FORMAT, SPACE)
+        breakdown, objects = completion_objects(text, SPACE, SPACE)
+        assert breakdown.dual_format == 1.0 and breakdown.m_predictions == 2
         assert objects == [("cat", Box(1, 2, 30, 40)), ("dog", Box(5, 5, 9, 9))]
 
     def test_converts_to_ground_truth_space(self):
         text = '[{"bbox_2d": [0, 0, 500, 1000], "label": "cat"}]'
-        _, objects = completion_objects(
-            text, STRUCTURED_FORMAT, thousandths_space(640, 480), SPACE
-        )
+        _, objects = completion_objects(text, thousandths_space(640, 480), SPACE)
         assert objects == [("cat", Box(0.0, 0.0, 320.0, 480.0))]
 
     def test_drops_boxes_that_collapse_on_conversion(self):
@@ -117,15 +123,25 @@ class TestCompletionObjects:
             '[{"bbox_2d": [0, 0, 5e-324, 5e-324], "label": "speck"},'
             ' {"bbox_2d": [0, 0, 500, 1000], "label": "cat"}]'
         )
-        outcome, objects = completion_objects(
-            text, STRUCTURED_FORMAT, thousandths_space(1, 1), pixel_space(1, 1)
-        )
-        assert outcome.content_ok and len(outcome.predictions) == 2
+        breakdown, objects = completion_objects(text, thousandths_space(1, 1), pixel_space(1, 1))
+        assert parse_completion(text, STRUCTURED_FORMAT, thousandths_space(1, 1)).content_ok
+        assert breakdown.dual_format == 1.0 and breakdown.m_predictions == 1
         assert objects == [("cat", Box(0.0, 0.0, 0.5, 1.0))]
 
+    def test_drops_boxes_that_round_past_the_extent(self):
+        # 1000 * 9007199254736064 / 9007199254736064 rounds to 1000.0000000000001
+        width = 9007199254736064
+        text = (
+            f'[{{"bbox_2d": [0, 0, {width}, 1], "label": "cat"}},'
+            ' {"bbox_2d": [0, 0, 1, 1], "label": "dog"}]'
+        )
+        breakdown, objects = completion_objects(text, pixel_space(width, 1), thousandths_space(width, 1))
+        assert breakdown.dual_format == 1.0 and breakdown.m_predictions == 1
+        assert [label for label, _ in objects] == ["dog"]
+
     def test_template_failure_has_no_objects(self):
-        outcome, objects = completion_objects("garbage", STRUCTURED_FORMAT, SPACE, SPACE)
-        assert not outcome.template_ok
+        breakdown, objects = completion_objects("garbage", SPACE, SPACE)
+        assert breakdown.dual_format == 0.0 and breakdown.m_predictions == 0
         assert objects == []
 
 
