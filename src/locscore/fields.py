@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from functools import cache
 from typing import Any, Mapping, Sequence
 
 from .errors import FieldError
@@ -35,13 +36,19 @@ def read_field(data: Mapping[str, Any], key: str, kind: Any, default: Any = REQU
             return float(value)
         raise FieldError(f"field {key!r} must be a finite number")
     if isinstance(kind, type) and issubclass(kind, Enum):
-        if isinstance(value, str) and value in [member.value for member in kind]:
+        if isinstance(value, str) and value in _enum_values(kind):
             return kind(value)
         raise FieldError(f"unknown {key} {value!r}")
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise FieldError(f"field {key!r} must be {'/'.join(k.__name__ for k in kinds)}")
     return value
+
+
+@cache
+def _enum_values(kind: type[Enum]) -> frozenset[Any]:
+    """The values of an ``Enum``'s members, built once per ``Enum``."""
+    return frozenset(member.value for member in kind)
 
 
 def read_numbers(

@@ -1,7 +1,8 @@
 """Axis-aligned box primitives: validation, IoU, and coordinate rescaling.
 
 Each box rule is written once, as a kernel over (n, 4) corner arrays:
-``validate_boxes`` (the invariants), ``iou_matrix`` (overlap) and
+``validate_boxes`` (the invariants), one IoU formula behind ``iou_matrix``
+(every pair of two sets) and ``iou_pairs`` (row against row), and
 ``to_space_array`` (conversion). ``validate_box``, ``structural_fault``,
 ``iou`` and ``to_space`` are one-row calls into them.
 """
@@ -103,11 +104,14 @@ _FAULTS = (
 )
 
 
-def _box_faults(coords: np.ndarray, max_x: float, max_y: float) -> tuple[np.ndarray, dict[int, str]]:
+def _box_faults(
+    coords: np.ndarray, max_x: float | np.ndarray, max_y: float | np.ndarray
+) -> tuple[np.ndarray, dict[int, str]]:
     """The one check of the box invariants, over every row of an (n, 4) corner array.
 
     A box is valid when its coordinates are finite and non-negative, ``x2 >
-    x1``, ``y2 > y1``, ``x2 <= max_x`` and ``y2 <= max_y``. Returns the
+    x1``, ``y2 > y1``, ``x2 <= max_x`` and ``y2 <= max_y``; each extent is
+    one number for every row or an (n,) array of one per row. Returns the
     validity mask and, for each rejected row in row order, the first of these
     it breaks.
     """
@@ -124,9 +128,10 @@ def _box_faults(coords: np.ndarray, max_x: float, max_y: float) -> tuple[np.ndar
     if valid.all():  # the common case
         return valid, {}
     reasons = {}
+    extents = np.broadcast_to(max_x, valid.shape), np.broadcast_to(max_y, valid.shape)
     for row in np.flatnonzero(~valid).tolist():
         first = next(index for index, rows in enumerate(broken) if rows[row])
-        reasons[row] = _FAULTS[first].format(coords[row].tolist(), max_x, max_y)
+        reasons[row] = _FAULTS[first].format(coords[row].tolist(), *(float(e[row]) for e in extents))
     return valid, reasons
 
 
@@ -193,8 +198,20 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     IoU 0. An intersection that underflows to zero also gives IoU 0. The
     boxes must already be valid; they are not checked here.
     """
-    p = a.T[:, :, None]
-    t = b.T[:, None, :]
+    return _iou(a.T[:, :, None], b.T[:, None, :])
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row of an (n, 4) corner array with the same row of another, as (n,).
+
+    The formula and its conditions are ``iou_matrix``'s, so each pair gets
+    the value ``iou_matrix`` gives it, bit for bit.
+    """
+    return _iou(a.T, b.T)
+
+
+def _iou(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The one IoU formula, over corner coordinates ``p[0..3]`` and ``t[0..3]`` that broadcast."""
     # width, then width * height in place: one whole-group matrix fewer alive at a time
     inter = np.maximum(np.minimum(p[2], t[2]) - np.maximum(p[0], t[0]), 0.0)
     inter *= np.maximum(np.minimum(p[3], t[3]) - np.maximum(p[1], t[1]), 0.0)

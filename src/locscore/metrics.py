@@ -13,18 +13,32 @@ by repeated 0.05 addition (as ``numpy.arange`` would). The floats drift a few
 ulps above the nominal values, so a detection whose IoU is exactly a nominal
 boundary such as 0.6 falls below that gridpoint; averages are reported over
 these grid floats as-is.
+
+``evaluate`` is one array pass over the whole dataset. Every detection of
+every image is one row of an (n, 4) array, checked once against its own
+image's extent; each distinct label is normalized once. IoU is computed once
+per (detection, ground truth) pair of the same image and category that
+survives the 100-per-image-and-category cut, as one flat array of pairs. The
+greedy matcher then takes one detection rank per step, for every (image,
+category) block and every threshold at once. Memory grows with the number of
+detections, ground truths and such pairs; a block is never padded to the
+size of another, so one crowded image does not inflate the rest.
+``tests/oracles.py`` keeps the per-image loop it replaced as the exact
+reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, defaultdict
+import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidBoxError
-from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_boxes
+from .geometry import Box, CoordinateSpace, _box_faults, box_array, iou_pairs
+from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
 from .parsing import normalize_label
 
@@ -40,7 +54,7 @@ def _threshold_grid() -> tuple[float, ...]:
 
 IOU_THRESHOLDS: tuple[float, ...] = _threshold_grid()
 MAX_DETECTIONS_PER_IMAGE = 100
-_RECALL_GRID = tuple(i / 100 for i in range(101))
+_RECALL_GRID = np.array([i / 100 for i in range(101)])
 
 
 @dataclass(frozen=True)
@@ -59,12 +73,17 @@ class EvalDataset:
         ids = [img.image_id for img in self.images]
         if len(set(ids)) != len(ids):
             raise ValueError("image ids must be unique")
-        known = {normalize_label(c) for c in self.categories}
+        known = set(self.category_keys)
         for img in self.images:
             missing = img.gt.by_label.keys() - known
             if missing:
                 label = min(missing)
                 raise ValueError(f"ground-truth label {label!r} missing from the category list")
+
+    @cached_property
+    def category_keys(self) -> tuple[str, ...]:
+        """Each category's ``normalize_label``, in category order."""
+        return tuple(normalize_label(c) for c in self.categories)
 
 
 @dataclass(frozen=True)
@@ -77,26 +96,67 @@ class EvalResult:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _greedy_flags(ious: Sequence[Sequence[float]], threshold: float) -> list[bool]:
-    """True-positive flags of greedy matching over a detection x ground-truth IoU matrix.
+def _block_ranks(keys: np.ndarray) -> np.ndarray:
+    """Each row's rank among the rows with its key, counting from 0 in row order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(ordered)) - ordered.searchsorted(ordered)
+    return ranks
 
-    Rows are visited in rank order; each takes its best still-unused column
-    (the first one on ties) and is a true positive when that IoU reaches the
-    threshold. Only true positives consume their column, so a duplicate of an
-    already-consumed ground truth is a false positive.
+
+def _greedy_flags(
+    det_keys: np.ndarray,
+    det_ranks: np.ndarray,
+    det_coords: np.ndarray,
+    gt_keys: np.ndarray,
+    gt_coords: np.ndarray,
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """True-positive flags, (len(thresholds), n), of greedy matching within blocks.
+
+    Detections and ground truths each carry a block key, the ground truths
+    sorted by it; a detection meets only the ground truths of its own block,
+    and ``det_ranks`` orders the detections of a block, from 0. IoU is
+    computed once per such pair. Ranks are visited in order, every block and
+    threshold at once: each detection takes its best still-unused ground
+    truth (the first one on ties) and is a true positive when that IoU
+    reaches the threshold. Only true positives consume their ground truth, so
+    a duplicate of an already-consumed one is a false positive.
     """
-    used: set[int] = set()
-    flags: list[bool] = []
-    for row in ious:
-        best_index = -1
-        best_value = -1.0
-        for index, value in enumerate(row):
-            if value > best_value and index not in used:
-                best_index, best_value = index, value
-        hit = best_index >= 0 and best_value >= threshold
-        if hit:
-            used.add(best_index)
-        flags.append(hit)
+    first_gt = gt_keys.searchsorted(det_keys, "left")
+    counts = gt_keys.searchsorted(det_keys, "right") - first_gt
+    # the detections that meet a ground truth, rank by rank, then each one's pairs
+    # with its block's ground truths: rank r's pairs are one slice of the pair arrays
+    order = np.argsort(det_ranks, kind="stable")
+    order = order[counts[order] > 0]
+    sizes = counts[order]
+    ends = np.cumsum(sizes)
+    heads = ends - sizes
+    segment = np.repeat(np.arange(len(order)), sizes)
+    pair_gt = np.arange(len(segment)) - (heads - first_gt[order])[segment]
+    ious = iou_pairs(det_coords[order[segment]], gt_coords[pair_gt])
+    # each detection's pairs in its order of preference: highest IoU, then first ground truth
+    preference = np.lexsort((pair_gt, -ious, segment))
+    pair_gt = pair_gt[preference]
+    ious = np.concatenate((ious[preference], [-1.0]))  # the last is read when nothing is left
+
+    limits = np.array(thresholds, dtype=float)[:, None]
+    flags = np.zeros((len(limits), len(det_keys)), dtype=bool)
+    used = np.zeros((len(limits), len(gt_keys)), dtype=bool)
+    ranks = det_ranks[order]
+    steps = ranks.searchsorted(np.arange(ranks.max(initial=-1) + 2)).tolist()
+    positions = np.arange(len(segment))
+    for first, last in zip(steps[:-1], steps[1:]):
+        start, stop = heads[first], ends[last - 1]
+        gts = pair_gt[start:stop]
+        pick = np.minimum.reduceat(
+            np.where(used[:, gts], len(segment), positions[start:stop]), heads[first:last] - start, axis=1
+        )
+        hit = ious[pick] >= limits
+        rows, cols = hit.nonzero()
+        used[rows, pair_gt[pick[rows, cols]]] = True
+        flags[:, order[first:last]] = hit
     return flags
 
 
@@ -108,38 +168,39 @@ def per_image_counts(
     """Greedy TP/FP/FN counts for one image at one IoU threshold.
 
     Predictions are matched in rank order against the ground truths of their
-    own label (see ``_greedy_flags``).
+    own label (see ``_greedy_flags``), with no per-image cut.
     """
-    rows: dict[str, list[list[float]]] = defaultdict(list)
-    for label, box in predictions:
-        norm = normalize_label(label)
-        rows[norm].append([iou(box, gt.instances[j].box) for j in gt.by_label.get(norm, ())])
-    tp = sum(sum(_greedy_flags(label_rows, iou_threshold)) for label_rows in rows.values())
+    coords = box_array(box for _, box in predictions)
+    for row, reason in _box_faults(coords, math.inf, math.inf)[1].items():  # the first one
+        raise InvalidBoxError(f"invalid box {predictions[row][1].coords()}: {reason}")
+    keys = {label: normalize_label(label) for label in {label for label, _ in predictions}}
+    block = {key: index for index, key in enumerate(dict.fromkeys([*gt.label_keys, *keys.values()]))}
+    det_keys = np.array([block[keys[label]] for label, _ in predictions], dtype=np.intp)
+    gt_keys = np.array([block[key] for key in gt.label_keys], dtype=np.intp)
+    gt_order = np.argsort(gt_keys, kind="stable")
+    flags = _greedy_flags(
+        det_keys, _block_ranks(det_keys), coords, gt_keys[gt_order], gt.coords[gt_order], (iou_threshold,)
+    )
+    tp = int(flags.sum())
     return tp, len(predictions) - tp, len(gt.instances) - tp
 
 
-def _interpolated_ap(tp_flags: Sequence[bool], npos: int) -> float:
-    """101-point interpolated average precision from rank-ordered TP flags."""
-    if npos == 0:
-        return 0.0
-    if not tp_flags:
-        return 0.0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp_cum = 0
-    for rank, flag in enumerate(tp_flags, start=1):
-        tp_cum += flag
-        precisions.append(tp_cum / rank)
-        recalls.append(tp_cum / npos)
+def _average_precision(flags: np.ndarray, npos: int) -> tuple[np.ndarray, np.ndarray]:
+    """101-point interpolated AP and recall of each row of rank-ordered TP flags (t, n)."""
+    rows, n = flags.shape
+    if n == 0:
+        return np.zeros(rows), np.zeros(rows)
+    tp = np.cumsum(flags, axis=1)
     # precision envelope: best precision achieved at this recall or beyond
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    total = 0.0
-    for r in _RECALL_GRID:
-        k = bisect_left(recalls, r)
-        if k < len(recalls):
-            total += precisions[k]
-    return total / len(_RECALL_GRID)
+    precision = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+    recall = tp / npos
+    picked = np.zeros((rows, len(_RECALL_GRID)))
+    for row in range(rows):
+        at = np.searchsorted(recall[row], _RECALL_GRID)
+        reached = at < n
+        picked[row, reached] = precision[row, at[reached]]
+    # accumulate adds left to right, one picked precision at a time
+    return np.add.accumulate(picked, axis=1)[:, -1] / len(_RECALL_GRID), recall[:, -1]
 
 
 def evaluate(
@@ -149,63 +210,71 @@ def evaluate(
     """Category-averaged AP across the IoU grid, plus average recall.
 
     ``predictions`` maps image ids to rank-ordered (label, box) detections in
-    that image's coordinate space; missing ids mean no detections. Labels
-    outside the category list can never match and are only reported in
-    diagnostics.
+    that image's coordinate space; missing ids mean no detections, and ids
+    outside the dataset are ignored. Labels outside the category list can
+    never match and are only reported in diagnostics. Raises
+    ``InvalidBoxError`` naming the first invalid box in image order.
     """
     diagnostics: list[str] = []
-    normalized = [normalize_label(c) for c in dataset.categories]
-    known = set(normalized)
-    present = {label for img in dataset.images for label in img.gt.by_label}
-    active = list(dict.fromkeys(c for c in normalized if c in present))
+    images = dataset.images
+    known = set(dataset.category_keys)
+    present = {label for img in images for label in img.gt.by_label}
+    active = list(dict.fromkeys(c for c in dataset.category_keys if c in present))
+    column = {category: index for index, category in enumerate(active)}
 
-    # IoU rows (detection x same-category ground truth) per category and image,
-    # sliced in ``active`` order from one matrix per image, swept over every
-    # threshold below
-    ious: dict[str, list[list[list[float]]]] = {c: [] for c in active}
-    npos: Counter[str] = Counter()
-    unknown = 0
-    for img in dataset.images:
-        detections = predictions.get(img.image_id, ())
-        coords = box_array(box for _, box in detections)
-        for row, reason in validate_boxes(coords, img.space)[1].items():  # the first one
-            raise InvalidBoxError(
-                f"prediction box {detections[row][1].coords()} invalid in image {img.image_id}: {reason}"
-            )
-        per_category: dict[str, list[int]] = defaultdict(list)
-        for row, (label, _) in enumerate(detections):
-            norm = normalize_label(label)
-            if norm not in known:
-                unknown += 1
-                continue
-            if len(per_category[norm]) < MAX_DETECTIONS_PER_IMAGE:
-                per_category[norm].append(row)
-        order = [row for category in active for row in per_category.get(category, ())]
-        rows = iter(iou_matrix(coords[order], img.gt.coords).tolist() if order else ())
-        for category in active:
-            cols = img.gt.by_label.get(category, ())
-            npos[category] += len(cols)
-            dets = per_category.get(category)
-            if dets:
-                ious[category].append([[row[j] for j in cols] for row in islice(rows, len(dets))])
+    # every detection of every image, in rank order: one row each
+    detections = [predictions.get(img.image_id, ()) for img in images]
+    image_of = np.repeat(np.arange(len(images)), [len(dets) for dets in detections])
+    boxes = [box for dets in detections for _, box in dets]
+    coords = box_array(boxes)
+    extents = np.array([(img.space.max_x, img.space.max_y) for img in images]).reshape(-1, 2)[image_of]
+    for row, reason in _box_faults(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
+        image_id = images[image_of[row]].image_id
+        raise InvalidBoxError(f"prediction box {boxes[row].coords()} invalid in image {image_id}: {reason}")
+    labels = [label for dets in detections for label, _ in dets]
+    # -1: a known category without ground truth, -2: outside the category list
+    keys = {label: normalize_label(label) for label in set(labels)}
+    codes = {label: column.get(key, -1 if key in known else -2) for label, key in keys.items()}
+    category = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
+    unknown = int(np.count_nonzero(category == -2))
     if unknown:
         diagnostics.append(
             f"{unknown} prediction(s) with labels outside the category list; "
             "counted as false positives"
         )
 
-    ap_per_iou: dict[float, float] = {}
-    recall_values: list[float] = []
-    for threshold in IOU_THRESHOLDS:
-        ap_values: list[float] = []
-        for category in active:
-            flags = [
-                flag for rows in ious[category] for flag in _greedy_flags(rows, threshold)
-            ]
-            ap_values.append(_interpolated_ap(flags, npos[category]))
-            recall_values.append(sum(flags) / npos[category])
-        ap_per_iou[threshold] = sum(ap_values) / len(ap_values) if ap_values else 0.0
+    # blocks are (image, category); the first 100 detections of each are kept
+    block = image_of * len(active) + category
+    matched = np.flatnonzero(category >= 0)
+    ranks = _block_ranks(block[matched])
+    kept = ranks < MAX_DETECTIONS_PER_IMAGE
+    rows, ranks = matched[kept], ranks[kept]
+    gt_category = np.fromiter((column[key] for img in images for key in img.gt.label_keys), dtype=np.intp)
+    gt_image = np.repeat(np.arange(len(images)), [len(img.gt) for img in images])
+    gt_block = gt_image * len(active) + gt_category
+    gt_coords = np.concatenate([box_array(()), *(img.gt.coords for img in images)])
+    gt_order = np.argsort(gt_block, kind="stable")
+    flags = _greedy_flags(
+        block[rows], ranks, coords[rows], gt_block[gt_order], gt_coords[gt_order], IOU_THRESHOLDS
+    )
 
+    # each category's detections in rank order: image, then emission
+    by_category = np.argsort(category[rows], kind="stable")
+    flags = flags[:, by_category]
+    bounds = category[rows][by_category].searchsorted(np.arange(len(active) + 1)).tolist()
+    npos = np.bincount(gt_category, minlength=len(active)).tolist()
+    ap = np.zeros((len(IOU_THRESHOLDS), len(active)))
+    recall = np.zeros_like(ap)
+    for index in range(len(active)):
+        ap[:, index], recall[:, index] = _average_precision(
+            flags[:, bounds[index] : bounds[index + 1]], npos[index]
+        )
+
+    ap_per_iou = {
+        threshold: sum(values) / len(values) if values else 0.0
+        for threshold, values in zip(IOU_THRESHOLDS, ap.tolist())
+    }
+    recall_values = [value for values in recall.tolist() for value in values]
     if not active:
         diagnostics.append("no category has ground-truth instances; all metrics are 0")
     ap_list = [ap_per_iou[t] for t in IOU_THRESHOLDS]

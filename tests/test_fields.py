@@ -1,10 +1,12 @@
 """The field reader's whole-array fast path against its one-value-at-a-time form."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locscore.errors import FieldError
-from locscore.fields import read_number_rows, read_numbers
+from locscore.fields import read_field, read_number_rows, read_numbers
+from locscore.geometry import SpaceKind
 
 # JSON values a bbox array may hold: numbers near and beyond float64, and the wrong kinds
 ELEMENTS = st.one_of(
@@ -58,3 +60,12 @@ def test_all_good_rows_read_at_once():
 def test_one_bad_row_leaves_the_others():
     rows = [{"bbox_2d": [0, 1, 2, 3]}, {"bbox_2d": [0, 1, 2]}, {"bbox_2d": [1e308, 1e308, 1e308, 1e308]}]
     assert read_number_rows(rows, "bbox_2d", 4) == [(0.0, 1.0, 2.0, 3.0), None, (1e308,) * 4]
+
+
+def test_enum_field_reads_member_values_only():
+    assert read_field({"coord_space": "thousandths"}, "coord_space", SpaceKind) is SpaceKind.THOUSANDTHS
+    assert read_field({}, "coord_space", SpaceKind, SpaceKind.PIXELS) is SpaceKind.PIXELS
+    for value in ("THOUSANDTHS", "THOUSANDTHS ", 1, [1], {"a": 1}, None, True):
+        with pytest.raises(FieldError) as caught:
+            read_field({"coord_space": value}, "coord_space", SpaceKind)
+        assert str(caught.value) == f"unknown coord_space {value!r}"

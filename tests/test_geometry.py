@@ -19,8 +19,10 @@ from locscore import (
 from locscore.geometry import (
     CoordinateSpace,
     SpaceKind,
+    _box_faults,
     box_array,
     iou_matrix,
+    iou_pairs,
     structural_fault,
     to_space_array,
     validate_boxes,
@@ -81,11 +83,13 @@ class TestIouMatrix:
     @given(boxes=related_boxes(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_iou(self, boxes, data):
-        """The kernel against the scalar reference ``oracles.iou_xyxy``."""
+        """Both forms of the kernel against the scalar reference ``oracles.iou_xyxy``."""
         split = data.draw(st.integers(1, len(boxes) - 1))
         a, b = boxes[:split], boxes[split:]
         expected = np.array([[iou_xyxy(p.coords(), t.coords()) for t in b] for p in a])
         assert np.array_equal(iou_matrix(box_array(a), box_array(b)), expected)
+        rows, cols = np.indices(expected.shape).reshape(2, -1)
+        assert np.array_equal(iou_pairs(box_array(a)[rows], box_array(b)[cols]), expected.ravel())
 
     def test_empty_sides(self):
         some = box_array([Box(0, 0, 10, 10)])
@@ -290,6 +294,15 @@ class TestArrayForms:
         valid, reasons = validate_boxes(np.array(rows), space)
         assert valid.tolist() == [True, False, False, False, False]
         assert reasons == {row: box_fault_xyxy(rows[row], 640.0, 480.0) for row in (1, 2, 3, 4)}
+        # one extent per row: each row is checked against, and named with, its own
+        extents = [(640.0, 480.0), (700.0, 480.0), (1.0, 1.0), (1000.0, 1000.0), (4.0, 4.0)]
+        valid, reasons = _box_faults(np.array(rows), *np.array(extents).T)
+        expected = [box_fault_xyxy(row, *extent) for row, extent in zip(rows, extents)]
+        assert valid.tolist() == [fault is None for fault in expected] == [True, True, False, False, False]
+        assert reasons == {row: fault for row, fault in enumerate(expected) if fault is not None}
+        assert _box_faults(np.array([(0.0, 0.0, 9.0, 2.0)]), np.array([8.0]), np.array([1.0]))[1] == {
+            0: "x2 = 9.0 exceeds extent 8.0"
+        }
 
     @given(data=st.data())
     @settings(max_examples=300)

@@ -1,12 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locscore import (
     Box,
+    CoordinateSpace,
     EvalDataset,
     EvalImage,
     GroundTruthSet,
+    InvalidBoxError,
+    SpaceKind,
     evaluate,
     per_image_counts,
     pixel_space,
@@ -14,7 +20,7 @@ from locscore import (
 from locscore.metrics import IOU_THRESHOLDS
 
 from conftest import LABELS, random_box, random_int_box
-from oracles import reference_evaluate, reference_image_counts
+from oracles import reference_evaluate, reference_image_counts, sequential_evaluate
 
 SPACE = pixel_space(640, 480)
 
@@ -247,3 +253,92 @@ class TestOracleAgreement:
                         reference_image_counts(plain[image_id], gts, t)
                     )
         assert checked > 100
+
+
+def _outcome(evaluator, predictions, dataset):
+    try:
+        return evaluator(predictions, dataset)
+    except InvalidBoxError as exc:
+        return str(exc)
+
+
+# small integer corners, so identical boxes and exact IoU ties are common; x = 37
+# puts a box past a 40-pixel extent
+_GRID_BOXES = st.builds(
+    lambda x, y, w, h: Box(float(x), float(y), float(x + w), float(y + h)),
+    st.integers(0, 4) | st.just(37), st.integers(0, 4), st.integers(1, 6), st.integers(1, 6),
+)
+
+
+@st.composite
+def grid_datasets(draw):
+    """Tie-heavy datasets: repeated ground truths and detections, label spellings,
+    a category without ground truth, unknown labels, both spaces, missing and
+    foreign prediction ids."""
+    images, predictions = [], {}
+    for index in range(draw(st.integers(0, 4))):
+        space = CoordinateSpace(draw(st.sampled_from(SpaceKind)), 40, 30)
+        gts = draw(st.lists(st.tuples(st.sampled_from(("cat", "Cat ", "dog")), _GRID_BOXES), max_size=6))
+        gts = [(label, box) for label, box in gts if box.x2 <= 40]
+        detections = draw(st.lists(
+            st.tuples(st.sampled_from(("cat", "CAT", "dog", " dog", "bird", "unicorn")), _GRID_BOXES),
+            max_size=9,
+        ))
+        if gts:
+            detections += draw(st.lists(st.sampled_from(gts), max_size=3))  # exact copies
+        images.append(EvalImage(f"img{index}", space, GroundTruthSet.from_pairs(gts, space)))
+        if draw(st.booleans()) or not detections:
+            predictions[f"img{index}"] = draw(st.permutations(detections))
+    predictions["elsewhere"] = [("cat", Box(0.0, 0.0, 99.0, 99.0))]
+    return predictions, EvalDataset(tuple(images), ("cat", "dog", "bird"))
+
+
+class TestExactDifferential:
+    """The dataset-level kernel equals the per-image loop it replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_datasets())
+    def test_grid_datasets_equal_sequential(self, case):
+        predictions, dataset = case
+        assert _outcome(evaluate, predictions, dataset) == _outcome(
+            sequential_evaluate, predictions, dataset
+        )
+
+    def test_crowded_image_memory_grows_with_pairs(self):
+        # one image holds 2,000 ground truths of one category and 100 detections
+        # of it; padding every image to that block would need 500 x 100 x 2000
+        # cells (800 MB of float64), pairs need 200,000 and some
+        rng = random.Random(406)
+        labels = ("cat", "dog", "car", "bird", "cup")
+
+        def box():
+            x, y = rng.randrange(0, 600), rng.randrange(0, 440)
+            return Box(float(x), float(y), float(x + rng.randrange(2, 40)), float(y + rng.randrange(2, 40)))
+
+        crowd = [("cat", box()) for _ in range(2000)]
+        images = [EvalImage("crowd", SPACE, GroundTruthSet.from_pairs(crowd, SPACE))]
+        predictions = {"crowd": crowd[:100]}
+        for index in range(499):
+            gts = [(rng.choice(labels), box()) for _ in range(rng.randrange(1, 8))]
+            images.append(EvalImage(f"img{index}", SPACE, GroundTruthSet.from_pairs(gts, SPACE)))
+            predictions[f"img{index}"] = [pair for pair in gts if rng.random() < 0.8] + [
+                (rng.choice(labels), box()) for _ in range(2)
+            ]
+        dataset = EvalDataset(tuple(images), labels)
+        pairs = 0
+        for img in images:
+            per_label = {}
+            for label, _ in predictions[img.image_id]:
+                per_label[label] = per_label.get(label, 0) + 1
+            pairs += sum(min(n, 100) * len(img.gt.by_label.get(l, ())) for l, n in per_label.items())
+        assert pairs > 200_000
+
+        tracemalloc.start()
+        try:
+            result = evaluate(predictions, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 120 bytes per pair are measured: pair indices, gathered corners, IoU
+        assert peak < 200 * pairs
+        assert result == sequential_evaluate(predictions, dataset)
