@@ -232,8 +232,8 @@ def evaluate(
         image_id = images[image_of[row]].image_id
         raise InvalidBoxError(f"prediction box {boxes[row].coords()} invalid in image {image_id}: {reason}")
     labels = [label for dets in detections for label, _ in dets]
-    # -1: a known category without ground truth, -2: outside the category list
     keys = {label: normalize_label(label) for label in set(labels)}
+    # -1: a known category without ground truth, -2: outside the category list
     codes = {label: column.get(key, -1 if key in known else -2) for label, key in keys.items()}
     category = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
     unknown = int(np.count_nonzero(category == -2))
