@@ -19,17 +19,24 @@ first optimum with graph searches only. IoUs come from
 ``cost_matrices`` builds the matrices of a whole group's predictions at once,
 and ``assign_slices`` matches each completion's row slice of them on its own;
 ``match`` is the two for one list of predictions.
+
+The solver is scipy's compiled ``scipy.optimize._lsap``, loaded by itself so
+that a start does not pay for ``scipy.optimize``'s eager package import; it is
+the same function object that ``scipy.optimize`` exports.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SpaceMismatchError
 from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_boxes
@@ -41,6 +48,39 @@ LABEL_MISMATCH_PENALTY = 1.0
 # tight, i.e. as part of some optimal assignment; well above float rounding
 # noise (~1e-15 for these sizes) and far below any meaningful cost difference
 _COST_TIE_ATOL = 1e-9
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_linear_sum_assignment(scipy_dirs: Iterable[str]):
+    """scipy's compiled ``linear_sum_assignment``, without ``scipy.optimize``.
+
+    The extension module is looked for under ``optimize/`` in each of
+    ``scipy_dirs`` (scipy's package directories) and registered under its own
+    name before it runs, so a later ``import scipy.optimize`` reuses it; one
+    already in ``sys.modules`` is used as it is.
+    """
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        for directory in scipy_dirs:
+            finder = FileFinder(os.path.join(directory, "optimize"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_LSAP)
+            if spec is not None:
+                break
+        else:
+            # a scipy build laid out otherwise: only one scipy release could be
+            # checked offline, against a floor of scipy>=1.10
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        module = module_from_spec(spec)
+        sys.modules[_LSAP] = module
+        spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+# without scipy installed, the fallback import names the missing module
+linear_sum_assignment = _load_linear_sum_assignment(getattr(find_spec("scipy"), "submodule_search_locations", ()))
 
 
 class MatcherPolicy(str, Enum):

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +20,13 @@ from locscore import (
     pixel_space,
 )
 from locscore.geometry import box_array, iou_matrix
-from locscore.matching import _COST_TIE_ATOL, _canonical_pairs, cost_matrices
+from locscore.matching import _COST_TIE_ATOL, _canonical_pairs, _load_linear_sum_assignment, cost_matrices
 
 from conftest import INT_BOXES, LABELS, box_strategy, random_box, random_gt, related_boxes
 from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
 
 SPACE = pixel_space(640, 480)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def engine_cost_matrix(preds, gt, policy):
@@ -333,3 +339,36 @@ class TestCostMatrix:
                 [assignment_cost(p, (inst.label, inst.box), policy) for inst in gt.instances]
                 for p in preds
             ]
+
+
+def _fresh_interpreter(code):
+    """stdout of ``code`` run by a new interpreter with the source tree on its path."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, check=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    return done.stdout
+
+
+class TestSolverLoading:
+    def test_start_does_not_import_heavy_scipy_packages(self):
+        loaded = _fresh_interpreter(
+            "import json, sys, locscore, locscore.harness.cli\n"
+            "print(json.dumps([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules]))"
+        )
+        assert json.loads(loaded) == []
+
+    @pytest.mark.parametrize(
+        "imports", ["import scipy.optimize, locscore.matching", "import locscore.matching, scipy.optimize"]
+    )
+    def test_one_solver_in_either_import_order(self, imports):
+        same = _fresh_interpreter(
+            f"{imports}\nprint(scipy.optimize.linear_sum_assignment is locscore.matching.linear_sum_assignment)"
+        )
+        assert same.strip() == "True"
+
+    def test_falls_back_to_public_solver_without_extension(self, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        assert _load_linear_sum_assignment([str(tmp_path)]) is scipy.optimize.linear_sum_assignment
