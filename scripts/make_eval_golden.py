@@ -10,11 +10,12 @@ dataset-level array pass, so the file pins every metric bit for bit;
 ``tests/test_eval_golden.py`` replays it. Regenerate it only for a
 deliberate, documented behaviour change:
 
-    PYTHONPATH=src python scripts/make_eval_golden.py
+    PYTHONPATH=src python scripts/make_eval_golden.py [--out PATH]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -251,12 +252,15 @@ def cases():
     return out
 
 
-def main() -> None:
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as handle:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT, help="file to write (default: the committed one)")
+    out = parser.parse_args(argv).out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as handle:
         for data in cases():
             handle.write(json.dumps({**data, **outcome(data)}) + "\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@
 Every expected flag and coordinate below was derived by hand from the
 grammar definition, not by running the parser; the golden file is the
 contract the parser is tested against.
+
+    python scripts/make_parser_golden.py [--out PATH]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -207,13 +210,16 @@ PLAIN = [
 ]
 
 
-def main() -> None:
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as handle:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT, help="file to write (default: the committed one)")
+    out = parser.parse_args(argv).out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as handle:
         for entry in STRUCTURED + PLAIN:
             handle.write(json.dumps(entry, ensure_ascii=False, sort_keys=True))
             handle.write("\n")
-    print(f"wrote {len(STRUCTURED)} structured + {len(PLAIN)} plain cases -> {OUT}")
+    print(f"wrote {len(STRUCTURED)} structured + {len(PLAIN)} plain cases -> {out}")
 
 
 if __name__ == "__main__":

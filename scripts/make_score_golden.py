@@ -8,11 +8,12 @@ scoring kernel was rewritten, so the file pins every reward, advantage and
 error byte for byte; ``tests/test_score_golden.py`` replays it. Regenerate
 it only for a deliberate, documented behaviour change:
 
-    PYTHONPATH=src python scripts/make_score_golden.py
+    PYTHONPATH=src python scripts/make_score_golden.py [--out PATH]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -244,13 +245,16 @@ def requests():
     return lines
 
 
-def main() -> None:
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as handle:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT, help="file to write (default: the committed one)")
+    out = parser.parse_args(argv).out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as handle:
         for line in requests():
             reply = dump_line(handle_request_line(line))
             handle.write(json.dumps({"request": line, "reply": reply}) + "\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

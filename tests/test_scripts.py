@@ -1,5 +1,6 @@
-"""The demo scripts run to the end and print their tables."""
+"""The demo scripts run to the end, and each golden-file script writes its committed file again, byte for byte."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,23 @@ def test_demo_script_runs(name):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+GOLDEN = {
+    "make_score_golden.py": "score_golden.jsonl",
+    "make_eval_golden.py": "eval_golden.jsonl",
+    "make_parser_golden.py": "parser_golden.jsonl",
+    "make_batch_golden.py": "batch_golden.jsonl",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_script_reproduces_committed_file(name, tmp_path):
+    out = tmp_path / GOLDEN[name]
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (SCRIPTS.parent / "tests" / "data" / GOLDEN[name]).read_bytes()
