@@ -2,9 +2,10 @@
 
 Each box rule is written once, as a kernel over (n, 4) corner arrays:
 ``validate_boxes`` (the invariants), one IoU formula behind ``iou_matrix``
-(every pair of two sets) and ``iou_pairs`` (row against row), and
-``to_space_array`` (conversion). ``validate_box``, ``structural_fault``,
-``iou`` and ``to_space`` are one-row calls into them.
+(every pair of two sets) and ``iou_pairs`` (box against box at the same
+position), and ``to_space_array`` (conversion, whose factors
+``conversion_factors`` gives per space pair). ``validate_box``,
+``structural_fault``, ``iou`` and ``to_space`` are one-row calls into them.
 """
 
 from __future__ import annotations
@@ -202,12 +203,14 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each row of an (n, 4) corner array with the same row of another, as (n,).
+    """IoU of each box of a corner array (..., 4) with the box at the same position of another.
 
+    The leading axes broadcast: two (n, 4) arrays give (n,), and (n, 1, 4)
+    against (n, w, 4) gives each row's IoU with its own w boxes, as (n, w).
     The formula and its conditions are ``iou_matrix``'s, so each pair gets
     the value ``iou_matrix`` gives it, bit for bit.
     """
-    return _iou(a.T, b.T)
+    return _iou(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0))
 
 
 def _iou(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -250,9 +253,22 @@ def to_space_array(coords: np.ndarray, src: CoordinateSpace, dst: CoordinateSpac
     _require_same_image(src, dst)
     if src.kind == dst.kind:
         return coords
-    # in the rows' own dtype, so an object row multiplies by the exact integer extent;
+    multiplier, divisor = conversion_factors(src, dst, coords.dtype)
     # multiply before dividing: integer-valued coordinates stay exact
-    extent = np.array([src.width, src.height] * 2, dtype=coords.dtype)
+    return coords * multiplier / divisor
+
+
+def conversion_factors(
+    src: CoordinateSpace, dst: CoordinateSpace, dtype: np.dtype | type = float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (4,) multiplier and divisor of ``to_space_array``: ``coords * multiplier / divisor``.
+
+    ``src`` and ``dst`` are the two kinds of one image. In ``dtype``, so
+    that an object row multiplies by the exact integer extent.
+    """
+    _require_same_image(src, dst)
+    extent = np.array([src.width, src.height] * 2, dtype=dtype)
+    scale = np.full(4, THOUSANDTHS_EXTENT, dtype=dtype)
     if src.kind is SpaceKind.THOUSANDTHS:
-        return coords * extent / THOUSANDTHS_EXTENT
-    return coords * THOUSANDTHS_EXTENT / extent
+        return extent, scale
+    return scale, extent

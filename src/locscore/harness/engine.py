@@ -12,7 +12,7 @@ from ..errors import EngineError, FieldError, MalformedRequestError
 from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
 from ..parsing import default_format
-from ..rewards import in_advanced_phase, phase_thresholds, score_completions
+from ..rewards import Group, RewardBreakdown, in_advanced_phase, phase_thresholds, score_groups
 from ..rewards import score_completion  # looked up by perfbench/tracing.py
 from .wire import (
     ScoringRequest,
@@ -37,13 +37,11 @@ def decode_line(line: str) -> Any:
         raise ValueError("number too long") from None
 
 
-def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> ScoringResponse:
-    """Score every completion of one group and derive group statistics.
+def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
+    """The per-request checks, then the request as the group kernel's input.
 
-    Stateless: the response depends only on the request and configuration.
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
-    config = config or EngineConfig()
     if req.want_advantages and len(req.completions) < 2:
         raise MalformedRequestError(
             "advantage computation needs at least two completions per group"
@@ -52,15 +50,24 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
         raise MalformedRequestError("one log-prob record per completion is required")
 
     fmt = req.format or default_format(config.completion_format)
-    completion_space = replace(req.sample.space, kind=fmt.space_kind)
-    matcher = req.matcher or config.matcher
-    phase_cfg = req.phase or config.phase
-    thresholds = phase_thresholds(phase_cfg, req.progress)
-    breakdowns = score_completions(
-        req.completions, fmt, completion_space, req.sample.gt, matcher, thresholds, config.rules
+    return Group(
+        req.completions,
+        fmt,
+        replace(req.sample.space, kind=fmt.space_kind),
+        req.sample.gt,
+        req.matcher or config.matcher,
+        phase_thresholds(req.phase or config.phase, req.progress),
     )
-    totals = [b.total for b in breakdowns]
 
+
+def group_response(
+    req: ScoringRequest,
+    config: EngineConfig,
+    group: Group,
+    breakdowns: tuple[RewardBreakdown, ...],
+) -> ScoringResponse:
+    """The response to a request whose group the kernel scored: its advantages and objective."""
+    totals = [b.total for b in breakdowns]
     diagnostics: list[str] = []
     advantages = None
     objective = None
@@ -84,10 +91,21 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
         advantages=advantages,
         objective=objective,
         kl_values=kl_values,
-        thresholds=thresholds,
-        phase_name="advanced" if in_advanced_phase(phase_cfg, req.progress) else "beginner",
+        thresholds=group.thresholds,
+        phase_name="advanced" if in_advanced_phase(req.phase or config.phase, req.progress) else "beginner",
         diagnostics=tuple(diagnostics),
     )
+
+
+def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> ScoringResponse:
+    """Score every completion of one group and derive group statistics.
+
+    Stateless: the response depends only on the request and configuration.
+    Raises ``MalformedRequestError`` for requests that violate the contract.
+    """
+    config = config or EngineConfig()
+    group = request_group(req, config)
+    return group_response(req, config, group, score_groups([group], config.rules)[0])
 
 
 def handle_request_object(data: Any, config: EngineConfig | None = None) -> dict[str, Any]:

@@ -16,8 +16,9 @@ lowest-indexed ground truth it can reach, which yields the lexicographically
 first optimum with graph searches only. IoUs come from
 ``geometry.iou_matrix``, the one place IoU is computed.
 
-``cost_matrices`` builds the matrices of a whole group's predictions at once,
-and ``assign_slices`` matches each completion's row slice of them on its own;
+``cost_matrices`` builds the matrices of a block of groups' predictions at
+once, each row meeting only its own group's ground truths, and
+``assign_slices`` matches each completion's slice of them on its own;
 ``match`` is the two for one list of predictions.
 
 The solver is scipy's compiled ``scipy.optimize._lsap``, loaded by itself so
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, validate_boxes
+from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, iou_pairs, validate_boxes
 from .parsing import normalize_label
 
 LABEL_MISMATCH_PENALTY = 1.0
@@ -249,10 +250,13 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
         # numeric safety net (unreachable in practice): infeasible duals mean
         # the solver's matching is not provably optimal; accept it as is
         return [(int(i), int(j)) for i, j in zip(rows, real_cols)]
-    tight_rows, tight_cols = np.nonzero(reduced <= _COST_TIE_ATOL)
+    is_tight = reduced <= _COST_TIE_ATOL
     assigned = cols.tolist()
-    if len(tight_cols) > n:
-        # ties exist: walk the rows, rotating to the lowest reachable column
+    # a row only ever moves to a tight column below its own, and rows are
+    # fixed in order: unless a real row's lowest tight column is below its
+    # own, nothing moves (the padded dummies' ties alone start nothing)
+    if (is_tight[:m].argmax(axis=1) < cols[:m]).any():
+        tight_rows, tight_cols = np.nonzero(is_tight)
         ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
         flat = tight_cols.tolist()
         tight = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -295,36 +299,58 @@ def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int)
 def cost_matrices(
     boxes: np.ndarray,
     labels: Sequence[str],
-    gt: GroundTruthSet,
-    policy: MatcherPolicy,
+    gts: Sequence[GroundTruthSet],
+    policies: Sequence[MatcherPolicy],
+    sizes: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost, IoU and label-agreement matrices of (n, 4) ``boxes`` against ``gt``.
+    """Cost, IoU and label-agreement matrices of (n, 4) ``boxes`` against their groups' ground truths.
 
-    Each distinct label is normalized once; labels are compared as small
-    integers (numpy strings drop trailing NULs).
+    The first ``sizes[0]`` rows belong to ``gts[0]`` under ``policies[0]``,
+    the next ``sizes[1]`` to ``gts[1]``, and so on. Each matrix is (n, w),
+    with w the most ground truths of any group; row r meets only its own
+    group's g ground truths, in columns ``0..g-1``, and its other columns are
+    padding. One group's boxes meet ``gt.coords`` by broadcasting; several
+    groups' rows each meet their own ground truths, gathered. Either way each
+    cell holds what the group alone gives it, bit for bit. Each distinct
+    label is normalized once; labels are compared as small integers (numpy
+    strings drop trailing NULs).
     """
-    ious = iou_matrix(boxes, gt.coords)
-    ids = {key: index for index, key in enumerate(gt.by_label)}
-    distinct = dict.fromkeys(labels)
-    keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in distinct}
+    ids: dict[str, int] = {}
+    gt_ids = [ids.setdefault(key, len(ids)) for gt in gts for key in gt.label_keys]
+    keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in dict.fromkeys(labels)}
     pred_ids = np.array([keys[label] for label in labels], dtype=np.intp)
-    gt_ids = np.array([ids[key] for key in gt.label_keys], dtype=np.intp)
-    same = pred_ids[:, None] == gt_ids[None, :]
+    penalized = [policy is MatcherPolicy.BOX_AND_LABEL for policy in policies]
+    if len(gts) == 1:
+        ious = iou_matrix(boxes, gts[0].coords)
+        same = pred_ids[:, None] == np.array(gt_ids, dtype=np.intp)[None, :]
+        penalty = LABEL_MISMATCH_PENALTY if penalized[0] else None
+    else:
+        counts = np.array([len(gt) for gt in gts], dtype=np.intp)
+        owner = np.repeat(np.arange(len(gts)), sizes)
+        columns = np.arange(counts.max(initial=0))
+        # each row's own ground truths in the concatenation; padding reads the last, empty entry
+        index = np.where(
+            columns < counts[owner][:, None], (np.cumsum(counts) - counts)[owner][:, None] + columns, len(gt_ids)
+        )
+        gt_coords = np.concatenate([*(gt.coords for gt in gts), np.zeros((1, 4))])
+        ious = iou_pairs(boxes[:, None, :], gt_coords[index])
+        same = pred_ids[:, None] == np.array([*gt_ids, -1], dtype=np.intp)[index]
+        penalty = (np.array(penalized) * LABEL_MISMATCH_PENALTY)[owner][:, None] if any(penalized) else None
     cost = 1.0 - ious
-    if policy is MatcherPolicy.BOX_AND_LABEL:
-        cost += np.where(same, 0.0, LABEL_MISMATCH_PENALTY)
+    if penalty is not None:  # a row under the box-only policy adds 0.0, which changes nothing
+        cost += np.where(same, 0.0, penalty)
     return cost, ious, same
 
 
 def assign_slices(
-    cost: np.ndarray, ious: np.ndarray, same: np.ndarray, bounds: Sequence[int]
+    cost: np.ndarray, ious: np.ndarray, same: np.ndarray, bounds: Sequence[int], widths: Sequence[int]
 ) -> list[list[tuple[int, int, float, bool]]]:
-    """Match each row slice ``bounds[i]:bounds[i + 1]`` on its own.
+    """Match each slice ``bounds[i]:bounds[i + 1]`` of rows, over its first ``widths[i]`` columns, on its own.
 
     Per slice, its canonical pairs as (row within the slice, ground-truth
     index, IoU, labels agree), in row order.
     """
-    slices = [_canonical_pairs(cost[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    slices = [_canonical_pairs(cost[lo:hi, :width]) for lo, hi, width in zip(bounds, bounds[1:], widths)]
     rows = [lo + i for lo, pairs in zip(bounds, slices) for i, _ in pairs]
     cols = [j for pairs in slices for _, j in pairs]
     found = iter(zip(ious[rows, cols].tolist(), same[rows, cols].tolist()))
@@ -350,8 +376,8 @@ def match(
             f"prediction box {predictions[row][1].coords()} invalid in the ground-truth space: {reason}"
         )
     labels = [label for label, _ in predictions]
-    costs = cost_matrices(boxes, labels, gt, policy)
-    assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)])[0]}
+    costs = cost_matrices(boxes, labels, [gt], [policy], [len(predictions)])
+    assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)], [len(gt)])[0]}
     out: list[MatchedPrediction] = []
     for index, (label, box) in enumerate(predictions):
         gt_index, value, correct = assigned.get(index, (None, 0.0, False))

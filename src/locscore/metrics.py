@@ -15,8 +15,9 @@ boundary such as 0.6 falls below that gridpoint; averages are reported over
 these grid floats as-is.
 
 ``evaluate`` is one array pass over the whole dataset. Every detection of
-every image is one row of an (n, 4) array, checked once against its own
-image's extent; each distinct label is normalized once. IoU is computed once
+every image is one row of an (n, 4) array (``evaluate_objects`` takes the
+detections in that form, with no ``Box`` per detection), checked once
+against its own image's extent; each distinct label is normalized once. IoU is computed once
 per (detection, ground truth) pair of the same image and category that
 survives the 100-per-image-and-category cut, as one flat array of pairs. The
 greedy matcher then takes one detection rank per step, for every (image,
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -215,6 +216,38 @@ def evaluate(
     never match and are only reported in diagnostics. Raises
     ``InvalidBoxError`` naming the first invalid box in image order.
     """
+    detections = [predictions.get(img.image_id, ()) for img in dataset.images]
+    boxes = [box for dets in detections for _, box in dets]
+    labels = [[label for label, _ in dets] for dets in detections]
+    return _evaluate(labels, box_array(boxes), dataset, lambda row: boxes[row].coords())
+
+
+def evaluate_objects(
+    objects: Sequence[tuple[Sequence[str], np.ndarray]], dataset: EvalDataset
+) -> EvalResult:
+    """``evaluate`` of detections held as arrays, one (labels, (m, 4) boxes) pair per dataset image.
+
+    The pairs follow ``dataset.images``; each holds that image's
+    rank-ordered labels and boxes in its coordinate space, as the scoring
+    kernel's ``RewardBreakdown.objects`` do. An invalid box is named by its
+    coordinates as floats.
+    """
+    if len(objects) != len(dataset.images):
+        raise ValueError(f"{len(objects)} detection sets for {len(dataset.images)} images")
+    coords = np.concatenate([box_array(()), *(boxes for _, boxes in objects)])
+    return _evaluate([labels for labels, _ in objects], coords, dataset, lambda row: tuple(coords[row].tolist()))
+
+
+def _evaluate(
+    labels_per_image: Sequence[Sequence[str]],
+    coords: np.ndarray,
+    dataset: EvalDataset,
+    box_text: Callable[[int], object],
+) -> EvalResult:
+    """The evaluation, over every image's rank-ordered labels and all their boxes as one (n, 4) array.
+
+    ``box_text(row)`` gives the coordinates an invalid box is named by.
+    """
     diagnostics: list[str] = []
     images = dataset.images
     known = set(dataset.category_keys)
@@ -223,15 +256,12 @@ def evaluate(
     column = {category: index for index, category in enumerate(active)}
 
     # every detection of every image, in rank order: one row each
-    detections = [predictions.get(img.image_id, ()) for img in images]
-    image_of = np.repeat(np.arange(len(images)), [len(dets) for dets in detections])
-    boxes = [box for dets in detections for _, box in dets]
-    coords = box_array(boxes)
+    image_of = np.repeat(np.arange(len(images)), [len(names) for names in labels_per_image])
     extents = np.array([(img.space.max_x, img.space.max_y) for img in images]).reshape(-1, 2)[image_of]
     for row, reason in _box_faults(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
         image_id = images[image_of[row]].image_id
-        raise InvalidBoxError(f"prediction box {boxes[row].coords()} invalid in image {image_id}: {reason}")
-    labels = [label for dets in detections for label, _ in dets]
+        raise InvalidBoxError(f"prediction box {box_text(row)} invalid in image {image_id}: {reason}")
+    labels = [label for names in labels_per_image for label in names]
     keys = {label: normalize_label(label) for label in set(labels)}
     # -1: a known category without ground truth, -2: outside the category list
     codes = {label: column.get(key, -1 if key in known else -2) for label, key in keys.items()}

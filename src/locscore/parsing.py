@@ -16,8 +16,10 @@ well formed and every box to be valid in the declared coordinate space.
 Entries that are well formed but carry an invalid box are retained (marked
 ``box_valid=False``) so downstream rewards can still use them.
 
-``parse_completions`` parses a whole group at once and holds its boxes as one
-(n, 4) array, validated once, vectorised; ``parse_completion`` is that for a
+``read_completions`` reads a group's completions into entries, and
+``parse_block`` holds the entries of a block of read groups as one (n, 4)
+array, validated once, vectorised, each row against its own group's extent;
+``parse_completions`` is the two for one group and ``parse_completion`` for a
 single completion.
 """
 
@@ -25,14 +27,16 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import accumulate, chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .fields import read_number_rows
-from .geometry import Box, CoordinateSpace, SpaceKind, validate_boxes
+from .geometry import Box, CoordinateSpace, SpaceKind, _box_faults
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -181,7 +185,7 @@ def _read_plain(
 
 @dataclass(frozen=True)
 class ParsedGroup:
-    """A group of completions parsed together.
+    """Completions parsed together: one group, or a block of groups in order.
 
     Every well-formed entry of every completion is one row, in emission
     order: completion ``i`` holds rows ``bounds[i]:bounds[i + 1]``.
@@ -192,8 +196,8 @@ class ParsedGroup:
     diagnostics: list[tuple[str, ...]]
     bounds: list[int]
     labels: list[str]
-    coords: np.ndarray  # (n, 4) float64, in the declared space
-    valid: np.ndarray  # (n,) bool: the row's box is valid in the declared space
+    coords: np.ndarray  # (n, 4) float64, each row in its group's declared space
+    valid: np.ndarray  # (n,) bool: the row's box is valid in its group's declared space
     faults: dict[int, str]  # why each invalid row is invalid
 
     def outcome(self, index: int) -> ParseOutcome:
@@ -209,40 +213,75 @@ class ParsedGroup:
         )
 
 
+class ReadGroup(NamedTuple):
+    """A group's completions read into entries by their grammar, before any array."""
+
+    template_ok: list[bool]
+    faults: list[list[str]]  # each completion's malformed entries
+    labels: list[str]  # each well-formed entry's label, in emission order
+    flat: list[float]  # each well-formed entry's four coordinates, in the same order
+    sizes: list[int]  # each completion's count of well-formed entries
+
+
+def read_completions(
+    texts: Sequence[str], fmt: CompletionFormat, names: dict[str, str] | None = None
+) -> ReadGroup:
+    """Read every completion of a group into entries; never raises.
+
+    ``names`` caches each distinct raw label's collapsed form, and may be
+    shared by the groups of a block.
+    """
+    read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
+    names = {} if names is None else names
+    group = ReadGroup([], [], [], [], [])
+    for text in texts:
+        entries, faults = read(text, names)
+        group.template_ok.append(entries is not None)
+        group.faults.append(faults)
+        for label, coords in entries or ():
+            group.labels.append(label)
+            group.flat.extend(coords)
+        group.sizes.append(len(entries or ()))
+    return group
+
+
+def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGroup:
+    """The parse of a block of read groups, each with its declared space; never raises.
+
+    Every entry of the block is one row of one array. Each box is validated
+    once, by one check over the whole block in which each row meets its own
+    group's extent; that check also names each rejected box's fault. Each
+    completion's outcome is the one it has when its group is parsed alone.
+    """
+    template_ok, entry_faults, labels, flat, sizes = (
+        list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
+    )
+    bounds = list(accumulate(sizes, initial=0))
+    coords = np.array(flat, dtype=float).reshape(-1, 4)
+    extents = [(space.max_x, space.max_y) for _, space in groups]
+    if len(set(extents)) == 1:
+        max_x, max_y = extents[0]
+    else:  # one extent per row
+        rows = [len(read.labels) for read, _ in groups]
+        max_x, max_y = np.repeat(np.array(extents, dtype=float).reshape(-1, 2), rows, axis=0).T
+    valid, box_faults = _box_faults(coords, max_x, max_y)
+    bad: dict[int, list[str]] = {}
+    for row, reason in box_faults.items():
+        bad.setdefault(bisect_right(bounds, row) - 1, []).append(f"box {coords[row].tolist()}: {reason}")
+    content_ok: list[bool] = []
+    diagnostics: list[tuple[str, ...]] = []
+    for index, (template, faults) in enumerate(zip(template_ok, entry_faults)):
+        boxes = bad.get(index, [])
+        content_ok.append(template and not faults and not boxes)
+        diagnostics.append(tuple(faults + boxes))
+    return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, box_faults)
+
+
 def parse_completions(
     texts: Sequence[str], fmt: CompletionFormat, space: CoordinateSpace
 ) -> ParsedGroup:
-    """Parse every completion of a group; never raises.
-
-    Each box is validated once, by one ``validate_boxes`` call over the
-    whole group, which also names each rejected box's fault.
-    """
-    read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
-    template_ok: list[bool] = []
-    entry_faults: list[list[str]] = []
-    labels: list[str] = []
-    flat: list[float] = []
-    bounds = [0]
-    names: dict[str, str] = {}
-    for text in texts:
-        entries, faults = read(text, names)
-        template_ok.append(entries is not None)
-        entry_faults.append(faults)
-        for label, coords in entries or ():
-            labels.append(label)
-            flat.extend(coords)
-        bounds.append(len(labels))
-    coords = np.array(flat, dtype=float).reshape(-1, 4)
-    valid, box_faults = validate_boxes(coords, space)
-    content_ok: list[bool] = []
-    diagnostics: list[tuple[str, ...]] = []
-    for template, faults, lo, hi in zip(template_ok, entry_faults, bounds, bounds[1:]):
-        bad = [
-            f"box {coords[row].tolist()}: {box_faults[row]}" for row in box_faults if lo <= row < hi
-        ]
-        content_ok.append(template and not faults and not bad)
-        diagnostics.append(tuple(faults + bad))
-    return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, box_faults)
+    """Parse every completion of a group; never raises (``parse_block`` of one group)."""
+    return parse_block([(read_completions(texts, fmt), space)])
 
 
 def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -> ParseOutcome:

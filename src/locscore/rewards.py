@@ -13,26 +13,33 @@ A prediction is valid when its matched IoU reaches the active xi0 threshold
 and (by default) its label matches. Thresholds follow a beginner/advanced
 schedule that switches at a configured fraction of training progress.
 
-``score_completions`` is the group kernel: a group's boxes are parsed and
-validated once as one array, moved into the ground-truth space together and
-matched through one IoU matrix sliced per completion. ``score_completion``
-is that kernel for one completion.
+``score_groups`` is the group kernel, over a block of groups at once: every
+box of the block is parsed and validated once as one array, moved into its
+ground-truth space together, and matched through one IoU buffer in which
+each row meets only its own group's ground truths, sliced per completion.
+``score_completions`` is that kernel for one group and ``score_completion``
+for one completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import CoordinateSpace, to_space_array, validate_boxes
+from .geometry import CoordinateSpace, _box_faults, conversion_factors
 from .geometry import to_space  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_slices, cost_matrices
 from .matching import match  # looked up by perfbench/tracing.py
-from .parsing import CompletionFormat, ParsedGroup, ParseOutcome, parse_completions
+from .parsing import CompletionFormat, ParsedGroup, ParseOutcome, ReadGroup, parse_block, read_completions
 from .parsing import parse_completion  # looked up by perfbench/tracing.py
+
+# most cells (entries x most ground truths of a group) of one block's cost,
+# IoU and label matrices; a group over it is a block of its own
+BLOCK_CELLS = 1 << 16
 
 
 class ThresholdTriple(NamedTuple):
@@ -178,7 +185,7 @@ class RewardBreakdown:
     n_valid: int
     # the objects the completion was matched with, in ground-truth space: their
     # labels and an (m, 4) view of the group's coordinate array; set by
-    # score_completions, in-process only, never on the wire
+    # score_groups, in-process only, never on the wire
     objects: tuple[Sequence[str], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
@@ -211,21 +218,124 @@ def score_matches(
     return _breakdown(format_ok, len(matches), n_gt, valid, t, rules)
 
 
-def _ground_truth_rows(
-    group: ParsedGroup, space: CoordinateSpace, gt_space: CoordinateSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The group's valid rows and their boxes in ``gt_space``.
+class Group(NamedTuple):
+    """One group's input to ``score_groups``: its completions and how to score them."""
 
-    A box that conversion makes invalid there, by collapsing it or rounding
-    it past the extent, is dropped.
+    texts: Sequence[str]
+    fmt: CompletionFormat
+    space: CoordinateSpace  # the completions' coordinate convention
+    gt: GroundTruthSet
+    policy: MatcherPolicy
+    thresholds: ThresholdTriple
+
+
+def _per_row(values: list, owner: np.ndarray | None):
+    """Each row's value from its group's ``values``; one group's value as it is."""
+    return values[0] if owner is None else np.array(values)[owner]
+
+
+def _ground_truth_rows(
+    parsed: ParsedGroup, groups: Sequence[Group], group_rows: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block's valid rows and their boxes, each in its group's ground-truth space.
+
+    ``group_rows`` are the groups' row bounds in ``parsed``. A box that
+    conversion makes invalid there, by collapsing it or rounding it past the
+    extent, is dropped; rows of a group whose completions already use the
+    ground truth's kind are kept as they are.
     """
-    rows = np.flatnonzero(group.valid)
-    boxes = group.coords[rows]
-    if space.kind is not gt_space.kind:
-        boxes = to_space_array(boxes, space, gt_space)
-        kept, _ = validate_boxes(boxes, gt_space)
-        rows, boxes = rows[kept], boxes[kept]
-    return rows, boxes
+    rows = np.flatnonzero(parsed.valid)
+    boxes = parsed.coords[rows]
+    moved = [group.space.kind is not group.gt.space.kind for group in groups]
+    if not any(moved):
+        return rows, boxes
+    owner = None if len(groups) == 1 else np.searchsorted(group_rows, rows, side="right") - 1
+    ones = np.ones(4)
+    factors = [
+        conversion_factors(group.space, group.gt.space) if move else (ones, ones)
+        for group, move in zip(groups, moved)
+    ]
+    boxes = boxes * _per_row([m for m, _ in factors], owner) / _per_row([d for _, d in factors], owner)
+    extents = [(group.gt.space.max_x, group.gt.space.max_y) for group in groups]
+    kept, _ = _box_faults(boxes, _per_row([x for x, _ in extents], owner), _per_row([y for _, y in extents], owner))
+    if not all(moved):
+        kept |= ~_per_row(moved, owner)
+    return rows[kept], boxes[kept]
+
+
+def _score_block(
+    block: Sequence[tuple[Group, ReadGroup, ThresholdTriple]], rules: RewardRules
+) -> list[tuple[RewardBreakdown, ...]]:
+    """The array stages of ``score_groups`` for one block of read groups."""
+    groups = [group for group, _, _ in block]
+    parsed = parse_block([(read, group.space) for group, read, _ in block])
+    firsts = list(accumulate((len(group.texts) for group in groups), initial=0))
+    rows, boxes = _ground_truth_rows(parsed, groups, [parsed.bounds[i] for i in firsts])
+    labels = [parsed.labels[row] for row in rows.tolist()]
+    bounds = np.searchsorted(rows, parsed.bounds).tolist()
+    starts = [bounds[i] for i in firsts]  # each group's first row, then the end
+    matrices = cost_matrices(
+        boxes,
+        labels,
+        [group.gt for group in groups],
+        [group.policy for group in groups],
+        [hi - lo for lo, hi in zip(starts, starts[1:])],
+    )
+    assigned = assign_slices(*matrices, bounds, [len(group.gt) for group in groups for _ in group.texts])
+    scored = []
+    for (group, _, t), first, end in zip(block, firsts, firsts[1:]):
+        scored.append(tuple(
+            _breakdown(
+                parsed.content_ok[index],  # implies template_ok
+                hi - lo,
+                len(group.gt),
+                _valid_ious(((v, ok) for _, _, v, ok in assigned[index]), t.xi0, rules.require_label_match),
+                t,
+                rules,
+                (labels[lo:hi], boxes[lo:hi]),
+            )
+            for index, lo, hi in zip(range(first, end), bounds[first:end], bounds[first + 1 : end + 1])
+        ))
+    return scored
+
+
+def score_groups(
+    groups: Sequence[Group], rules: RewardRules = RewardRules()
+) -> list[tuple[RewardBreakdown, ...]]:
+    """Parse, match, and reward every completion of many groups, each against its own ground truth.
+
+    Each group's ``space`` declares the coordinate convention of its
+    completions. The groups' completions are read in order, and consecutive
+    groups form a block while the block's matrices stay within
+    ``BLOCK_CELLS`` (entries times the most ground truths of any of its
+    groups); a group over it is a block of its own. A block's boxes form one
+    array: validated once, each row against its own group's extent, and
+    converted to the ground-truth spaces once. They are matched through one
+    IoU, cost and label-agreement buffer in which a row meets only its own
+    group's ground truths; each completion's slice of it goes to the
+    canonical matcher on its own. Each group's breakdowns are those of the
+    group scored alone, bit for bit, and equal ``score_matches`` on
+    ``parse_completion``, ``extract_objects``, ``to_space`` and ``match``,
+    where a box that conversion makes invalid in the ground-truth space is
+    dropped.
+    """
+    triples = [ThresholdTriple(*group.thresholds) for group in groups]
+    for t in triples:
+        _check_triple("thresholds", t)  # xi0 > 0: a prediction left unassigned is never valid
+    names: dict[str, str] = {}
+    scored: list[tuple[RewardBreakdown, ...]] = []
+    block: list[tuple[Group, ReadGroup, ThresholdTriple]] = []
+    rows = width = 0
+    for group, t in zip(groups, triples):
+        read = read_completions(group.texts, group.fmt, names)
+        if block and (rows + len(read.labels)) * max(width, len(group.gt)) > BLOCK_CELLS:
+            scored += _score_block(block, rules)
+            block, rows, width = [], 0, 0
+        block.append((group, read, t))
+        rows, width = rows + len(read.labels), max(width, len(group.gt))
+    if block:
+        scored += _score_block(block, rules)
+    return scored
 
 
 def score_completions(
@@ -237,35 +347,8 @@ def score_completions(
     thresholds: ThresholdTriple,
     rules: RewardRules = RewardRules(),
 ) -> tuple[RewardBreakdown, ...]:
-    """Parse, match, and reward every completion of a group against one ground truth.
-
-    ``space`` declares the coordinate convention of the completions. The
-    group's boxes form one array: validated once, converted to the
-    ground-truth space once, and matched through one IoU matrix whose row
-    slices go to the canonical matcher one completion at a time. Each
-    breakdown equals ``score_matches`` on ``parse_completion``,
-    ``extract_objects``, ``to_space`` and ``match``, bit for bit, where a box
-    that conversion makes invalid in the ground-truth space is dropped.
-    """
-    t = ThresholdTriple(*thresholds)
-    _check_triple("thresholds", t)  # xi0 > 0: a prediction left unassigned is never valid
-    group = parse_completions(texts, fmt, space)
-    rows, boxes = _ground_truth_rows(group, space, gt.space)
-    labels = [group.labels[row] for row in rows.tolist()]
-    bounds = np.searchsorted(rows, group.bounds).tolist()
-    assigned = assign_slices(*cost_matrices(boxes, labels, gt, policy), bounds)
-    return tuple(
-        _breakdown(
-            group.content_ok[index],  # implies template_ok
-            hi - lo,
-            len(gt),
-            _valid_ious(((v, ok) for _, _, v, ok in pairs), t.xi0, rules.require_label_match),
-            t,
-            rules,
-            (labels[lo:hi], boxes[lo:hi]),
-        )
-        for index, (pairs, lo, hi) in enumerate(zip(assigned, bounds, bounds[1:]))
-    )
+    """``score_groups`` for one group: its completions against one ground truth."""
+    return score_groups([Group(texts, fmt, space, gt, policy, thresholds)], rules)[0]
 
 
 def score_completion(

@@ -170,16 +170,16 @@ _json_values = st.recursive(
 )
 
 
-def _fails_once(monkeypatch, module, bad_id="boom"):
-    """Make ``module.score_group`` raise a non-engine error for one request id."""
-    real = module.score_group
+def _fails_once(monkeypatch, module, bad_id="boom", name="score_group"):
+    """Make ``module.<name>``, called with a request first, raise a non-engine error for one request id."""
+    real = getattr(module, name)
 
-    def flaky(req, config=None):
+    def flaky(req, *args):
         if req.request_id == bad_id:
             raise RuntimeError("engine fault")
-        return real(req, config)
+        return real(req, *args)
 
-    monkeypatch.setattr(module, "score_group", flaky)
+    monkeypatch.setattr(module, name, flaky)
 
 
 class TestWire:
@@ -660,7 +660,7 @@ class TestBatch:
         ]
 
     def test_internal_fault_collected_and_batch_continues(self, tmp_path, rng, monkeypatch):
-        _fails_once(monkeypatch, batch_module)
+        _fails_once(monkeypatch, batch_module, name="group_response")  # each line's step after the kernel
         entries = _manifest_entries(rng, 3)
         entries[1]["request_id"] = "boom"
         manifest = tmp_path / "manifest.jsonl"
@@ -728,13 +728,13 @@ class TestBatch:
 
     def test_each_completion_parsed_once(self, tmp_path, monkeypatch):
         calls = []
-        original = rewards_module.parse_completions
+        original = rewards_module.read_completions
 
         def counting(*args, **kwargs):
             calls.extend(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(rewards_module, "parse_completions", counting)
+        monkeypatch.setattr(rewards_module, "read_completions", counting)
         manifest = Path(SRC).parent / "fixtures" / "manifest.jsonl"
         entries = [json.loads(line) for line in manifest.read_text().splitlines() if line.strip()]
         assert any(entry.get("final") for entry in entries)

@@ -32,7 +32,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def engine_cost_matrix(preds, gt, policy):
     """The engine's (cost, IoU) matrices for (label, box) predictions."""
     boxes = box_array(box for _, box in preds)
-    return cost_matrices(boxes, [label for label, _ in preds], gt, policy)[:2]
+    return cost_matrices(boxes, [label for label, _ in preds], [gt], [policy], [len(preds)])[:2]
 
 
 def _cost_matrix(preds, gt, policy):
@@ -189,6 +189,26 @@ class TestCanonicalTieBreak:
         # pred 0 is costly everywhere; the optimum must leave it out
         cost = np.array([[10.0], [0.25]])
         assert _canonical_pairs(cost) == [(1, 0)]
+
+    def test_rotation_only_when_a_real_row_can_move(self, monkeypatch):
+        import locscore.matching as matching
+
+        moved = []
+        real = matching._lexicographic_rotation
+
+        def spy(tight, assigned, m):
+            before = list(assigned)
+            real(tight, assigned, m)
+            moved.append(assigned != before)
+
+        monkeypatch.setattr(matching, "_lexicographic_rotation", spy)
+        # a unique best column: only the two padded dummy rows tie, on every column
+        for cost in (np.array([[0.2, 0.5, 0.9]]), np.array([[0.2, 0.5, 0.9], [0.7, 0.1, 0.9]])):
+            assert _canonical_pairs(cost) == reference_canonical_pairs(cost)
+        assert moved == []
+        # a real tie that the solver breaks the other way does rotate
+        assert _canonical_pairs(np.array([[0.5, 0.0], [0.5, 0.0]])) == [(0, 0), (1, 1)]
+        assert moved == [True]
 
 
 class TestOptimality:
