@@ -59,7 +59,7 @@ def _internal_error(lineno: int, exc: Exception) -> str:
     return f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _score_block(
+def _scored_block(
     pending: list[tuple], config: EngineConfig
 ) -> Iterator[tuple[int, str | tuple[ScoringRequest, bool, ScoringResponse]]]:
     """Score the groups of ``pending`` lines in one kernel call; yield each line's outcome in order.
@@ -95,7 +95,7 @@ def _score_block(
 def _scored_lines(
     handle: IO[str], config: EngineConfig
 ) -> Iterator[tuple[int, str | tuple[ScoringRequest, bool, ScoringResponse]]]:
-    """Each non-blank manifest line's number and outcome (see ``_score_block``), in line order."""
+    """Each non-blank manifest line's number and outcome (see ``_scored_block``), in line order."""
     pending: list[tuple] = []  # (line, error) or (line, request, final, group)
     groups = 0
     for lineno, line in enumerate(handle, start=1):
@@ -119,9 +119,9 @@ def _scored_lines(
             continue
         groups += 1
         if groups == BLOCK_GROUPS:
-            yield from _score_block(pending, config)
+            yield from _scored_block(pending, config)
             pending, groups = [], 0
-    yield from _score_block(pending, config)
+    yield from _scored_block(pending, config)
 
 
 def run_batch(

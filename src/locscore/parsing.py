@@ -234,14 +234,15 @@ def read_completions(
     read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
     names = {} if names is None else names
     group = ReadGroup([], [], [], [], [])
+    template_ok, entry_faults, labels, flat, sizes = group
     for text in texts:
         entries, faults = read(text, names)
-        group.template_ok.append(entries is not None)
-        group.faults.append(faults)
+        template_ok.append(entries is not None)
+        entry_faults.append(faults)
         for label, coords in entries or ():
-            group.labels.append(label)
-            group.flat.extend(coords)
-        group.sizes.append(len(entries or ()))
+            labels.append(label)
+            flat.extend(coords)
+        sizes.append(len(entries or ()))
     return group
 
 
@@ -253,9 +254,12 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     group's extent; that check also names each rejected box's fault. Each
     completion's outcome is the one it has when its group is parsed alone.
     """
-    template_ok, entry_faults, labels, flat, sizes = (
-        list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
-    )
+    if len(groups) == 1:
+        template_ok, entry_faults, labels, flat, sizes = groups[0][0]
+    else:
+        template_ok, entry_faults, labels, flat, sizes = (
+            list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
+        )
     bounds = list(accumulate(sizes, initial=0))
     coords = np.array(flat, dtype=float).reshape(-1, 4)
     extents = [(space.max_x, space.max_y) for _, space in groups]
