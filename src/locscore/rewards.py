@@ -229,7 +229,7 @@ class Group(NamedTuple):
     thresholds: ThresholdTriple
 
 
-def _per_row(values: list, owner: np.ndarray | None):
+def _per_row(values: Sequence, owner: np.ndarray | None):
     """Each row's value from its group's ``values``; one group's value as it is."""
     return values[0] if owner is None else np.array(values)[owner]
 
@@ -251,13 +251,13 @@ def _ground_truth_rows(
         return rows, boxes
     owner = None if len(groups) == 1 else np.searchsorted(group_rows, rows, side="right") - 1
     ones = np.ones(4)
-    factors = [
+    multipliers, divisors = zip(*(
         conversion_factors(group.space, group.gt.space) if move else (ones, ones)
         for group, move in zip(groups, moved)
-    ]
-    boxes = boxes * _per_row([m for m, _ in factors], owner) / _per_row([d for _, d in factors], owner)
-    extents = [(group.gt.space.max_x, group.gt.space.max_y) for group in groups]
-    kept, _ = _box_faults(boxes, _per_row([x for x, _ in extents], owner), _per_row([y for _, y in extents], owner))
+    ))
+    boxes = boxes * _per_row(multipliers, owner) / _per_row(divisors, owner)
+    max_x, max_y = zip(*((group.gt.space.max_x, group.gt.space.max_y) for group in groups))
+    kept, _ = _box_faults(boxes, _per_row(max_x, owner), _per_row(max_y, owner))
     if not all(moved):
         kept |= ~_per_row(moved, owner)
     return rows[kept], boxes[kept]

@@ -122,7 +122,9 @@ def _group(entries, n_gt, completions=2):
 def test_blocks_close_at_the_cell_budget(monkeypatch):
     sizes = []
     real = rewards_module._score_block
-    monkeypatch.setattr(rewards_module, "_score_block", lambda block, rules: sizes.append(len(block)) or real(block, rules))
+    monkeypatch.setattr(
+        rewards_module, "_score_block", lambda block, rules: sizes.append(len(block)) or real(block, rules)
+    )
     small, big, negative = _group(5, 5), _group(15, 5), _group(5, 0)  # 50, 150 and 0 cells
     with cell_budget(100):
         score_groups([small, small, small, negative, big, small])
@@ -149,10 +151,15 @@ def test_run_batch_gives_the_kernel_blocks_of_at_most_64_groups(tmp_path, monkey
     (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
     sizes = []
     real = batch_module.score_groups
-    monkeypatch.setattr(batch_module, "score_groups", lambda groups, rules: sizes.append(len(groups)) or real(groups, rules))
+    monkeypatch.setattr(
+        batch_module, "score_groups", lambda groups, rules: sizes.append(len(groups)) or real(groups, rules)
+    )
     report = run_batch(tmp_path / "manifest.jsonl", tmp_path / "out")
     assert sizes == [64, 64, 22]
-    assert report["groups"] == 150 and report["errors"] == [{"line": 71, "error": "invalid JSON: Expecting property name enclosed in double quotes at position 1"}]
+    assert report["groups"] == 150
+    assert report["errors"] == [
+        {"line": 71, "error": "invalid JSON: Expecting property name enclosed in double quotes at position 1"}
+    ]
 
 
 def test_kernel_fault_lands_on_its_own_line(tmp_path, monkeypatch):
