@@ -1,6 +1,6 @@
 """Reward scoring engine for group-relative RL on object-localization output."""
 
-from .config import EngineConfig, config_from_dict, load_config
+from .config import EngineConfig, config_from_dict, config_to_dict, load_config
 from .curation import (
     MixtureResult,
     MixtureSpec,
@@ -33,11 +33,9 @@ from .geometry import (
     validate_box,
 )
 from .grpo import (
-    GroupScore,
     KlMode,
     LogProbRecord,
     group_advantages,
-    group_score,
     grpo_objective,
     kl_estimate,
 )
@@ -49,7 +47,7 @@ from .matching import (
     assignment_cost,
     match,
 )
-from .metrics import EvalDataset, EvalImage, EvalResult, evaluate, per_image_counts
+from .metrics import EvalDataset, EvalImage, EvalResult, evaluate
 from .parsing import (
     CompletionFormat,
     FormatKind,
@@ -66,7 +64,6 @@ from .rewards import (
     RewardRules,
     ThresholdTriple,
     differentiate,
-    dual_format_reward,
     phase_thresholds,
     precision_reward,
     recall_reward,
@@ -75,4 +72,18 @@ from .rewards import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EngineConfig", "config_from_dict", "config_to_dict", "load_config", "MixtureResult",
+    "MixtureSpec", "PromptStyle", "Sample", "TaskKind", "classify_difficulty", "render_prompt",
+    "sample_mixture", "EngineError", "GroupTooSmallError", "InvalidBoxError",
+    "InvalidConfigError", "LengthMismatchError", "MalformedRequestError", "NonFiniteInputError",
+    "SpaceMismatchError", "UnknownStyleError", "Box", "CoordinateSpace", "SpaceKind", "iou",
+    "pixel_space", "thousandths_space", "to_space", "validate_box", "KlMode", "LogProbRecord",
+    "group_advantages", "grpo_objective", "kl_estimate", "GroundTruthInstance",
+    "GroundTruthSet", "MatchedPrediction", "MatcherPolicy", "assignment_cost", "match",
+    "EvalDataset", "EvalImage", "EvalResult", "evaluate", "CompletionFormat", "FormatKind",
+    "ParseOutcome", "RawPrediction", "emit_plain", "emit_structured", "extract_objects",
+    "parse_completion", "PhaseConfig", "RewardBreakdown", "RewardRules", "ThresholdTriple",
+    "differentiate", "phase_thresholds", "precision_reward", "recall_reward",
+    "score_completion",
+]

@@ -4,8 +4,8 @@ Each box rule is written once, as a kernel over (n, 4) corner arrays:
 ``validate_boxes`` (the invariants), one IoU formula behind ``iou_matrix``
 (every pair of two sets) and ``iou_pairs`` (box against box at the same
 position), and ``to_space_array`` (conversion, whose factors
-``conversion_factors`` gives per space pair). ``validate_box``,
-``structural_fault``, ``iou`` and ``to_space`` are one-row calls into them.
+``conversion_factors`` gives per space pair). ``validate_box``, ``iou`` and
+``to_space`` are one-row calls into them.
 """
 
 from __future__ import annotations
@@ -160,11 +160,6 @@ def _checked_rows(
     rows = np.array(coords, dtype=float if floats else object)
     with np.errstate(invalid="ignore"):  # comparing a NaN held as an object sets the invalid flag
         return rows, _box_faults(rows, max_x, max_y)[1]
-
-
-def structural_fault(box: Box) -> str | None:
-    """First space-independent invariant the box violates, or ``None``."""
-    return _checked_rows(box)[1].get(0)
 
 
 def validate_box(box: Box, space: CoordinateSpace) -> tuple[bool, str | None]:

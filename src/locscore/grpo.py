@@ -163,36 +163,3 @@ def grpo_objective(
     clip_range: float | None = None,
 ) -> float:
     return grpo_objective_detailed(records, advantages, beta, kl_mode, clip_range).objective
-
-
-@dataclass(frozen=True)
-class GroupScore:
-    """Rewards, advantages, and objective value for one completion group."""
-
-    rewards: tuple[float, ...]
-    advantages: tuple[float, ...]
-    kl_values: tuple[float, ...]
-    objective: float | None
-    beta: float
-
-
-def group_score(
-    rewards: Sequence[float],
-    records: Sequence[LogProbRecord] | None = None,
-    beta: float = DEFAULT_BETA,
-    kl_mode: KlMode = KlMode.K3,
-    epsilon: float = DEFAULT_EPSILON,
-    clip_range: float | None = None,
-) -> GroupScore:
-    """Advantages for a reward group, plus the objective when log-probs exist."""
-    advantages = group_advantages(rewards, epsilon)
-    if records is None:
-        return GroupScore(tuple(map(float, rewards)), tuple(advantages), (), None, beta)
-    detailed = grpo_objective_detailed(records, advantages, beta, kl_mode, clip_range)
-    return GroupScore(
-        tuple(map(float, rewards)),
-        tuple(advantages),
-        detailed.kl_values,
-        detailed.objective,
-        beta,
-    )

@@ -26,4 +26,10 @@ from .wire import (
     response_to_dict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ImageAnnotation", "convert_coco_layout", "corpus_from_annotations", "load_annotations",
+    "load_corpus", "load_predictions", "to_eval_dataset", "write_annotations", "write_corpus",
+    "run_batch", "handle_request_line", "handle_request_object", "score_group", "run_service",
+    "SampleSpec", "ScoringRequest", "ScoringResponse", "WIRE_VERSION", "dump_line",
+    "parse_request", "parse_response", "request_to_dict", "response_to_dict",
+]

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 from ..config import phase_from_dict, phase_to_dict
 from ..curation import TaskKind
 from ..errors import FieldError, MalformedRequestError
-from ..fields import REQUIRED, read_field, read_id, read_numbers, read_strings
+from ..fields import REQUIRED, read_field, read_id, read_number_rows, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthSet, MatcherPolicy
@@ -78,10 +78,15 @@ def parse_space(data: Mapping[str, Any]) -> CoordinateSpace:
 
 
 def parse_objects(data: Mapping[str, Any], key: str) -> list[tuple[str, Box]]:
-    """The optional ``[{"label", "bbox"}]`` array ``data[key]`` as (label, box) pairs."""
+    """The optional ``[{"label", "bbox"}]`` array ``data[key]`` as (label, box) pairs.
+
+    Every ``bbox`` is read at once; the first bad entry, label before box,
+    names the fault.
+    """
+    entries = object_array(data, key)
     return [
-        (read_field(entry, "label", str), Box(*read_numbers(entry, "bbox", 4)))
-        for entry in object_array(data, key)
+        (read_field(entry, "label", str), Box(*(coords or read_numbers(entry, "bbox", 4))))
+        for entry, coords in zip(entries, read_number_rows(entries, "bbox", 4))
     ]
 
 

@@ -30,7 +30,6 @@ reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -159,31 +158,6 @@ def _greedy_flags(
         used[rows, pair_gt[pick[rows, cols]]] = True
         flags[:, order[first:last]] = hit
     return flags
-
-
-def per_image_counts(
-    predictions: Sequence[tuple[str, Box]],
-    gt: GroundTruthSet,
-    iou_threshold: float,
-) -> tuple[int, int, int]:
-    """Greedy TP/FP/FN counts for one image at one IoU threshold.
-
-    Predictions are matched in rank order against the ground truths of their
-    own label (see ``_greedy_flags``), with no per-image cut.
-    """
-    coords = box_array(box for _, box in predictions)
-    for row, reason in _box_faults(coords, math.inf, math.inf)[1].items():  # the first one
-        raise InvalidBoxError(f"invalid box {predictions[row][1].coords()}: {reason}")
-    keys = {label: normalize_label(label) for label in {label for label, _ in predictions}}
-    block = {key: index for index, key in enumerate(dict.fromkeys([*gt.label_keys, *keys.values()]))}
-    det_keys = np.array([block[keys[label]] for label, _ in predictions], dtype=np.intp)
-    gt_keys = np.array([block[key] for key in gt.label_keys], dtype=np.intp)
-    gt_order = np.argsort(gt_keys, kind="stable")
-    flags = _greedy_flags(
-        det_keys, _block_ranks(det_keys), coords, gt_keys[gt_order], gt.coords[gt_order], (iou_threshold,)
-    )
-    tp = int(flags.sum())
-    return tp, len(predictions) - tp, len(gt.instances) - tp
 
 
 def _average_precision(flags: np.ndarray, npos: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,7 @@ Entries that are well formed but carry an invalid box are retained (marked
 ``read_completions`` reads a group's completions into entries, and
 ``parse_block`` holds the entries of a block of read groups as one (n, 4)
 array, validated once, vectorised, each row against its own group's extent;
-``parse_completions`` is the two for one group and ``parse_completion`` for a
-single completion.
+``parse_completion`` is the two for a single completion.
 """
 
 from __future__ import annotations
@@ -281,20 +280,13 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, box_faults)
 
 
-def parse_completions(
-    texts: Sequence[str], fmt: CompletionFormat, space: CoordinateSpace
-) -> ParsedGroup:
-    """Parse every completion of a group; never raises (``parse_block`` of one group)."""
-    return parse_block([(read_completions(texts, fmt), space)])
-
-
 def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -> ParseOutcome:
     """Parse one raw completion into predictions plus the two validity flags.
 
     Deterministic and total: every malformation is reported through the flags
     and diagnostics, never an exception.
     """
-    return parse_completions([text], fmt, space).outcome(0)
+    return parse_block([(read_completions([text], fmt), space)]).outcome(0)
 
 
 def extract_objects(outcome: ParseOutcome) -> list[tuple[str, Box]]:

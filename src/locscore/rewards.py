@@ -17,8 +17,7 @@ schedule that switches at a configured fraction of training progress.
 box of the block is parsed and validated once as one array, moved into its
 ground-truth space together, and matched through one IoU buffer in which
 each row meets only its own group's ground truths, sliced per completion.
-``score_completions`` is that kernel for one group and ``score_completion``
-for one completion.
+``score_completion`` is that kernel for one completion.
 """
 
 from __future__ import annotations
@@ -100,11 +99,6 @@ def differentiate(x: float, xi1: float, xi2: float) -> float:
     if x < xi1:
         return 0.0
     return x
-
-
-def dual_format_reward(outcome: ParseOutcome) -> float:
-    """1 only when both the template and content checks pass."""
-    return 1.0 if outcome.template_ok and outcome.content_ok else 0.0
 
 
 def _valid_ious(
@@ -338,19 +332,6 @@ def score_groups(
     return scored
 
 
-def score_completions(
-    texts: Sequence[str],
-    fmt: CompletionFormat,
-    space: CoordinateSpace,
-    gt: GroundTruthSet,
-    policy: MatcherPolicy,
-    thresholds: ThresholdTriple,
-    rules: RewardRules = RewardRules(),
-) -> tuple[RewardBreakdown, ...]:
-    """``score_groups`` for one group: its completions against one ground truth."""
-    return score_groups([Group(texts, fmt, space, gt, policy, thresholds)], rules)[0]
-
-
 def score_completion(
     text: str,
     fmt: CompletionFormat,
@@ -367,5 +348,5 @@ def score_completion(
     extracted boxes are converted to the ground-truth space before matching.
     Pure in all arguments.
     """
-    thresholds = phase_thresholds(cfg, progress)
-    return score_completions([text], fmt, space, gt, policy, thresholds, rules)[0]
+    group = Group([text], fmt, space, gt, policy, phase_thresholds(cfg, progress))
+    return score_groups([group], rules)[0][0]

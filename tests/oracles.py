@@ -256,39 +256,12 @@ def reference_evaluate(predictions, images, thresholds, max_dets: int = 100):
     }
 
 
-def reference_image_counts(predictions, gts, threshold):
-    """(TP, FP, FN) for one image: per label, rank-order greedy matching.
-
-    ``predictions`` and ``gts`` are lists of (label, (x1, y1, x2, y2)); every
-    prediction counts, with no per-image cap.
-    """
-    tp = 0
-    for cat in {_norm(label) for label, _ in gts}:
-        cat_gts = [box for label, box in gts if _norm(label) == cat]
-        taken = set()
-        for label, det in predictions:
-            if _norm(label) != cat:
-                continue
-            best_j = -1
-            best_v = -1.0
-            for j, gt_box in enumerate(cat_gts):
-                if j in taken:
-                    continue
-                v = iou_xyxy(det, gt_box)
-                if v > best_v:
-                    best_j, best_v = j, v
-            if best_j >= 0 and best_v >= threshold:
-                taken.add(best_j)
-                tp += 1
-    return tp, len(predictions) - tp, len(gts) - tp
-
-
 def reference_breakdowns(texts, fmt, space, gt, policy, thresholds, rules):
     """Each completion scored on its own, box by box: ``parse_completion``,
     ``extract_objects``, ``to_space_xyxy`` (dropping boxes that conversion
     makes invalid in the ground-truth space), ``match`` and ``score_matches``.
     Returns (breakdown, objects in ground-truth space) per completion: the
-    slow reference for ``rewards.score_completions``.
+    slow reference for ``rewards.score_groups``.
     """
     out = []
     for text in texts:

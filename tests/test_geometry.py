@@ -23,7 +23,6 @@ from locscore.geometry import (
     box_array,
     iou_matrix,
     iou_pairs,
-    structural_fault,
     to_space_array,
     validate_boxes,
 )
@@ -222,11 +221,15 @@ class TestToSpace:
 
 
 def test_structural_fault_messages():
-    assert structural_fault(Box(0, 0, 10, 10)) is None
-    assert "finite" in structural_fault(Box(0, 0, math.inf, 10))
-    assert "negative" in structural_fault(Box(-1, 0, 10, 10))
-    assert "x2" in structural_fault(Box(10, 0, 10, 10))
-    assert "y2" in structural_fault(Box(0, 10, 10, 10))
+    assert iou(Box(0, 0, 10, 10), Box(0, 0, 10, 10)) == 1.0
+    for box, reason in [
+        (Box(0, 0, math.inf, 10), "finite"),
+        (Box(-1, 0, 10, 10), "negative"),
+        (Box(10, 0, 10, 10), "x2"),
+        (Box(0, 10, 10, 10), "y2"),
+    ]:
+        with pytest.raises(InvalidBoxError, match=reason):
+            iou(box, box)
 
 
 SPACES = [pixel_space(640, 480), thousandths_space(640, 480), pixel_space(1, 1), pixel_space(3, 1000)]
@@ -334,9 +337,9 @@ _INTS = st.one_of(st.integers(0, 2000), st.integers(2**53 - 4, 2**53 + 4), st.in
 
 
 class TestOneBoxForms:
-    """``validate_box``, ``structural_fault``, ``iou`` and ``to_space`` are one-row
-    calls into the kernels; on a box with integer coordinates they still do
-    Python's exact arithmetic, as the scalar references do."""
+    """``validate_box``, ``iou`` and ``to_space`` are one-row calls into the
+    kernels; on a box with integer coordinates they still do Python's exact
+    arithmetic, as the scalar references do."""
 
     SPACES = [pixel_space(2**53 + 2, 3), thousandths_space(1333, 777), pixel_space(640, 480)]
 
@@ -346,7 +349,13 @@ class TestOneBoxForms:
         box = Box(*coords)
         fault = box_fault_xyxy(coords, space.max_x, space.max_y)
         assert validate_box(box, space) == (fault is None, fault)
-        assert structural_fault(box) == box_fault_xyxy(coords)
+        structural = box_fault_xyxy(coords)
+        if structural is None:
+            iou(box, box)
+        else:
+            with pytest.raises(InvalidBoxError) as raised:
+                iou(box, box)
+            assert str(raised.value) == f"invalid box {box.coords()}: {structural}"
 
     @given(st.lists(_INTS, min_size=8, max_size=8))
     @settings(max_examples=300)

@@ -12,7 +12,6 @@ from locscore import (
     LogProbRecord,
     NonFiniteInputError,
     group_advantages,
-    group_score,
     grpo_objective,
     kl_estimate,
 )
@@ -203,17 +202,3 @@ class TestObjective:
     def test_overflow_raises_instead_of_infinity(self, rec, kl_mode, beta):
         with pytest.raises(NonFiniteInputError, match="KL estimate or objective overflows float64"):
             grpo_objective_detailed([rec, record([-1.0])], [1.0, -1.0], beta, kl_mode)
-
-
-class TestGroupScore:
-    def test_without_records(self):
-        score = group_score([1.0, 2.0, 3.0])
-        assert score.objective is None
-        assert len(score.advantages) == 3
-
-    def test_with_records(self):
-        records = [record([-1.0]), record([-2.0]), record([-1.5])]
-        score = group_score([0.0, 1.0, 2.0], records, beta=0.2)
-        assert score.objective is not None
-        assert len(score.kl_values) == 3
-        assert score.kl_values == (0.0, 0.0, 0.0)

@@ -394,8 +394,8 @@ class TestService:
         assert responses[2]["rewards"][0]["dual_format"] == 0.0
 
     @pytest.mark.parametrize(
-        "bad",
-        [
+        "bad, detail",
+        [(bad, None) for bad in [
             make_request_dict(request_id="bad", phase={"step_fraction": None}),
             _with_sample(width=10**400),
             _with_sample(width=10**300, height=10**300),
@@ -421,6 +421,14 @@ class TestService:
             _with_sample(task=None),
             _with_sample(task="segmentation"),
             make_request_dict(request_id="bad", advantages=1),
+        ]] + [
+            # two bad ground-truth entries: the first one names the fault
+            (make_request_dict(request_id="bad", gt=[{"label": 7, "bbox": [0, 0, 1, 1]},
+                                                     {"label": "cat", "bbox": [0, 0, "1", 1]}]),
+             "field 'label' must be str"),
+            (make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [0, 0, "1", 1]},
+                                                     {"label": 7, "bbox": [0, 0, 1, 1]}]),
+             "field 'bbox' must be an array of four finite numbers"),
         ],
         ids=[
             "step-fraction-null",
@@ -445,9 +453,11 @@ class TestService:
             "task-null",
             "task-unknown",
             "advantages-one",
+            "gt-bad-label-then-bad-bbox",
+            "gt-bad-bbox-then-bad-label",
         ],
     )
-    def test_malformed_request_between_good_ones(self, bad):
+    def test_malformed_request_between_good_ones(self, bad, detail):
         lines = [
             json.dumps(make_request_dict(request_id="before")),
             json.dumps(bad),
@@ -458,6 +468,7 @@ class TestService:
         assert responses[0]["ok"] and responses[2]["ok"]
         assert responses[1]["ok"] is False
         assert responses[1]["error"]["kind"] == "malformed-request"
+        assert detail in (None, responses[1]["error"]["detail"])
 
     def test_task_is_decoded_once_as_a_name(self):
         from locscore import TaskKind

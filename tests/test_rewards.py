@@ -12,7 +12,6 @@ from locscore import (
     PhaseConfig,
     ThresholdTriple,
     differentiate,
-    dual_format_reward,
     match,
     parse_completion,
     phase_thresholds,
@@ -28,8 +27,9 @@ from locscore.parsing import PLAIN_FORMAT, STRUCTURED_FORMAT, emit_structured
 from locscore.rewards import (
     ADVANCED_THRESHOLDS,
     BEGINNER_THRESHOLDS,
+    Group,
     RewardRules,
-    score_completions,
+    score_groups,
 )
 
 from conftest import random_box, random_gt
@@ -100,7 +100,7 @@ def completion_objects(text, space, gt_space):
     """One structured completion scored alone: its breakdown and its objects in
     the ground-truth space, as (label, Box) pairs."""
     gt = GroundTruthSet((), gt_space)
-    breakdown, = score_completions([text], STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER)
+    breakdown, = score_groups([Group([text], STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER)])[0]
     labels, boxes = breakdown.objects
     return breakdown, [(label, Box(*row)) for label, row in zip(labels, boxes.tolist())]
 
@@ -147,14 +147,13 @@ class TestCompletionObjects:
 
 class TestDualFormat:
     def test_both_flags_required(self):
-        good = parse_completion("[]", STRUCTURED_FORMAT, SPACE)
-        assert dual_format_reward(good) == 1.0
-        bad_content = parse_completion(
-            '[{"bbox_2d": [0, 0, 700, 100], "label": "cat"}]', STRUCTURED_FORMAT, SPACE
-        )
-        assert dual_format_reward(bad_content) == 0.0
-        bad_template = parse_completion("nope", STRUCTURED_FORMAT, SPACE)
-        assert dual_format_reward(bad_template) == 0.0
+        gt = GroundTruthSet((), SPACE)
+        good = score_completion("[]", STRUCTURED_FORMAT, SPACE, gt)
+        assert good.dual_format == 1.0
+        bad_content = '[{"bbox_2d": [0, 0, 700, 100], "label": "cat"}]'
+        assert parse_completion(bad_content, STRUCTURED_FORMAT, SPACE).template_ok
+        assert score_completion(bad_content, STRUCTURED_FORMAT, SPACE, gt).dual_format == 0.0
+        assert score_completion("nope", STRUCTURED_FORMAT, SPACE, gt).dual_format == 0.0
 
 
 class TestRecallReward:
@@ -425,7 +424,7 @@ class TestGroupKernel:
     @given(scoring_groups())
     @settings(max_examples=300, deadline=None)
     def test_kernel_equals_per_box_path(self, case):
-        got = score_completions(*case)
+        got = score_groups([Group(*case[:6])], case[6])[0]
         expected = reference_breakdowns(*case)
         # repr shows every float exactly, so equal reprs mean bit-identical rewards
         assert [repr(b) for b in got] == [repr(b) for b, _ in expected]
@@ -452,4 +451,6 @@ class TestGroupKernel:
     def test_invalid_thresholds_rejected(self):
         gt = GroundTruthSet((), SPACE)
         with pytest.raises(InvalidConfigError):
-            score_completions(["[]"], STRUCTURED_FORMAT, SPACE, gt, MatcherPolicy.BOX_ONLY, ThresholdTriple(0.0, 0.5, 0.75))
+            score_groups(
+                [Group(["[]"], STRUCTURED_FORMAT, SPACE, gt, MatcherPolicy.BOX_ONLY, ThresholdTriple(0.0, 0.5, 0.75))]
+            )
