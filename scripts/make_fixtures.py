@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the bundled fixture set (annotations, manifest, corpus, golden).
 
+    python scripts/make_fixtures.py [--out DIR]
+
 Deterministic in SEED. The golden evaluation numbers are produced by the
 slow reference implementation in tests/oracles.py, never by the engine
 itself, so the batch path is checked against an independent computation.
@@ -8,6 +10,7 @@ itself, so the batch path is checked against an independent computation.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -54,9 +57,12 @@ def jitter(rng: random.Random, box: Box) -> Box:
     return Box(float(x1), float(y1), float(x2), float(y2))
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=FIXTURES, help="directory to write (default: fixtures)")
+    out = parser.parse_args(argv).out
     rng = random.Random(SEED)
-    FIXTURES.mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
 
     annotations = []
     manifest = []
@@ -111,15 +117,15 @@ def main() -> None:
         scenes.append((image_id, [(label, box.coords()) for label, box in gts]))
         final_predictions[image_id] = [(label, box.coords()) for label, box in jittered]
 
-    with open(FIXTURES / "annotations.jsonl", "w", encoding="utf-8") as handle:
+    with open(out / "annotations.jsonl", "w", encoding="utf-8") as handle:
         for entry in annotations:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    with open(FIXTURES / "manifest.jsonl", "w", encoding="utf-8") as handle:
+    with open(out / "manifest.jsonl", "w", encoding="utf-8") as handle:
         for entry in manifest:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
     golden = reference_evaluate(final_predictions, scenes, IOU_THRESHOLDS)
-    with open(FIXTURES / "golden_eval.json", "w", encoding="utf-8") as handle:
+    with open(out / "golden_eval.json", "w", encoding="utf-8") as handle:
         json.dump(
             {
                 "map_5095": golden["map"],
@@ -219,7 +225,7 @@ def main() -> None:
                         "is_negative": False,
                     }
                 )
-    with open(FIXTURES / "corpus.jsonl", "w", encoding="utf-8") as handle:
+    with open(out / "corpus.jsonl", "w", encoding="utf-8") as handle:
         for entry in corpus:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
 

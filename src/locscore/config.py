@@ -7,9 +7,10 @@ Precedence is request-level override > config file > built-in defaults
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import InvalidConfigError
 from .fields import read_field, read_numbers
@@ -130,11 +131,6 @@ def config_to_dict(config: EngineConfig) -> dict[str, Any]:
         "kl_mode": config.kl_mode.value,
         "epsilon": config.epsilon,
         "clip_range": config.clip_range,
-        "rules": {
-            "require_label_match": config.rules.require_label_match,
-            "use_dual_format": config.rules.use_dual_format,
-            "use_recall": config.rules.use_recall,
-            "use_precision": config.rules.use_precision,
-        },
+        "rules": {f.name: getattr(config.rules, f.name) for f in fields(RewardRules)},
     }
 

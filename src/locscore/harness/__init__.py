@@ -1,13 +1,12 @@
 """Outer shell: wire protocol, streaming service, batch scoring, CLI."""
 
 from .annotations import (
-    ImageAnnotation,
     convert_coco_layout,
     corpus_from_annotations,
+    dataset_from_images,
     load_annotations,
     load_corpus,
     load_predictions,
-    to_eval_dataset,
     write_annotations,
     write_corpus,
 )
@@ -27,8 +26,8 @@ from .wire import (
 )
 
 __all__ = [
-    "ImageAnnotation", "convert_coco_layout", "corpus_from_annotations", "load_annotations",
-    "load_corpus", "load_predictions", "to_eval_dataset", "write_annotations", "write_corpus",
+    "convert_coco_layout", "corpus_from_annotations", "dataset_from_images", "load_annotations",
+    "load_corpus", "load_predictions", "write_annotations", "write_corpus",
     "run_batch", "handle_request_line", "handle_request_object", "score_group", "run_service",
     "SampleSpec", "ScoringRequest", "ScoringResponse", "WIRE_VERSION", "dump_line",
     "parse_request", "parse_response", "request_to_dict", "response_to_dict",

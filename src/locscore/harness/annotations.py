@@ -12,35 +12,18 @@ xywh boxes) is provided under the ``convert`` subcommand.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
 from ..curation import Sample, TaskKind
 from ..errors import FieldError
 from ..fields import read_field, read_id, read_numbers, read_strings
-from ..geometry import Box, CoordinateSpace, SpaceKind, pixel_space
+from ..geometry import Box, SpaceKind, pixel_space
 from ..matching import GroundTruthSet
 from ..metrics import EvalDataset, EvalImage
 from . import wire
 from .engine import decode_line
-
-
-@dataclass(frozen=True)
-class ImageAnnotation:
-    image_id: str
-    width: int
-    height: int
-    instances: tuple[tuple[str, Box], ...]
-    gt: GroundTruthSet = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # built, and its boxes checked against the image, once
-        object.__setattr__(self, "gt", GroundTruthSet.from_pairs(self.instances, self.space()))
-
-    def space(self) -> CoordinateSpace:
-        return pixel_space(self.width, self.height)
 
 
 def _read_jsonl(path: str | Path, what: str, decode: Callable[[Mapping[str, Any]], Any]) -> list:
@@ -61,34 +44,39 @@ def _read_jsonl(path: str | Path, what: str, decode: Callable[[Mapping[str, Any]
     return out
 
 
-def _annotation_from_dict(data: Mapping[str, Any]) -> ImageAnnotation:
+def write_jsonl(path: str | Path, entries: Iterable[Mapping[str, Any]]) -> None:
+    """Write each entry as one ``dump_line`` line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for entry in entries:
+            handle.write(wire.dump_line(entry))
+            handle.write("\n")
+
+
+def _image(image_id: str, width: int, height: int, pairs: Iterable[tuple[str, Box]]) -> EvalImage:
+    """An annotated image in pixel space; its ground truth is built, and checked against it, once."""
+    space = pixel_space(width, height)
+    return EvalImage(image_id, space, GroundTruthSet.from_pairs(pairs, space))
+
+
+def _image_from_dict(data: Mapping[str, Any]) -> EvalImage:
     image_id = read_id(data, "image_id")
     space = wire.parse_space(data)
     if space.kind is not SpaceKind.PIXELS:
         raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
-    instances = tuple(wire.parse_objects(data, "instances"))
-    return ImageAnnotation(image_id, space.width, space.height, instances)
+    return _image(image_id, space.width, space.height, wire.parse_objects(data, "instances"))
 
 
-def load_annotations(path: str | Path) -> list[ImageAnnotation]:
-    return _read_jsonl(path, "annotation", _annotation_from_dict)
+def load_annotations(path: str | Path) -> list[EvalImage]:
+    return _read_jsonl(path, "annotation", _image_from_dict)
 
 
-def write_annotations(annotations: Sequence[ImageAnnotation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for ann in annotations:
-            handle.write(
-                json.dumps(
-                    {
-                        "image_id": ann.image_id,
-                        "width": ann.width,
-                        "height": ann.height,
-                        "instances": wire.objects_to_list(ann.instances),
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
+def write_annotations(images: Sequence[EvalImage], path: str | Path) -> None:
+    entries = (
+        {"image_id": image.image_id, "width": image.space.width, "height": image.space.height,
+         "instances": wire.objects_to_list(image.gt.instances)}
+        for image in images
+    )
+    write_jsonl(path, entries)
 
 
 def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
@@ -101,10 +89,6 @@ def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
         for key, indices in image.gt.by_label.items():
             categories.setdefault(key, image.gt.instances[indices[0]].label)
     return EvalDataset(images=tuple(images), categories=tuple(sorted(categories.values())))
-
-
-def to_eval_dataset(annotations: Sequence[ImageAnnotation]) -> EvalDataset:
-    return dataset_from_images([EvalImage(a.image_id, a.space(), a.gt) for a in annotations])
 
 
 def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
@@ -127,16 +111,15 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
             by_image.setdefault(read_id(ann, "image_id"), []).append(
                 (categories[category], Box(x, y, x + w, y + h))
             )
-        annotations = []
+        images = []
         for img in wire.object_array(data, "images"):
             image_id = read_id(img, "id")
             space = wire.parse_space(img)
-            instances = tuple(by_image.get(image_id, []))
-            annotations.append(ImageAnnotation(image_id, space.width, space.height, instances))
+            images.append(_image(image_id, space.width, space.height, by_image.get(image_id, [])))
     except ValueError as exc:
         raise ValueError(f"{src}: {exc}") from None
-    write_annotations(annotations, dst)
-    return len(annotations)
+    write_annotations(images, dst)
+    return len(images)
 
 
 def _predictions_from_dict(data: Mapping[str, Any]) -> tuple[str, list[tuple[str, Box]]]:
@@ -149,13 +132,9 @@ def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
 
 
 def sample_to_dict(sample: Sample) -> dict[str, Any]:
+    """A corpus line: the wire sample plus ``query`` and ``is_negative``."""
     return {
-        "task": sample.task.value,
-        "image_id": sample.image_id,
-        "width": sample.gt.space.width,
-        "height": sample.gt.space.height,
-        "coord_space": sample.gt.space.kind.value,
-        "gt": wire.objects_to_list((inst.label, inst.box) for inst in sample.gt.instances),
+        **wire.sample_to_dict(sample),
         "query": list(sample.query) if isinstance(sample.query, tuple) else sample.query,
         "is_negative": sample.is_negative,
     }
@@ -169,13 +148,8 @@ def sample_from_dict(data: Mapping[str, Any]) -> Sample:
         query = read_strings(data, "query")
     if "task" not in data:  # a request may leave it out, a corpus line may not
         raise FieldError("missing field 'task'")
-    return Sample(
-        task=spec.task,
-        image_id=spec.image_id,
-        gt=spec.gt,
-        query=query,
-        is_negative=read_field(data, "is_negative", bool),
-    )
+    is_negative = read_field(data, "is_negative", bool)
+    return Sample(spec.task, spec.image_id, spec.gt, query, is_negative=is_negative)
 
 
 def load_corpus(path: str | Path) -> list[Sample]:
@@ -183,13 +157,10 @@ def load_corpus(path: str | Path) -> list[Sample]:
 
 
 def write_corpus(samples: Sequence[Sample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sample in samples:
-            handle.write(json.dumps(sample_to_dict(sample), sort_keys=True))
-            handle.write("\n")
+    write_jsonl(path, map(sample_to_dict, samples))
 
 
-def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Sample]:
+def corpus_from_annotations(images: Sequence[EvalImage]) -> list[Sample]:
     """Derive a localization corpus from plain detection annotations.
 
     Per image: one detection sample over all its categories, one grounding
@@ -198,40 +169,16 @@ def corpus_from_annotations(annotations: Sequence[ImageAnnotation]) -> list[Samp
     ``normalize_label`` are one category, spelled as first seen.
     """
     corpus: list[Sample] = []
-    for ann in annotations:
-        gt = ann.gt
+    for image in images:
+        image_id, gt = image.image_id, image.gt
         groups = [
             GroundTruthSet(tuple(gt.instances[i] for i in indices), gt.space)
             for indices in gt.by_label.values()
         ]
         labels = [members.instances[0].label for members in groups]
-        corpus.append(
-            Sample(
-                task=TaskKind.DETECTION,
-                image_id=ann.image_id,
-                gt=gt,
-                query=tuple(labels),
-                is_negative=not ann.instances,
-            )
-        )
+        corpus.append(Sample(TaskKind.DETECTION, image_id, gt, tuple(labels), is_negative=not gt.instances))
         for label, members in zip(labels, groups):
-            corpus.append(
-                Sample(
-                    task=TaskKind.GROUNDING,
-                    image_id=ann.image_id,
-                    gt=members,
-                    query=label,
-                    is_negative=False,
-                )
-            )
+            corpus.append(Sample(TaskKind.GROUNDING, image_id, members, label, is_negative=False))
             if len(members) == 1:
-                corpus.append(
-                    Sample(
-                        task=TaskKind.REC,
-                        image_id=ann.image_id,
-                        gt=members,
-                        query=f"the {label}",
-                        is_negative=False,
-                    )
-                )
+                corpus.append(Sample(TaskKind.REC, image_id, members, f"the {label}", is_negative=False))
     return corpus

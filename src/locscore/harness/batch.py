@@ -25,9 +25,10 @@ from ..metrics import EvalImage, evaluate_objects
 from ..metrics import evaluate  # looked up by perfbench/tracing.py
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
 from ..rewards import RewardBreakdown, score_groups
-from .annotations import dataset_from_images
+from .annotations import dataset_from_images, write_jsonl
 from .engine import decode_line, group_response, request_group, score_group
-from .wire import ScoringRequest, ScoringResponse, dump_line, eval_to_dict, parse_request, response_to_dict
+from .wire import ScoringRequest, ScoringResponse, eval_to_dict, parse_request, response_to_dict
+from .wire import dump_line  # looked up by perfbench/tracing.py
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ def run_batch(
                     {"line": lineno, "error": f"duplicate final entry for image {sample.image_id}"}
                 )
                 continue
-            eval_images.append(EvalImage(sample.image_id, sample.space, sample.gt))
+            eval_images.append(EvalImage(sample.image_id, sample.gt.space, sample.gt))
             final_objects[sample.image_id] = response.rewards[0].objects
 
     totals = [b.total for b in breakdowns]
@@ -185,10 +186,7 @@ def run_batch(
         else:
             report["eval"] = eval_to_dict(result)
 
-    with open(output_dir / "responses.jsonl", "w", encoding="utf-8") as handle:
-        for response_dict in responses:
-            handle.write(dump_line(response_dict))
-            handle.write("\n")
+    write_jsonl(output_dir / "responses.jsonl", responses)
     with open(output_dir / "report.json", "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

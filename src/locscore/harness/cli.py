@@ -62,7 +62,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    dataset = ann_io.to_eval_dataset(ann_io.load_annotations(args.annotations))
+    dataset = ann_io.dataset_from_images(ann_io.load_annotations(args.annotations))
     result = evaluate(ann_io.load_predictions(args.predictions), dataset)
     json.dump(eval_to_dict(result), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -86,14 +86,12 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     )
     result = sample_mixture(corpus, spec)
     style = PromptStyle(args.style)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for sample in result.samples:
-            entry = ann_io.sample_to_dict(sample)
-            entry["difficulty"] = classify_difficulty(sample)
-            entry["prompt"] = render_prompt(sample, style)
-            entry["prompt_style"] = style.value
-            handle.write(json.dumps(entry, sort_keys=True))
-            handle.write("\n")
+    entries = (
+        {**ann_io.sample_to_dict(sample), "difficulty": classify_difficulty(sample),
+         "prompt": render_prompt(sample, style), "prompt_style": style.value}
+        for sample in result.samples
+    )
+    ann_io.write_jsonl(args.out, entries)
     for shortage in result.shortages:
         print(f"shortage: {shortage}", file=sys.stderr)
     print(f"selected {len(result.samples)} samples -> {args.out}")

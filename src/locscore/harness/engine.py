@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import replace
-from typing import Any, Mapping
+from typing import Any
 
 from ..config import EngineConfig
 from ..errors import EngineError, FieldError, MalformedRequestError
@@ -53,7 +54,7 @@ def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
     return Group(
         req.completions,
         fmt,
-        replace(req.sample.space, kind=fmt.space_kind),
+        replace(req.sample.gt.space, kind=fmt.space_kind),
         req.sample.gt,
         req.matcher or config.matcher,
         phase_thresholds(req.phase or config.phase, req.progress),

@@ -8,16 +8,17 @@ full schema.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from ..config import phase_from_dict, phase_to_dict
-from ..curation import TaskKind
+from ..curation import Sample, TaskKind
 from ..errors import FieldError, MalformedRequestError
 from ..fields import REQUIRED, read_field, read_id, read_number_rows, read_numbers, read_strings
 from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
-from ..matching import GroundTruthSet, MatcherPolicy
+from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
 from ..metrics import EvalResult
 from ..parsing import CompletionFormat, FormatKind, default_format
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
@@ -27,10 +28,9 @@ WIRE_VERSION = 1
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """The query side of a scoring request: image, space, ground truth."""
+    """The query side of a scoring request: image, ground truth (which holds its space), task."""
 
     image_id: str
-    space: CoordinateSpace
     gt: GroundTruthSet
     task: TaskKind = TaskKind.DETECTION
 
@@ -90,16 +90,29 @@ def parse_objects(data: Mapping[str, Any], key: str) -> list[tuple[str, Box]]:
     ]
 
 
-def objects_to_list(pairs: Iterable[tuple[str, Box]]) -> list[dict[str, Any]]:
-    """(label, box) pairs as the array ``parse_objects`` reads."""
-    return [{"label": label, "bbox": list(box.coords())} for label, box in pairs]
+def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, Any]]:
+    """Ground-truth instances as the array ``parse_objects`` reads."""
+    return [{"label": inst.label, "bbox": list(inst.box.coords())} for inst in instances]
 
 
 def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
     image_id = read_id(data, "image_id")
     space = parse_space(data)
     gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
-    return SampleSpec(image_id, space, gt, read_field(data, "task", TaskKind, TaskKind.DETECTION))
+    return SampleSpec(image_id, gt, read_field(data, "task", TaskKind, TaskKind.DETECTION))
+
+
+def sample_to_dict(sample: SampleSpec | Sample) -> dict[str, Any]:
+    """The object ``parse_sample`` reads back as ``sample``."""
+    space = sample.gt.space
+    return {
+        "image_id": sample.image_id,
+        "width": space.width,
+        "height": space.height,
+        "coord_space": space.kind.value,
+        "task": sample.task.value,
+        "gt": objects_to_list(sample.gt.instances),
+    }
 
 
 def _parse_logprobs(data: Mapping[str, Any], n_completions: int) -> tuple[LogProbRecord, ...]:
@@ -153,14 +166,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
     data: dict[str, Any] = {
         "v": WIRE_VERSION,
         "request_id": req.request_id,
-        "sample": {
-            "image_id": req.sample.image_id,
-            "width": req.sample.space.width,
-            "height": req.sample.space.height,
-            "coord_space": req.sample.space.kind.value,
-            "task": req.sample.task.value,
-            "gt": objects_to_list((inst.label, inst.box) for inst in req.sample.gt.instances),
-        },
+        "sample": sample_to_dict(req.sample),
         "completions": list(req.completions),
         "progress": req.progress,
         "advantages": req.want_advantages,

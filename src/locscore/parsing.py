@@ -252,6 +252,9 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     once, by one check over the whole block in which each row meets its own
     group's extent; that check also names each rejected box's fault. Each
     completion's outcome is the one it has when its group is parsed alone.
+
+    Keep the one-group path (no concatenation of the read lists): it saves
+    17-68 µs per stream group (see ``matching.cost_matrices``).
     """
     if len(groups) == 1:
         template_ok, entry_faults, labels, flat, sizes = groups[0][0]

@@ -237,6 +237,9 @@ def _ground_truth_rows(
     conversion makes invalid there, by collapsing it or rounding it past the
     extent, is dropped; rows of a group whose completions already use the
     ground truth's kind are kept as they are.
+
+    Keep the one-group path (no row-to-group index): it saves time per
+    stream group (see ``matching.cost_matrices``).
     """
     rows = np.flatnonzero(parsed.valid)
     boxes = parsed.coords[rows]

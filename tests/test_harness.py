@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import locscore.harness.batch as batch_module
 import locscore.harness.engine as engine_module
 import locscore.rewards as rewards_module
-from locscore import Box, EngineConfig, PhaseConfig, pixel_space
+from locscore import Box, EngineConfig, EvalImage, GroundTruthSet, PhaseConfig, pixel_space, thousandths_space
 from locscore.config import config_from_dict, config_to_dict, load_config
+from locscore.curation import Sample, TaskKind, synthesize_negative
 from locscore.errors import InvalidConfigError, MalformedRequestError
 from locscore.harness import (
     convert_coco_layout,
@@ -30,7 +31,7 @@ from locscore.harness import (
     run_service,
     score_group,
 )
-from locscore.harness.annotations import ImageAnnotation, write_annotations
+from locscore.harness.annotations import load_corpus, write_annotations, write_corpus
 from locscore.harness.cli import _build_config, build_parser
 from locscore.harness.cli import main as cli_main
 from locscore.harness.wire import dump_line, request_to_dict
@@ -69,6 +70,12 @@ def make_request_dict(request_id="r1", completions=None, gt=None, **extra):
     }
     data.update(extra)
     return data
+
+
+def _image(image_id, pairs, width=640, height=480):
+    """An annotated image in pixel space, as ``load_annotations`` returns it."""
+    space = pixel_space(width, height)
+    return EvalImage(image_id, space, GroundTruthSet.from_pairs(pairs, space))
 
 
 def _with_sample(**fields):
@@ -469,6 +476,10 @@ class TestService:
         assert responses[1]["ok"] is False
         assert responses[1]["error"]["kind"] == "malformed-request"
         assert detail in (None, responses[1]["error"]["detail"])
+
+    def test_a_sample_that_is_no_object_is_named_by_its_kind(self):
+        reply = handle_request_line(json.dumps(make_request_dict(request_id="r", sample=[])))
+        assert reply["error"] == {"kind": "malformed-request", "detail": "field 'sample' must be Mapping"}
 
     def test_task_is_decoded_once_as_a_name(self):
         from locscore import TaskKind
@@ -871,21 +882,16 @@ class TestConfig:
 
 class TestAnnotations:
     def test_write_load_round_trip(self, tmp_path, rng):
-        annotations = [
-            ImageAnnotation(
-                image_id=f"img{i}",
-                width=640,
-                height=480,
-                instances=tuple(
-                    (rng.choice(LABELS), random_int_box(rng))
-                    for _ in range(rng.randrange(0, 4))
-                ),
+        images = [
+            _image(
+                f"img{i}",
+                [(rng.choice(LABELS), random_int_box(rng)) for _ in range(rng.randrange(0, 4))],
             )
             for i in range(4)
         ]
         path = tmp_path / "annotations.jsonl"
-        write_annotations(annotations, path)
-        assert load_annotations(path) == annotations
+        write_annotations(images, path)
+        assert load_annotations(path) == images
 
     def test_coco_conversion(self, tmp_path):
         src = tmp_path / "coco.json"
@@ -904,37 +910,46 @@ class TestAnnotations:
         assert convert_coco_layout(src, dst) == 1
         loaded = load_annotations(dst)
         assert loaded[0].image_id == "1"
-        assert loaded[0].instances == (("cat", Box(10, 20, 110, 70)),)
+        assert loaded[0] == _image("1", [("cat", Box(10, 20, 110, 70))])
 
     def test_corpus_from_annotations(self, rng):
-        annotations = [
-            ImageAnnotation(
-                image_id="img0",
-                width=640,
-                height=480,
-                instances=(("cat", random_int_box(rng)), ("dog", random_int_box(rng))),
-            )
-        ]
-        corpus = corpus_from_annotations(annotations)
+        images = [_image("img0", [("cat", random_int_box(rng)), ("dog", random_int_box(rng))])]
+        corpus = corpus_from_annotations(images)
         tasks = sorted(s.task.value for s in corpus)
         assert "object-detection" in tasks
         assert tasks.count("visual-grounding") == 2
         assert tasks.count("rec") == 2
 
+    def test_corpus_write_load_round_trip(self, tmp_path, rng):
+        images = [
+            _image(
+                f"img{i}",
+                [(rng.choice(LABELS), random_int_box(rng)) for _ in range(rng.randrange(0, 5))],
+            )
+            for i in range(8)
+        ]
+        samples = corpus_from_annotations(images + [_image("empty", [])])
+        detections = [s for s in samples if s.task is TaskKind.DETECTION]
+        samples += [synthesize_negative(s, TaskKind.GROUNDING, "zebra") for s in detections[:3]]
+        samples += [synthesize_negative(s, TaskKind.REC, "kite") for s in detections[3:5]]
+        gt = GroundTruthSet.from_pairs([("cat", Box(0.5, 1.25, 999.5, 1000))], thousandths_space(640, 480))
+        samples.append(Sample(TaskKind.REC, "img-thousandths", gt, "the cat", is_negative=False))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(samples, path)
+        assert load_corpus(path) == samples
+
     def test_corpus_groups_labels_equal_after_normalizing(self):
-        annotations = [
-            ImageAnnotation(
-                image_id="img0",
-                width=640,
-                height=480,
-                instances=(
+        images = [
+            _image(
+                "img0",
+                [
                     ("traffic  light", Box(0, 0, 10, 10)),
                     ("Traffic light", Box(20, 20, 30, 30)),
                     ("cat", Box(40, 40, 90, 90)),
-                ),
+                ],
             )
         ]
-        corpus = corpus_from_annotations(annotations)
+        corpus = corpus_from_annotations(images)
         assert [(s.task.value, s.query, len(s.gt.instances)) for s in corpus] == [
             ("object-detection", ("traffic  light", "cat"), 3),
             ("visual-grounding", "traffic  light", 2),
@@ -1028,20 +1043,15 @@ class TestCli:
     def test_cli_curate_from_annotations(self, tmp_path, rng):
         from locscore.harness.cli import main as cli_main
 
-        annotations = [
-            ImageAnnotation(
-                image_id=f"img{i}",
-                width=640,
-                height=480,
-                instances=tuple(
-                    (rng.choice(LABELS), random_int_box(rng))
-                    for _ in range(rng.randrange(1, 15))
-                ),
+        images = [
+            _image(
+                f"img{i}",
+                [(rng.choice(LABELS), random_int_box(rng)) for _ in range(rng.randrange(1, 15))],
             )
             for i in range(60)
         ]
         ann_path = tmp_path / "ann.jsonl"
-        write_annotations(annotations, ann_path)
+        write_annotations(images, ann_path)
         out = tmp_path / "mix.jsonl"
         code = cli_main(
             [
@@ -1124,19 +1134,11 @@ class TestCli:
         out = tmp_path / "native.jsonl"
         code = cli_main(["convert", "--from", "coco", str(src), str(out)])
         assert code == 0
-        assert load_annotations(out)[0].instances == (("dog", Box(5, 5, 55, 65)),)
+        assert load_annotations(out)[0] == _image("3", [("dog", Box(5, 5, 55, 65))], 320, 240)
 
     def test_cli_eval(self, tmp_path, rng):
-        annotations = [
-            ImageAnnotation(
-                image_id="img0",
-                width=640,
-                height=480,
-                instances=(("cat", Box(0, 0, 100, 100)),),
-            )
-        ]
         ann_path = tmp_path / "ann.jsonl"
-        write_annotations(annotations, ann_path)
+        write_annotations([_image("img0", [("cat", Box(0, 0, 100, 100))])], ann_path)
         pred_path = tmp_path / "pred.jsonl"
         pred_path.write_text(
             json.dumps(
@@ -1184,9 +1186,7 @@ class TestCli:
         from locscore.harness.cli import main as cli_main
 
         ann_path = tmp_path / "ann.jsonl"
-        write_annotations(
-            [ImageAnnotation("img0", 640, 480, (("cat", Box(0, 0, 100, 100)),))], ann_path
-        )
+        write_annotations([_image("img0", [("cat", Box(0, 0, 100, 100))])], ann_path)
         pred_path = tmp_path / "pred.jsonl"
         line = [] if prediction is None else {"image_id": "img0", "predictions": [prediction]}
         pred_path.write_text(json.dumps(line) + "\n")

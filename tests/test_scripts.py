@@ -1,4 +1,5 @@
-"""The demo scripts run to the end, and each golden-file script writes its committed file again, byte for byte."""
+"""The demo scripts run to the end, and each golden-file and fixture script
+writes its committed files again, byte for byte."""
 
 import os
 import subprocess
@@ -37,3 +38,16 @@ def test_golden_script_reproduces_committed_file(name, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert out.read_bytes() == (SCRIPTS.parent / "tests" / "data" / GOLDEN[name]).read_bytes()
+
+
+def test_fixture_script_reproduces_committed_fixtures(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_fixtures.py"), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    fixtures = SCRIPTS.parent / "fixtures"
+    names = ["annotations.jsonl", "corpus.jsonl", "golden_eval.json", "manifest.jsonl"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name
