@@ -1,11 +1,11 @@
 """Axis-aligned box primitives: validation, IoU, and coordinate rescaling.
 
 Each box rule is written once, as a kernel over (n, 4) corner arrays:
-``validate_boxes`` (the invariants), one IoU formula behind ``iou_matrix``
-(every pair of two sets) and ``iou_pairs`` (box against box at the same
-position), and ``to_space_array`` (conversion, whose factors
-``conversion_factors`` gives per space pair). ``validate_box``, ``iou`` and
-``to_space`` are one-row calls into them.
+``validate_boxes`` (the invariants, the package's one box check), one IoU
+formula behind ``iou_matrix`` (every pair of two sets) and ``iou_pairs``
+(box against box at the same position), and ``to_space_array`` (conversion,
+whose factors ``conversion_factors`` gives per space pair).
+``validate_box``, ``iou`` and ``to_space`` are one-row calls into them.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ _FAULTS = (
 )
 
 
-def _box_faults(
+def validate_boxes(
     coords: np.ndarray, max_x: float | np.ndarray, max_y: float | np.ndarray
 ) -> tuple[np.ndarray, dict[int, str]]:
     """The one check of the box invariants, over every row of an (n, 4) corner array.
@@ -114,7 +114,7 @@ def _box_faults(
     x1``, ``y2 > y1``, ``x2 <= max_x`` and ``y2 <= max_y``; each extent is
     one number for every row or an (n,) array of one per row. Returns the
     validity mask and, for each rejected row in row order, the first of these
-    it breaks.
+    it breaks. Degenerate boxes are rejected, never repaired.
     """
     x1, y1, x2, y2 = coords.T
     broken = [
@@ -136,20 +136,10 @@ def _box_faults(
     return valid, reasons
 
 
-def validate_boxes(coords: np.ndarray, space: CoordinateSpace) -> tuple[np.ndarray, dict[int, str]]:
-    """Check every row of an (n, 4) corner array inside ``space``.
-
-    Returns the validity mask and, for each rejected row only, the reason
-    naming the first invariant it breaks, in row order. Degenerate boxes are
-    rejected, never repaired.
-    """
-    return _box_faults(coords, space.max_x, space.max_y)
-
-
 def _checked_rows(
     *boxes: Box, max_x: float = math.inf, max_y: float = math.inf
 ) -> tuple[np.ndarray, dict[int, str]]:
-    """The boxes' own coordinates as rows, and ``_box_faults`` of them.
+    """The boxes' own coordinates as rows, and ``validate_boxes`` of them.
 
     The rows are float64 when every coordinate is a float, else the values
     themselves as objects, so that the array kernels do Python's arithmetic
@@ -159,7 +149,7 @@ def _checked_rows(
     floats = all(type(value) is float for row in coords for value in row)
     rows = np.array(coords, dtype=float if floats else object)
     with np.errstate(invalid="ignore"):  # comparing a NaN held as an object sets the invalid flag
-        return rows, _box_faults(rows, max_x, max_y)[1]
+        return rows, validate_boxes(rows, max_x, max_y)[1]
 
 
 def validate_box(box: Box, space: CoordinateSpace) -> tuple[bool, str | None]:

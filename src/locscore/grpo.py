@@ -98,7 +98,6 @@ def sequence_log_ratio(record: LogProbRecord) -> tuple[float, bool]:
 @dataclass(frozen=True)
 class ObjectiveResult:
     objective: float
-    ratios: tuple[float, ...]
     kl_values: tuple[float, ...]
     clamped_ratios: int
 
@@ -127,7 +126,6 @@ def grpo_objective_detailed(
     for advantage in advantages:
         if not math.isfinite(advantage):
             raise NonFiniteInputError("advantages must be finite")
-    ratios: list[float] = []
     kl_values: list[float] = []
     terms: list[float] = []
     clamped = 0
@@ -141,7 +139,6 @@ def grpo_objective_detailed(
         else:
             clipped = min(max(ratio, 1.0 - clip_range), 1.0 + clip_range)
             surrogate = min(ratio * advantage, clipped * advantage)
-        ratios.append(ratio)
         kl_values.append(kl)
         terms.append(surrogate - beta * kl)
     objective = sum(terms) / len(terms)
@@ -149,7 +146,6 @@ def grpo_objective_detailed(
         raise NonFiniteInputError("KL estimate or objective overflows float64")
     return ObjectiveResult(
         objective=objective,
-        ratios=tuple(ratios),
         kl_values=tuple(kl_values),
         clamped_ratios=clamped,
     )

@@ -103,7 +103,7 @@ class GroundTruthSet:
     space: CoordinateSpace
 
     def __post_init__(self) -> None:
-        for row, reason in validate_boxes(self.coords, self.space)[1].items():  # the first one
+        for row, reason in validate_boxes(self.coords, self.space.max_x, self.space.max_y)[1].items():  # the first one
             raise SpaceMismatchError(
                 f"ground-truth box {self.instances[row].box.coords()} invalid in its space: {reason}"
             )
@@ -301,16 +301,16 @@ def cost_matrices(
     labels: Sequence[str],
     gts: Sequence[GroundTruthSet],
     policies: Sequence[MatcherPolicy],
-    sizes: Sequence[int],
+    owner: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost, IoU and label-agreement matrices of (n, 4) ``boxes`` against their groups' ground truths.
 
-    The first ``sizes[0]`` rows belong to ``gts[0]`` under ``policies[0]``,
-    the next ``sizes[1]`` to ``gts[1]``, and so on. Each matrix is (n, w),
+    Row r meets ``gts[owner[r]]`` under ``policies[owner[r]]``, or ``gts[0]``
+    under ``policies[0]`` when ``owner`` is ``None``. Each matrix is (n, w),
     with w the most ground truths of any group; row r meets only its own
     group's g ground truths, in columns ``0..g-1``, and its other columns are
-    padding. One group's boxes meet ``gt.coords`` by broadcasting; several
-    groups' rows each meet their own ground truths, gathered. Either way each
+    padding. One group's boxes meet ``gt.coords`` by broadcasting; rows with
+    an ``owner`` each meet their own ground truths, gathered. Either way each
     cell holds what the group alone gives it, bit for bit. Each distinct
     label is normalized once; labels are compared as small integers (numpy
     strings drop trailing NULs).
@@ -326,13 +326,12 @@ def cost_matrices(
     keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in dict.fromkeys(labels)}
     pred_ids = np.array([keys[label] for label in labels], dtype=np.intp)
     penalized = [policy is MatcherPolicy.BOX_AND_LABEL for policy in policies]
-    if len(gts) == 1:
+    if owner is None:
         ious = iou_matrix(boxes, gts[0].coords)
         same = pred_ids[:, None] == np.array(gt_ids, dtype=np.intp)[None, :]
         penalty = LABEL_MISMATCH_PENALTY if penalized[0] else None
     else:
         counts = np.array([len(gt) for gt in gts], dtype=np.intp)
-        owner = np.repeat(np.arange(len(gts)), sizes)
         columns = np.arange(counts.max(initial=0))
         # each row's own ground truths in the concatenation; padding reads the last, empty entry
         index = np.where(
@@ -377,12 +376,12 @@ def match(
     threshold.
     """
     boxes = box_array(box for _, box in predictions)
-    for row, reason in validate_boxes(boxes, gt.space)[1].items():  # the first one
+    for row, reason in validate_boxes(boxes, gt.space.max_x, gt.space.max_y)[1].items():  # the first one
         raise SpaceMismatchError(
             f"prediction box {predictions[row][1].coords()} invalid in the ground-truth space: {reason}"
         )
     labels = [label for label, _ in predictions]
-    costs = cost_matrices(boxes, labels, [gt], [policy], [len(predictions)])
+    costs = cost_matrices(boxes, labels, [gt], [policy], None)
     assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)], [len(gt)])[0]}
     out: list[MatchedPrediction] = []
     for index, (label, box) in enumerate(predictions):

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidBoxError
-from .geometry import Box, CoordinateSpace, _box_faults, box_array, iou_pairs
+from .geometry import Box, CoordinateSpace, box_array, iou_pairs, validate_boxes
 from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
 from .parsing import normalize_label
@@ -232,7 +232,7 @@ def _evaluate(
     # every detection of every image, in rank order: one row each
     image_of = np.repeat(np.arange(len(images)), [len(names) for names in labels_per_image])
     extents = np.array([(img.space.max_x, img.space.max_y) for img in images]).reshape(-1, 2)[image_of]
-    for row, reason in _box_faults(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
+    for row, reason in validate_boxes(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
         image_id = images[image_of[row]].image_id
         raise InvalidBoxError(f"prediction box {box_text(row)} invalid in image {image_id}: {reason}")
     labels = [label for names in labels_per_image for label in names]

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fields import read_number_rows
-from .geometry import Box, CoordinateSpace, SpaceKind, _box_faults
+from .geometry import Box, CoordinateSpace, SpaceKind, validate_boxes
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -85,7 +85,6 @@ class RawPrediction:
     label: str
     coords: tuple[float, float, float, float]
     box_valid: bool
-    box_fault: str | None = None
 
     def box(self) -> Box:
         return Box(*self.coords)
@@ -197,16 +196,13 @@ class ParsedGroup:
     labels: list[str]
     coords: np.ndarray  # (n, 4) float64, each row in its group's declared space
     valid: np.ndarray  # (n,) bool: the row's box is valid in its group's declared space
-    faults: dict[int, str]  # why each invalid row is invalid
+    group: np.ndarray | None  # (n,) each row's group in the block; None for one group
 
     def outcome(self, index: int) -> ParseOutcome:
         """The ``ParseOutcome`` of completion ``index``."""
         lo, hi = self.bounds[index], self.bounds[index + 1]
-        rows = zip(range(lo, hi), self.labels[lo:hi], self.coords[lo:hi].tolist(), self.valid[lo:hi])
-        predictions = tuple(
-            RawPrediction(label, tuple(coords), bool(ok), self.faults.get(row))
-            for row, label, coords, ok in rows
-        )
+        rows = zip(self.labels[lo:hi], self.coords[lo:hi].tolist(), self.valid[lo:hi])
+        predictions = tuple(RawPrediction(label, tuple(coords), bool(ok)) for label, coords, ok in rows)
         return ParseOutcome(
             self.template_ok[index], self.content_ok[index], predictions, self.diagnostics[index]
         )
@@ -248,29 +244,30 @@ def read_completions(
 def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGroup:
     """The parse of a block of read groups, each with its declared space; never raises.
 
-    Every entry of the block is one row of one array. Each box is validated
-    once, by one check over the whole block in which each row meets its own
-    group's extent; that check also names each rejected box's fault. Each
-    completion's outcome is the one it has when its group is parsed alone.
+    Every entry of the block is one row of one array, with its group in the
+    block (``ParsedGroup.group``, the package's only row-to-group index). Each
+    box is validated once, by one check over the whole block in which each
+    row meets its own group's extent, which also names each rejected box's
+    fault. Each completion's outcome is the one it has when its group is
+    parsed alone.
 
-    Keep the one-group path (no concatenation of the read lists): it saves
-    17-68 µs per stream group (see ``matching.cost_matrices``).
+    Keep the one-group path (no concatenation of the read lists, no index):
+    it saves 17-68 µs per stream group (see ``matching.cost_matrices``).
     """
     if len(groups) == 1:
         template_ok, entry_faults, labels, flat, sizes = groups[0][0]
+        group = None
     else:
         template_ok, entry_faults, labels, flat, sizes = (
             list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
         )
+        group = np.repeat(np.arange(len(groups)), [len(read.labels) for read, _ in groups])
     bounds = list(accumulate(sizes, initial=0))
     coords = np.array(flat, dtype=float).reshape(-1, 4)
-    extents = [(space.max_x, space.max_y) for _, space in groups]
-    if len(set(extents)) == 1:
-        max_x, max_y = extents[0]
-    else:  # one extent per row
-        rows = [len(read.labels) for read, _ in groups]
-        max_x, max_y = np.repeat(np.array(extents, dtype=float).reshape(-1, 2), rows, axis=0).T
-    valid, box_faults = _box_faults(coords, max_x, max_y)
+    extents = np.array([(space.max_x, space.max_y) for _, space in groups])
+    # one group's extent for every row, or each row's own group's
+    max_x, max_y = extents[0 if group is None else group].T
+    valid, box_faults = validate_boxes(coords, max_x, max_y)
     bad: dict[int, list[str]] = {}
     for row, reason in box_faults.items():
         bad.setdefault(bisect_right(bounds, row) - 1, []).append(f"box {coords[row].tolist()}: {reason}")
@@ -280,7 +277,7 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
         boxes = bad.get(index, [])
         content_ok.append(template and not faults and not boxes)
         diagnostics.append(tuple(faults + boxes))
-    return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, box_faults)
+    return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, group)
 
 
 def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -> ParseOutcome:

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import CoordinateSpace, _box_faults, conversion_factors
+from .geometry import CoordinateSpace, conversion_factors, validate_boxes
 from .geometry import to_space  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_slices, cost_matrices
 from .matching import match  # looked up by perfbench/tracing.py
@@ -229,24 +229,24 @@ def _per_row(values: Sequence, owner: np.ndarray | None):
 
 
 def _ground_truth_rows(
-    parsed: ParsedGroup, groups: Sequence[Group], group_rows: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The block's valid rows and their boxes, each in its group's ground-truth space.
+    parsed: ParsedGroup, groups: Sequence[Group]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The block's valid rows, their boxes, each in its group's ground-truth space, and their groups.
 
-    ``group_rows`` are the groups' row bounds in ``parsed``. A box that
-    conversion makes invalid there, by collapsing it or rounding it past the
-    extent, is dropped; rows of a group whose completions already use the
-    ground truth's kind are kept as they are.
+    The groups are ``parsed.group`` at those rows (``None`` for one group).
+    A box that conversion makes invalid there, by collapsing it or rounding
+    it past the extent, is dropped; rows of a group whose completions
+    already use the ground truth's kind are kept as they are.
 
     Keep the one-group path (no row-to-group index): it saves time per
     stream group (see ``matching.cost_matrices``).
     """
     rows = np.flatnonzero(parsed.valid)
     boxes = parsed.coords[rows]
+    owner = None if parsed.group is None else parsed.group[rows]
     moved = [group.space.kind is not group.gt.space.kind for group in groups]
     if not any(moved):
-        return rows, boxes
-    owner = None if len(groups) == 1 else np.searchsorted(group_rows, rows, side="right") - 1
+        return rows, boxes, owner
     ones = np.ones(4)
     multipliers, divisors = zip(*(
         conversion_factors(group.space, group.gt.space) if move else (ones, ones)
@@ -254,10 +254,10 @@ def _ground_truth_rows(
     ))
     boxes = boxes * _per_row(multipliers, owner) / _per_row(divisors, owner)
     max_x, max_y = zip(*((group.gt.space.max_x, group.gt.space.max_y) for group in groups))
-    kept, _ = _box_faults(boxes, _per_row(max_x, owner), _per_row(max_y, owner))
+    kept, _ = validate_boxes(boxes, _per_row(max_x, owner), _per_row(max_y, owner))
     if not all(moved):
         kept |= ~_per_row(moved, owner)
-    return rows[kept], boxes[kept]
+    return rows[kept], boxes[kept], None if owner is None else owner[kept]
 
 
 def _score_block(
@@ -266,19 +266,18 @@ def _score_block(
     """The array stages of ``score_groups`` for one block of read groups."""
     groups = [group for group, _, _ in block]
     parsed = parse_block([(read, group.space) for group, read, _ in block])
-    firsts = list(accumulate((len(group.texts) for group in groups), initial=0))
-    rows, boxes = _ground_truth_rows(parsed, groups, [parsed.bounds[i] for i in firsts])
+    rows, boxes, owner = _ground_truth_rows(parsed, groups)
     labels = [parsed.labels[row] for row in rows.tolist()]
     bounds = np.searchsorted(rows, parsed.bounds).tolist()
-    starts = [bounds[i] for i in firsts]  # each group's first row, then the end
     matrices = cost_matrices(
         boxes,
         labels,
         [group.gt for group in groups],
         [group.policy for group in groups],
-        [hi - lo for lo, hi in zip(starts, starts[1:])],
+        owner,
     )
     assigned = assign_slices(*matrices, bounds, [len(group.gt) for group in groups for _ in group.texts])
+    firsts = list(accumulate((len(group.texts) for group in groups), initial=0))
     scored = []
     for (group, _, t), first, end in zip(block, firsts, firsts[1:]):
         scored.append(tuple(

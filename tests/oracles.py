@@ -345,7 +345,7 @@ def sequential_evaluate(predictions, dataset):
     for img in dataset.images:
         detections = predictions.get(img.image_id, ())
         coords = box_array(box for _, box in detections)
-        for row, reason in validate_boxes(coords, img.space)[1].items():  # the first one
+        for row, reason in validate_boxes(coords, img.space.max_x, img.space.max_y)[1].items():  # the first one
             raise InvalidBoxError(
                 f"prediction box {detections[row][1].coords()} invalid in image {img.image_id}: {reason}"
             )

@@ -19,7 +19,6 @@ from locscore import (
 from locscore.geometry import (
     CoordinateSpace,
     SpaceKind,
-    _box_faults,
     box_array,
     iou_matrix,
     iou_pairs,
@@ -279,7 +278,7 @@ class TestArrayForms:
     def test_mask_and_reasons_equal_validate_box(self, case):
         space, rows = case
         coords = np.array(rows, dtype=float).reshape(-1, 4)
-        valid, reasons = validate_boxes(coords, space)
+        valid, reasons = validate_boxes(coords, space.max_x, space.max_y)
         expected = [box_fault_xyxy(row, space.max_x, space.max_y) for row in rows]
         assert valid.tolist() == [fault is None for fault in expected]
         assert reasons == {row: fault for row, fault in enumerate(expected) if fault is not None}
@@ -294,16 +293,16 @@ class TestArrayForms:
             (-1.0, 0.0, 1.0, 1.0),
             (5.0, 0.0, 5.0, 1.0),
         ]
-        valid, reasons = validate_boxes(np.array(rows), space)
+        valid, reasons = validate_boxes(np.array(rows), space.max_x, space.max_y)
         assert valid.tolist() == [True, False, False, False, False]
         assert reasons == {row: box_fault_xyxy(rows[row], 640.0, 480.0) for row in (1, 2, 3, 4)}
         # one extent per row: each row is checked against, and named with, its own
         extents = [(640.0, 480.0), (700.0, 480.0), (1.0, 1.0), (1000.0, 1000.0), (4.0, 4.0)]
-        valid, reasons = _box_faults(np.array(rows), *np.array(extents).T)
+        valid, reasons = validate_boxes(np.array(rows), *np.array(extents).T)
         expected = [box_fault_xyxy(row, *extent) for row, extent in zip(rows, extents)]
         assert valid.tolist() == [fault is None for fault in expected] == [True, True, False, False, False]
         assert reasons == {row: fault for row, fault in enumerate(expected) if fault is not None}
-        assert _box_faults(np.array([(0.0, 0.0, 9.0, 2.0)]), np.array([8.0]), np.array([1.0]))[1] == {
+        assert validate_boxes(np.array([(0.0, 0.0, 9.0, 2.0)]), np.array([8.0]), np.array([1.0]))[1] == {
             0: "x2 = 9.0 exceeds extent 8.0"
         }
 
@@ -318,13 +317,13 @@ class TestArrayForms:
         scalar = [to_space_xyxy(box.coords(), src, dst) for box in boxes]
         assert [_bits(row) for row in moved.tolist()] == [_bits(box) for box in scalar]
         # a box that collapses on conversion is dropped, and only such a box
-        kept, _ = validate_boxes(moved, dst)
+        kept, _ = validate_boxes(moved, dst.max_x, dst.max_y)
         assert kept.tolist() == [box_fault_xyxy(box, dst.max_x, dst.max_y) is None for box in scalar]
 
     def test_collapsing_speck_is_dropped(self):
         src, dst = thousandths_space(1, 1), pixel_space(1, 1)
         moved = to_space_array(np.array([[0.0, 0.0, 5e-324, 5e-324], [0.0, 0.0, 500.0, 1000.0]]), src, dst)
-        assert validate_boxes(moved, dst)[0].tolist() == [False, True]
+        assert validate_boxes(moved, dst.max_x, dst.max_y)[0].tolist() == [False, True]
         assert moved[1].tolist() == [0.0, 0.0, 0.5, 1.0]
 
     def test_array_conversion_rejects_another_image(self):

@@ -1,5 +1,6 @@
 """The library's public surface: the README's "Library API" list, the two
-``__all__`` lists, and no public definition that nothing but a test reads."""
+``__all__`` lists, no public definition that nothing but a test reads, and no
+private name imported from one module of the package into another."""
 
 import ast
 import re
@@ -57,3 +58,18 @@ def test_every_public_definition_is_read_or_exported():
             if not any(word.search(text) for other, text in texts.items() if other != path):
                 unread.append(f"{path.relative_to(ROOT)}: {name}")
     assert unread == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A ``_``-prefixed name is private to its module: no module of the
+    package imports one from another module of the package."""
+    imported = []
+    for path in sorted((ROOT / "src" / "locscore").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "locscore":
+                continue
+            names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            imported += [f"{path.relative_to(ROOT)}: {name}" for name in names]
+    assert imported == []

@@ -145,6 +145,46 @@ class TestCompletionObjects:
         assert objects == []
 
 
+class TestEmissionOrder:
+    """The tie rule follows emission order, and can move a reward: both
+    assignments of this scene sum to IoU 0.5, but only one of them has a pair
+    at or above xi0 (docs/protocol.md, "Fixed engine conventions")."""
+
+    SCENE = pixel_space(12, 12)
+    GT = GroundTruthSet.from_pairs([("a", Box(10, 4, 12, 12)), ("a", Box(7, 10, 12, 12))], SCENE)
+    FIRST = json.dumps([{"bbox_2d": [6, 7, 12, 10], "label": "a"}, {"bbox_2d": [10, 8, 12, 12], "label": "a"}])
+    SWAPPED = json.dumps([{"bbox_2d": [10, 8, 12, 12], "label": "a"}, {"bbox_2d": [6, 7, 12, 10], "label": "a"}])
+    # (total, n_valid, recall, precision) under the beginner phase
+    EXPECTED = {FIRST: (1.0, 0, 0.0, 0.0), SWAPPED: (1.75, 1, 0.5, 0.25)}
+
+    @staticmethod
+    def _numbers(b):
+        return b.total, b.n_valid, b.recall, b.precision
+
+    def test_score_completion(self):
+        for text, expected in self.EXPECTED.items():
+            assert self._numbers(score_completion(text, STRUCTURED_FORMAT, self.SCENE, self.GT)) == expected
+
+    def test_two_group_block(self, monkeypatch):
+        import locscore.rewards as rewards_module
+
+        sizes = []
+        real = rewards_module._score_block
+        monkeypatch.setattr(
+            rewards_module, "_score_block", lambda block, rules: sizes.append(len(block)) or real(block, rules)
+        )
+        orders = [[self.FIRST, self.SWAPPED], [self.SWAPPED, self.FIRST]]
+        groups = [
+            Group(texts, STRUCTURED_FORMAT, self.SCENE, self.GT, MatcherPolicy.BOX_ONLY, BEGINNER)
+            for texts in orders
+        ]
+        scored = score_groups(groups)
+        assert sizes == [2]
+        assert [[self._numbers(b) for b in group] for group in scored] == [
+            [self.EXPECTED[text] for text in texts] for texts in orders
+        ]
+
+
 class TestDualFormat:
     def test_both_flags_required(self):
         gt = GroundTruthSet((), SPACE)
