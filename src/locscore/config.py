@@ -1,13 +1,15 @@
 """Engine configuration: defaults, JSON loading and decoding.
 
-Precedence is request-level override > config file > built-in defaults
-(box-only matcher, beginner/advanced triples, beta 0.2, k3 KL estimator).
+Precedence is request-level override > config file > ``DEFAULT_CONFIG``,
+the dataclasses' own defaults (box-only matcher, beginner/advanced
+triples, beta 0.2, k3 KL estimator). The keys a config object may hold
+are exactly those ``config_to_dict`` writes.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -17,20 +19,7 @@ from .fields import read_field, read_numbers
 from .grpo import DEFAULT_BETA, DEFAULT_EPSILON, KlMode
 from .matching import MatcherPolicy
 from .parsing import FormatKind
-from .rewards import PhaseConfig, RewardRules, ThresholdTriple
-
-_KNOWN_KEYS = {
-    "phase",
-    "matcher",
-    "format",
-    "beta",
-    "kl_mode",
-    "epsilon",
-    "clip_range",
-    "rules",
-}
-_KNOWN_PHASE_KEYS = {"beginner", "advanced", "step_fraction"}
-_KNOWN_RULE_KEYS = {f.name for f in fields(RewardRules)}
+from .rewards import PhaseConfig, RewardRules
 
 
 @dataclass(frozen=True)
@@ -57,8 +46,12 @@ class EngineConfig:
         return self
 
 
-def _check_keys(data: Mapping[str, Any], known: set[str], what: str) -> None:
-    unknown = set(data) - known
+# the default of every setting, stated once by the dataclasses' own defaults
+DEFAULT_CONFIG = EngineConfig()
+
+
+def _check_keys(data: Mapping[str, Any], known: Iterable[str], what: str) -> None:
+    unknown = set(data).difference(known)
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
@@ -67,11 +60,11 @@ def phase_from_dict(data: Mapping[str, Any]) -> PhaseConfig:
     """A ``phase`` object; its callers map a ``ValueError`` to their own error type."""
     if not isinstance(data, Mapping):
         raise InvalidConfigError("phase must be an object")
-    _check_keys(data, _KNOWN_PHASE_KEYS, "phase")
-    defaults = PhaseConfig()
+    _check_keys(data, (f.name for f in fields(PhaseConfig)), "phase")
+    defaults = DEFAULT_CONFIG.phase
     return PhaseConfig(
-        beginner=ThresholdTriple(*read_numbers(data, "beginner", 3, defaults.beginner)),
-        advanced=ThresholdTriple(*read_numbers(data, "advanced", 3, defaults.advanced)),
+        beginner=read_numbers(data, "beginner", 3, defaults.beginner),
+        advanced=read_numbers(data, "advanced", 3, defaults.advanced),
         step_fraction=read_field(data, "step_fraction", float, defaults.step_fraction),
     )
 
@@ -87,19 +80,20 @@ def phase_to_dict(phase: PhaseConfig) -> dict[str, Any]:
 def config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
     """Decode a config object; any fault in it is an ``InvalidConfigError``."""
     try:
-        _check_keys(data, _KNOWN_KEYS, "config")
+        _check_keys(data, config_to_dict(DEFAULT_CONFIG), "config")
         rules = read_field(data, "rules", Mapping, {})
-        _check_keys(rules, _KNOWN_RULE_KEYS, "rule")
+        rule_keys = [f.name for f in fields(RewardRules)]
+        _check_keys(rules, rule_keys, "rule")
         return EngineConfig(
             phase=phase_from_dict(data.get("phase", {})),
-            matcher=read_field(data, "matcher", MatcherPolicy, MatcherPolicy.BOX_ONLY),
-            completion_format=read_field(data, "format", FormatKind, FormatKind.STRUCTURED),
-            beta=read_field(data, "beta", float, DEFAULT_BETA),
-            kl_mode=read_field(data, "kl_mode", KlMode, KlMode.K3),
-            epsilon=read_field(data, "epsilon", float, DEFAULT_EPSILON),
-            clip_range=read_field(data, "clip_range", float, None),
+            matcher=read_field(data, "matcher", MatcherPolicy, DEFAULT_CONFIG.matcher),
+            completion_format=read_field(data, "format", FormatKind, DEFAULT_CONFIG.completion_format),
+            beta=read_field(data, "beta", float, DEFAULT_CONFIG.beta),
+            kl_mode=read_field(data, "kl_mode", KlMode, DEFAULT_CONFIG.kl_mode),
+            epsilon=read_field(data, "epsilon", float, DEFAULT_CONFIG.epsilon),
+            clip_range=read_field(data, "clip_range", float, DEFAULT_CONFIG.clip_range),
             rules=RewardRules(
-                **{f.name: read_field(rules, f.name, bool, f.default) for f in fields(RewardRules)}
+                **{key: read_field(rules, key, bool, getattr(DEFAULT_CONFIG.rules, key)) for key in rule_keys}
             ),
         )
     except ValueError as exc:

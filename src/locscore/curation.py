@@ -215,6 +215,22 @@ def _category_list(query: tuple[str, ...] | str) -> str:
     return query
 
 
+# each (style, task)'s template; ``{categories}`` is the query as a category
+# list, ``{query}`` the query as it is
+_LOCATE_EVERY = "Locate every {query} in the image and output the coordinates in JSON format."
+_TEMPLATES = {
+    (PromptStyle.GRIFFON_G, TaskKind.DETECTION): "Examine the image for any objects from the category set. "
+        "Report the coordinates of each detected object. The category set includes {categories}.",
+    (PromptStyle.GRIFFON_G, TaskKind.GROUNDING): "Locate the exact position of {query} in the picture, if you can.",
+    (PromptStyle.GRIFFON_G, TaskKind.REC): "Can you point out {query} in the image "
+        "and provide the coordinates of its location?",
+    (PromptStyle.STRUCTURED, TaskKind.DETECTION): "Locate every item from the category list in the image "
+        "and output the coordinates in JSON format. The category set includes {categories}.",
+    (PromptStyle.STRUCTURED, TaskKind.GROUNDING): _LOCATE_EVERY,
+    (PromptStyle.STRUCTURED, TaskKind.REC): _LOCATE_EVERY,
+}
+
+
 def render_prompt(sample: Sample, style: PromptStyle | str) -> str:
     """Fill the task template for the given host-model prompt style."""
     try:
@@ -222,27 +238,4 @@ def render_prompt(sample: Sample, style: PromptStyle | str) -> str:
     except ValueError as exc:
         raise UnknownStyleError(f"unknown prompt style {style!r}") from exc
     query = sample.query
-    if style is PromptStyle.GRIFFON_G:
-        if sample.task is TaskKind.DETECTION:
-            return (
-                "Examine the image for any objects from the category set. "
-                "Report the coordinates of each detected object. "
-                f"The category set includes {_category_list(query)}."
-            )
-        if sample.task is TaskKind.GROUNDING:
-            return f"Locate the exact position of {query} in the picture, if you can."
-        if sample.task is TaskKind.REC:
-            return (
-                f"Can you point out {query} in the image "
-                "and provide the coordinates of its location?"
-            )
-    if style is PromptStyle.STRUCTURED:
-        if sample.task is TaskKind.DETECTION:
-            return (
-                "Locate every item from the category list in the image and output "
-                "the coordinates in JSON format. "
-                f"The category set includes {_category_list(query)}."
-            )
-        if sample.task in (TaskKind.GROUNDING, TaskKind.REC):
-            return f"Locate every {query} in the image and output the coordinates in JSON format."
-    raise UnknownStyleError(f"no template for style={style!r}, task={sample.task!r}")
+    return _TEMPLATES[style, sample.task].format(query=query, categories=_category_list(query))

@@ -248,10 +248,14 @@ def conversion_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (4,) multiplier and divisor of ``to_space_array``: ``coords * multiplier / divisor``.
 
-    ``src`` and ``dst`` are the two kinds of one image. In ``dtype``, so
-    that an object row multiplies by the exact integer extent.
+    ``src`` and ``dst`` must describe one image, else ``SpaceMismatchError``;
+    two spaces of one kind give ones, which leave every coordinate as it is.
+    In ``dtype``, so that an object row multiplies by the exact integer extent.
     """
     _require_same_image(src, dst)
+    if src.kind is dst.kind:
+        one = np.ones(4, dtype=dtype)
+        return one, one
     extent = np.array([src.width, src.height] * 2, dtype=dtype)
     scale = np.full(4, THOUSANDTHS_EXTENT, dtype=dtype)
     if src.kind is SpaceKind.THOUSANDTHS:

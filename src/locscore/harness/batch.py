@@ -17,7 +17,7 @@ import logging
 from pathlib import Path
 from typing import IO, Any, Iterator
 
-from ..config import EngineConfig
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..errors import EngineError
 from ..fields import read_field
 from ..geometry import to_space  # looked up by perfbench/tracing.py
@@ -140,7 +140,7 @@ def run_batch(
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     output_dir.mkdir(parents=True, exist_ok=True)
-    config = config or EngineConfig()
+    config = config or DEFAULT_CONFIG
 
     responses: list[dict[str, Any]] = []
     errors: list[dict[str, Any]] = []

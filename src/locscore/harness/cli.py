@@ -10,7 +10,10 @@ import sys
 
 from ..config import EngineConfig, config_from_dict, read_config_file
 from ..curation import MixtureSpec, PromptStyle, TaskKind, classify_difficulty, render_prompt, sample_mixture
+from ..grpo import KlMode
+from ..matching import MatcherPolicy
 from ..metrics import evaluate
+from ..parsing import FormatKind
 from . import annotations as ann_io
 from .batch import run_batch
 from .service import run_service
@@ -27,11 +30,11 @@ def _configure_logging() -> None:
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="engine config file (JSON)")
-    parser.add_argument("--format", choices=["structured", "plain"], dest="completion_format")
-    parser.add_argument("--matcher", choices=["box", "box-label"])
+    parser.add_argument("--format", choices=[kind.value for kind in FormatKind], dest="completion_format")
+    parser.add_argument("--matcher", choices=[kind.value for kind in MatcherPolicy])
     parser.add_argument("--step-fraction", type=float, dest="step_fraction")
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--kl", choices=["k3", "seq"], dest="kl_mode")
+    parser.add_argument("--kl", choices=[kind.value for kind in KlMode], dest="kl_mode")
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
@@ -139,23 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     source = curate.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", help="corpus JSONL of task samples")
     source.add_argument("--annotations", help="derive the corpus from annotation JSONL")
-    curate.add_argument("--det", type=int, default=30)
-    curate.add_argument("--grounding", type=int, default=9)
-    curate.add_argument("--rec", type=int, default=10)
-    curate.add_argument("--hard-fraction", type=float, default=0.5, dest="hard_fraction")
+    mixture = MixtureSpec()
+    curate.add_argument("--det", type=int, default=mixture.counts[TaskKind.DETECTION])
+    curate.add_argument("--grounding", type=int, default=mixture.counts[TaskKind.GROUNDING])
+    curate.add_argument("--rec", type=int, default=mixture.counts[TaskKind.REC])
+    curate.add_argument("--hard-fraction", type=float, default=mixture.hard_fraction, dest="hard_fraction")
     curate.add_argument(
-        "--negative-fraction", type=float, default=0.1, dest="negative_fraction"
+        "--negative-fraction", type=float, default=mixture.negative_fraction, dest="negative_fraction"
     )
-    curate.add_argument("--seed", type=int, default=0)
-    curate.add_argument("--style", default="structured-coordinates",
-                        choices=[s.value for s in PromptStyle])
+    curate.add_argument("--seed", type=int, default=mixture.seed)
+    curate.add_argument("--style", default=PromptStyle.STRUCTURED.value, choices=[kind.value for kind in PromptStyle])
     curate.add_argument("--out", required=True)
     curate.set_defaults(func=_cmd_curate)
 
     prompts = sub.add_parser("prompts", help="render task prompts for a corpus")
     prompts.add_argument("--corpus", required=True)
-    prompts.add_argument("--style", default="structured-coordinates",
-                         choices=[s.value for s in PromptStyle])
+    prompts.add_argument("--style", default=PromptStyle.STRUCTURED.value, choices=[kind.value for kind in PromptStyle])
     prompts.set_defaults(func=_cmd_prompts)
 
     convert = sub.add_parser("convert", help="import annotations from other layouts")

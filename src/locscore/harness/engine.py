@@ -8,7 +8,7 @@ from collections.abc import Mapping
 from dataclasses import replace
 from typing import Any
 
-from ..config import EngineConfig
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..errors import EngineError, FieldError, MalformedRequestError
 from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
@@ -104,7 +104,7 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     Stateless: the response depends only on the request and configuration.
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
-    config = config or EngineConfig()
+    config = config or DEFAULT_CONFIG
     group = request_group(req, config)
     return group_response(req, config, group, score_groups([group], config.rules)[0])
 

@@ -6,7 +6,7 @@ import logging
 import sys
 from typing import IO
 
-from ..config import EngineConfig
+from ..config import DEFAULT_CONFIG, EngineConfig
 from .engine import handle_request_line
 from .wire import dump_line
 
@@ -27,7 +27,7 @@ def run_service(
     """
     source = stdin if stdin is not None else sys.stdin
     sink = stdout if stdout is not None else sys.stdout
-    config = config or EngineConfig()
+    config = config or DEFAULT_CONFIG
     handled = 0
     try:
         for line in source:

@@ -64,18 +64,20 @@ def _check_triple(name: str, triple: ThresholdTriple) -> None:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Beginner/advanced threshold triples and the switch point between them."""
+    """Beginner/advanced threshold triples, stored as ``ThresholdTriple``, and the switch point between them."""
 
     beginner: ThresholdTriple = BEGINNER_THRESHOLDS
     advanced: ThresholdTriple = ADVANCED_THRESHOLDS
     step_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "beginner", ThresholdTriple(*self.beginner))
+        object.__setattr__(self, "advanced", ThresholdTriple(*self.advanced))
         self.validate()
 
     def validate(self) -> "PhaseConfig":
-        _check_triple("beginner", ThresholdTriple(*self.beginner))
-        _check_triple("advanced", ThresholdTriple(*self.advanced))
+        _check_triple("beginner", self.beginner)
+        _check_triple("advanced", self.advanced)
         if not 0.0 < self.step_fraction <= 1.0:
             raise InvalidConfigError(f"step_fraction must lie in (0, 1], got {self.step_fraction}")
         return self
@@ -88,8 +90,7 @@ def in_advanced_phase(cfg: PhaseConfig, progress: float) -> bool:
 
 def phase_thresholds(cfg: PhaseConfig, progress: float) -> ThresholdTriple:
     """Active thresholds at a training-progress fraction (completed / total)."""
-    triple = cfg.advanced if in_advanced_phase(cfg, progress) else cfg.beginner
-    return ThresholdTriple(*triple)
+    return cfg.advanced if in_advanced_phase(cfg, progress) else cfg.beginner
 
 
 def differentiate(x: float, xi1: float, xi2: float) -> float:
@@ -234,38 +235,33 @@ def _ground_truth_rows(
     """The block's valid rows, their boxes, each in its group's ground-truth space, and their groups.
 
     The groups are ``parsed.group`` at those rows (``None`` for one group).
-    A box that conversion makes invalid there, by collapsing it or rounding
-    it past the extent, is dropped; rows of a group whose completions
-    already use the ground truth's kind are kept as they are.
+    Unless every group's completions use its ground truth's space, each
+    group's boxes go through ``conversion_factors`` (``SpaceMismatchError``
+    for a space of another image) and are checked again in the ground-truth
+    space: a box that conversion makes invalid there, by collapsing it or
+    rounding it past the extent, is dropped.
 
-    Keep the one-group path (no row-to-group index): it saves time per
-    stream group (see ``matching.cost_matrices``).
+    Keep the equal-space return and the one-group path (no row-to-group
+    index): both save time per stream group (see ``matching.cost_matrices``).
     """
     rows = np.flatnonzero(parsed.valid)
     boxes = parsed.coords[rows]
     owner = None if parsed.group is None else parsed.group[rows]
-    moved = [group.space.kind is not group.gt.space.kind for group in groups]
-    if not any(moved):
+    if all(group.space == group.gt.space for group in groups):
         return rows, boxes, owner
-    ones = np.ones(4)
-    multipliers, divisors = zip(*(
-        conversion_factors(group.space, group.gt.space) if move else (ones, ones)
-        for group, move in zip(groups, moved)
-    ))
+    multipliers, divisors = zip(*(conversion_factors(group.space, group.gt.space) for group in groups))
     boxes = boxes * _per_row(multipliers, owner) / _per_row(divisors, owner)
     max_x, max_y = zip(*((group.gt.space.max_x, group.gt.space.max_y) for group in groups))
     kept, _ = validate_boxes(boxes, _per_row(max_x, owner), _per_row(max_y, owner))
-    if not all(moved):
-        kept |= ~_per_row(moved, owner)
     return rows[kept], boxes[kept], None if owner is None else owner[kept]
 
 
 def _score_block(
-    block: Sequence[tuple[Group, ReadGroup, ThresholdTriple]], rules: RewardRules
+    block: Sequence[tuple[Group, ReadGroup]], rules: RewardRules
 ) -> list[tuple[RewardBreakdown, ...]]:
     """The array stages of ``score_groups`` for one block of read groups."""
-    groups = [group for group, _, _ in block]
-    parsed = parse_block([(read, group.space) for group, read, _ in block])
+    groups = [group for group, _ in block]
+    parsed = parse_block([(read, group.space) for group, read in block])
     rows, boxes, owner = _ground_truth_rows(parsed, groups)
     labels = [parsed.labels[row] for row in rows.tolist()]
     bounds = np.searchsorted(rows, parsed.bounds).tolist()
@@ -279,7 +275,8 @@ def _score_block(
     assigned = assign_slices(*matrices, bounds, [len(group.gt) for group in groups for _ in group.texts])
     firsts = list(accumulate((len(group.texts) for group in groups), initial=0))
     scored = []
-    for (group, _, t), first, end in zip(block, firsts, firsts[1:]):
+    for group, first, end in zip(groups, firsts, firsts[1:]):
+        t = group.thresholds
         scored.append(tuple(
             _breakdown(
                 parsed.content_ok[index],  # implies template_ok
@@ -313,21 +310,20 @@ def score_groups(
     group scored alone, bit for bit, and equal ``score_matches`` on
     ``parse_completion``, ``extract_objects``, ``to_space`` and ``match``,
     where a box that conversion makes invalid in the ground-truth space is
-    dropped.
+    dropped. Each group's ``thresholds`` are checked as it is read, and its
+    ``space`` must describe its ground truth's image (``SpaceMismatchError``).
     """
-    triples = [ThresholdTriple(*group.thresholds) for group in groups]
-    for t in triples:
-        _check_triple("thresholds", t)  # xi0 > 0: a prediction left unassigned is never valid
     names: dict[str, str] = {}
     scored: list[tuple[RewardBreakdown, ...]] = []
-    block: list[tuple[Group, ReadGroup, ThresholdTriple]] = []
+    block: list[tuple[Group, ReadGroup]] = []
     rows = width = 0
-    for group, t in zip(groups, triples):
+    for group in groups:
+        _check_triple("thresholds", group.thresholds)  # xi0 > 0: a prediction left unassigned is never valid
         read = read_completions(group.texts, group.fmt, names)
         if block and (rows + len(read.labels)) * max(width, len(group.gt)) > BLOCK_CELLS:
             scored += _score_block(block, rules)
             block, rows, width = [], 0, 0
-        block.append((group, read, t))
+        block.append((group, read))
         rows, width = rows + len(read.labels), max(width, len(group.gt))
     if block:
         scored += _score_block(block, rules)

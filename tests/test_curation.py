@@ -225,6 +225,33 @@ class TestRenderPrompt:
         assert prompt.startswith("Can you point out the dog by the bench in the image")
         assert prompt.endswith("provide the coordinates of its location?")
 
+    @pytest.mark.parametrize(
+        "style, task, prompt",
+        [
+            (PromptStyle.GRIFFON_G, TaskKind.DETECTION,
+             "Examine the image for any objects from the category set. Report the coordinates "
+             "of each detected object. The category set includes cat, dog, person."),
+            (PromptStyle.GRIFFON_G, TaskKind.GROUNDING,
+             "Locate the exact position of cat in the picture, if you can."),
+            (PromptStyle.GRIFFON_G, TaskKind.REC,
+             "Can you point out the dog by the bench in the image and provide the coordinates "
+             "of its location?"),
+            (PromptStyle.STRUCTURED, TaskKind.DETECTION,
+             "Locate every item from the category list in the image and output the coordinates "
+             "in JSON format. The category set includes cat, dog, person."),
+            (PromptStyle.STRUCTURED, TaskKind.GROUNDING,
+             "Locate every cat in the image and output the coordinates in JSON format."),
+            (PromptStyle.STRUCTURED, TaskKind.REC,
+             "Locate every the dog by the bench in the image and output the coordinates in JSON format."),
+        ],
+    )
+    def test_every_prompt_exactly(self, style, task, prompt):
+        query = {TaskKind.DETECTION: ("cat", "dog", "person"), TaskKind.GROUNDING: "cat",
+                 TaskKind.REC: "the dog by the bench"}[task]
+        sample = Sample(task, "a", GroundTruthSet((), SPACE), query, True)
+        assert render_prompt(sample, style) == prompt
+        assert render_prompt(sample, style.value) == prompt
+
     def test_query_payload_verbatim(self):
         rng = random.Random(0)
         for sample in (detection_sample(rng, "a", 3, 4), grounding_sample(rng, "b", 1), rec_sample(rng, "c")):

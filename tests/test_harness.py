@@ -35,7 +35,10 @@ from locscore.harness.annotations import load_corpus, write_annotations, write_c
 from locscore.harness.cli import _build_config, build_parser
 from locscore.harness.cli import main as cli_main
 from locscore.harness.wire import dump_line, request_to_dict
-from locscore.parsing import emit_structured
+from locscore.grpo import KlMode
+from locscore.matching import MatcherPolicy
+from locscore.parsing import FormatKind, emit_structured
+from locscore.rewards import RewardRules, ThresholdTriple
 
 from conftest import LABELS, random_int_box
 
@@ -239,6 +242,21 @@ class TestWire:
             req = parse_request(data)
             assert parse_request(request_to_dict(req)) == req
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ok": False}, "cannot decode an error response as a scoring response"),
+            ({"v": 2}, "unsupported wire version 2"),
+        ],
+    )
+    def test_response_of_another_kind_rejected(self, change, message):
+        from locscore.harness import parse_response, response_to_dict
+
+        data = response_to_dict(score_group(parse_request(make_request_dict())))
+        with pytest.raises(MalformedRequestError) as raised:
+            parse_response({**data, **change})
+        assert str(raised.value) == message
+
     def test_response_missing_field_rejected(self):
         from locscore.harness import parse_response, response_to_dict
 
@@ -333,6 +351,15 @@ class TestScoreGroup:
         )
         assert with_lp.objective is not None
         assert with_lp.kl_values == (0.0, 0.0)
+
+    def test_clamped_log_ratio_reported(self):
+        data = make_request_dict(logprobs=[
+            {"policy": [-1.0], "old": [-60.0], "ref": [-1.0]},  # log-ratio 59
+            {"policy": [-2.0], "old": [-2.0], "ref": [-2.0]},
+        ])
+        resp = handle_request_line(json.dumps(data))
+        assert resp["ok"]
+        assert resp["diagnostics"] == ["1 sequence log-ratio(s) clamped to +/-50"]
 
     def test_single_completion_with_advantages_rejected(self):
         data = make_request_dict(completions=["[]"])
@@ -694,6 +721,19 @@ class TestBatch:
         assert report["groups"] == 2
         assert report["completions"] == 6
 
+    def test_internal_fault_before_the_kernel_collected(self, tmp_path, rng, monkeypatch):
+        _fails_once(monkeypatch, batch_module, name="request_group")  # each line's check before the kernel
+        entries = _manifest_entries(rng, 3)
+        entries[1]["request_id"] = "boom"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == [
+            {"line": 2, "error": "internal error: RuntimeError: engine fault"}
+        ]
+        assert report["groups"] == 2
+        assert report["completions"] == 6
+
     def test_deep_nesting_line_collected(self, tmp_path, rng):
         entries = _manifest_entries(rng, 2)
         lines = [json.dumps(entries[0]), "[" * 100000, json.dumps(entries[1])]
@@ -783,6 +823,31 @@ class TestBatch:
         assert [r["request_id"] for r in responses] == [f"g{i}" for i in range(5)]
 
 
+@st.composite
+def threshold_triples(draw):
+    """A valid triple: 0 < xi1 <= xi2 <= 1 and 0 < xi0 <= xi2."""
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    xi1, xi2 = sorted((draw(unit), draw(unit)))
+    return ThresholdTriple(draw(st.floats(0.0, xi2, exclude_min=True)), xi1, xi2)
+
+
+@st.composite
+def engine_configs(draw):
+    """A valid ``EngineConfig``: every field drawn, ``clip_range`` None or positive."""
+    positive = st.floats(0.0, 1e6, exclude_min=True)
+    return EngineConfig(
+        phase=PhaseConfig(draw(threshold_triples()), draw(threshold_triples()),
+                          draw(st.floats(0.0, 1.0, exclude_min=True))),
+        matcher=draw(st.sampled_from(MatcherPolicy)),
+        completion_format=draw(st.sampled_from(FormatKind)),
+        beta=draw(st.floats(0.0, 1e6)),
+        kl_mode=draw(st.sampled_from(KlMode)),
+        epsilon=draw(positive),
+        clip_range=draw(st.none() | positive),
+        rules=RewardRules(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))),
+    )
+
+
 class TestConfig:
     def test_defaults(self):
         config = EngineConfig().validate()
@@ -794,6 +859,27 @@ class TestConfig:
     def test_round_trip(self):
         config = EngineConfig()
         assert config_from_dict(config_to_dict(config)) == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=engine_configs())
+    def test_round_trip_of_any_config(self, config):
+        assert config_from_dict(config_to_dict(config)) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.text(max_size=12))
+    def test_keys_are_exactly_those_written(self, key):
+        data = config_to_dict(EngineConfig())
+        if key in data:
+            assert config_from_dict({key: data[key]}) == EngineConfig()
+        else:
+            with pytest.raises(InvalidConfigError) as raised:
+                config_from_dict({**data, key: None})
+            assert str(raised.value) == f"unknown config keys: {[key]}"
+
+    def test_clip_range_zero_rejected(self):
+        with pytest.raises(InvalidConfigError) as raised:
+            config_from_dict({"clip_range": 0})
+        assert str(raised.value) == "clip_range must be positive, got 0.0"
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -959,6 +1045,27 @@ class TestAnnotations:
 
 
 class TestCli:
+    def test_flag_choices_and_defaults_come_from_the_library(self):
+        from locscore.curation import MixtureSpec, PromptStyle
+
+        parser = build_parser()
+        serve = parser.parse_args(["serve"])
+        assert (serve.completion_format, serve.matcher, serve.kl_mode) == (None, None, None)
+        assert _build_config(serve) == EngineConfig()
+        curate = parser.parse_args(["curate", "--corpus", "c.jsonl", "--out", "o.jsonl"])
+        spec = MixtureSpec()
+        assert (curate.det, curate.grounding, curate.rec) == tuple(spec.counts[task] for task in TaskKind)
+        assert (curate.hard_fraction, curate.negative_fraction, curate.seed) == (
+            spec.hard_fraction, spec.negative_fraction, spec.seed
+        )
+        assert curate.style == parser.parse_args(["prompts", "--corpus", "c.jsonl"]).style == PromptStyle.STRUCTURED
+        for value in [kind.value for kind in FormatKind]:
+            assert parser.parse_args(["serve", "--format", value]).completion_format == value
+        for value in [kind.value for kind in KlMode]:
+            assert parser.parse_args(["serve", "--kl", value]).kl_mode == value
+        for value in [kind.value for kind in MatcherPolicy]:
+            assert parser.parse_args(["serve", "--matcher", value]).matcher == value
+
     def test_log_env_var_sets_verbosity(self):
         import logging
 
@@ -1271,7 +1378,7 @@ def _write(path, lines):
 @pytest.mark.parametrize(
     "case", ["missing-file", "bad-json", "three-number-bbox", "height-true", "bad-config",
              "unknown-coco-category", "config-beta-true", "annotation-thousandths",
-             "annotation-box-past-image"],
+             "annotation-box-past-image", "config-not-json", "config-not-object"],
 )
 def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
     good = {name: json.dumps(line) for name, line in _GOOD_LINES.items()}
@@ -1307,6 +1414,14 @@ def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
         config = _write(tmp_path / "engine.json", [json.dumps({"beta": True})])
         argv = ["serve", "--config", config]
         message = "locscore serve: field 'beta' must be a finite number"
+    elif case == "config-not-json":
+        config = _write(tmp_path / "engine.json", ["beta: 0.3"])
+        argv = ["serve", "--config", config]
+        message = "locscore serve: config file is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    elif case == "config-not-object":
+        config = _write(tmp_path / "engine.json", ["[]"])
+        argv = ["serve", "--config", config]
+        message = "locscore serve: config file must hold a JSON object"
     elif case.startswith("annotation-"):
         if case == "annotation-thousandths":
             line = dict(_GOOD_LINES["annotations"], coord_space="thousandths")

@@ -3,7 +3,9 @@
 private name imported from one module of the package into another."""
 
 import ast
+import importlib
 import re
+from enum import Enum
 from pathlib import Path
 
 import locscore
@@ -73,3 +75,33 @@ def test_no_module_imports_another_modules_private_name():
             names = [alias.name for alias in node.names if alias.name.startswith("_")]
             imported += [f"{path.relative_to(ROOT)}: {name}" for name in names]
     assert imported == []
+
+
+def _enum_values():
+    """Each string value of an ``Enum`` member defined in the package -> (module path, class name)."""
+    owners = {}
+    for path in sorted((ROOT / "src" / "locscore").rglob("*.py")):
+        name = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts).removesuffix(".__init__")
+        for value in vars(importlib.import_module(name)).values():
+            if isinstance(value, type) and issubclass(value, Enum) and value.__module__ == name:
+                owners.update((member.value, (path, value.__name__)) for member in value)
+    return owners
+
+
+def test_no_module_spells_an_enum_value():
+    """An ``Enum`` member's value is written once, in its class: elsewhere the
+    package names the member, so a renamed value cannot leave a stale copy."""
+    owners = _enum_values()
+    assert {"structured", "box-label", "k3", "structured-coordinates", "pixels"} <= owners.keys()
+    spelled = []
+    for path in sorted((ROOT / "src" / "locscore").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = {}  # each string constant -> the class it is written in, if any
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                where.update((id(node), cls.name) for node in ast.walk(cls))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in owners:
+                if owners[node.value] != (path, where.get(id(node))):
+                    spelled.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.value!r}")
+    assert spelled == []

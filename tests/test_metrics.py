@@ -89,6 +89,20 @@ class TestPerImageCounts:
         assert (result.map_5095, result.ar100, result.diagnostics) == (0.0, 0.0, ())
 
 
+class TestEvalDataset:
+    def test_duplicate_image_ids_rejected(self):
+        image = make_dataset([("img0", [("cat", Box(0, 0, 10, 10))])]).images[0]
+        with pytest.raises(ValueError) as raised:
+            EvalDataset((image, image), ("cat",))
+        assert str(raised.value) == "image ids must be unique"
+
+    def test_label_outside_the_categories_rejected(self):
+        images = make_dataset([("img0", [("cat", Box(0, 0, 10, 10))])]).images
+        with pytest.raises(ValueError) as raised:
+            EvalDataset(images, ("dog",))
+        assert str(raised.value) == "ground-truth label 'cat' missing from the category list"
+
+
 class TestEvaluateExamples:
     def test_perfect_detector(self):
         rng = random.Random(31)

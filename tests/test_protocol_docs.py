@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from locscore.config import config_from_dict
+from locscore.config import DEFAULT_CONFIG, config_from_dict, config_to_dict
 from locscore.harness import (
     handle_request_line,
     load_annotations,
@@ -67,3 +67,9 @@ def test_every_example_has_a_reader():
 @pytest.mark.parametrize("heading, value", _BLOCKS, ids=[heading for heading, _ in _BLOCKS])
 def test_example_is_accepted(heading, value, tmp_path):
     _READERS[heading](value, tmp_path)
+
+
+def test_config_example_is_the_default_config():
+    """The config example names every key there is, each at its default."""
+    examples = [value for heading, value in _BLOCKS if heading == "Engine configuration"]
+    assert examples == [config_to_dict(DEFAULT_CONFIG)]

@@ -10,6 +10,7 @@ from locscore import (
     GroundTruthSet,
     InvalidConfigError,
     PhaseConfig,
+    SpaceMismatchError,
     ThresholdTriple,
     differentiate,
     match,
@@ -86,6 +87,13 @@ class TestPhaseThresholds:
         cfg = PhaseConfig(step_fraction=1.0)
         for progress in (0.0, 0.5, 0.99, 1.0):
             assert phase_thresholds(cfg, progress) == BEGINNER_THRESHOLDS
+
+    def test_triples_stored_as_threshold_triples(self):
+        cfg = PhaseConfig(beginner=[0.4, 0.3, 0.8], advanced=(0.6, 0.6, 0.95))
+        assert type(cfg.beginner) is ThresholdTriple and cfg.beginner.xi2 == 0.8
+        assert type(cfg.advanced) is ThresholdTriple and cfg.advanced.xi0 == 0.6
+        assert phase_thresholds(cfg, 0.0) is cfg.beginner
+        assert phase_thresholds(cfg, 1.0) is cfg.advanced
 
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -293,6 +301,13 @@ class TestScoreCompletion:
         )
         assert b.total == 3.0
 
+    def test_completion_space_of_another_image_rejected(self):
+        gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 100, 100))], SPACE)
+        text = '[{"bbox_2d": [700, 0, 800, 100], "label": "cat"}]'
+        with pytest.raises(SpaceMismatchError) as raised:
+            score_completion(text, STRUCTURED_FORMAT, pixel_space(1000, 1000), gt)
+        assert str(raised.value) == "cannot convert between images 1000x1000 and 640x480"
+
     def test_rules_disable_components(self):
         gt = random_gt(random.Random(6), 2)
         text = emit_structured([(i.label, i.box) for i in gt.instances])
@@ -487,6 +502,17 @@ class TestGroupKernel:
                    "sample": {"image_id": "i", "width": 64, "height": 64, "gt": gt}}
         assert handle_request_line(json.dumps(request))["ok"]
         assert len(calls) == 1
+
+    def test_completion_space_of_another_image_rejected_in_a_block(self):
+        gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 100, 100))], SPACE)
+        text = '[{"bbox_2d": [700, 0, 800, 100], "label": "cat"}]'
+        good = Group([text], STRUCTURED_FORMAT, pixel_space(1000, 1000), GroundTruthSet((), pixel_space(1000, 1000)),
+                     MatcherPolicy.BOX_ONLY, BEGINNER)
+        bad = Group([text], STRUCTURED_FORMAT, pixel_space(1000, 1000), gt, MatcherPolicy.BOX_ONLY, BEGINNER)
+        assert len(score_groups([good, good])) == 2  # one block of two groups
+        with pytest.raises(SpaceMismatchError) as raised:
+            score_groups([good, bad])
+        assert str(raised.value) == "cannot convert between images 1000x1000 and 640x480"
 
     def test_invalid_thresholds_rejected(self):
         gt = GroundTruthSet((), SPACE)
