@@ -128,6 +128,13 @@ STRUCTURED = [
          True, True, [("café au lait", [1.0, 1.0, 9.0, 9.0], True)]),
     case("s_infinity_coord", "structured",
          '[{"bbox_2d": [Infinity, 2, 3, 4], "label": "cat"}]', True, False, []),
+    case("s_label_unicode_blank", "structured",
+         '[{"bbox_2d": [1, 2, 3, 4], "label": "\\u3000\\t\\u2028"}]', True, False, []),
+    case("s_label_separator_controls", "structured",
+         '[{"bbox_2d": [1, 2, 3, 4], "label": "\\u001c\\u001f"}]', True, False, []),
+    case("s_label_unicode_ws_collapsed", "structured",
+         '[{"bbox_2d": [1, 1, 9, 9], "label": " Traffic\\u00a0\\u3000 Light\\t"}]',
+         True, True, [("Traffic Light", [1.0, 1.0, 9.0, 9.0], True)]),
     case("s_thousandths_space", "structured",
          '[{"bbox_2d": [0, 0, 1000, 1000], "label": "cat"}]',
          True, True, [("cat", [0.0, 0.0, 1000.0, 1000.0], True)],
@@ -200,6 +207,10 @@ PLAIN = [
          True, True, [("CAT", [1.0, 2.0, 3.0, 4.0], True)], space="thousandths"),
     case("p_label_ws_collapsed", "plain", "traffic  light-[1,2,3,4]",
          True, True, [("traffic light", [1.0, 2.0, 3.0, 4.0], True)],
+         space="thousandths"),
+    case("p_label_unicode_ws_collapsed", "plain", "\u3000cat\u2003 dog -[1,2,3,4]",
+         True, True, [("cat dog", [1.0, 2.0, 3.0, 4.0], True)], space="thousandths"),
+    case("p_label_unicode_blank", "plain", "\u3000-[1,2,3,4]", False, False, [],
          space="thousandths"),
     case("p_mixed_validity", "plain", "cat-[0,0,100,100];dog-[0,0,2000,100]",
          True, False,
