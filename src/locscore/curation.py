@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import InvalidConfigError, UnknownStyleError
-from .matching import GroundTruthSet
+from .matching import GroundTruthSet, label_spellings
 
 HARD_INSTANCE_THRESHOLD = 10
 HARD_CATEGORY_THRESHOLD = 5
@@ -101,15 +101,6 @@ def _take(pool: Sequence[Sample], count: int, rng: random.Random) -> list[Sample
     return [pool[i] for i in order[:count]]
 
 
-def _label_universe(corpus: Sequence[Sample]) -> list[tuple[str, str]]:
-    """(normalized label, first spelling) of every ground-truth label, sorted."""
-    seen: dict[str, str] = {}
-    for sample in corpus:
-        for key, indices in sample.gt.by_label.items():
-            seen.setdefault(key, sample.gt.instances[indices[0]].label)
-    return sorted(seen.items())
-
-
 def synthesize_negative(
     base: Sample, task: TaskKind, absent_category: str
 ) -> Sample:
@@ -161,7 +152,7 @@ def sample_mixture(corpus: Sequence[Sample], spec: MixtureSpec) -> MixtureResult
     """
     selected: list[Sample] = []
     shortages: list[str] = []
-    labels = _label_universe(corpus)
+    labels = sorted(label_spellings(sample.gt for sample in corpus).items())
     for task in TaskKind:
         want = spec.counts.get(task, 0)
         if want <= 0:

@@ -20,7 +20,7 @@ from ..curation import Sample, TaskKind
 from ..errors import FieldError
 from ..fields import read_field, read_id, read_numbers, read_strings
 from ..geometry import Box, SpaceKind, pixel_space
-from ..matching import GroundTruthSet
+from ..matching import GroundTruthSet, label_spellings
 from ..metrics import EvalDataset, EvalImage
 from . import wire
 from .engine import decode_line
@@ -84,11 +84,8 @@ def dataset_from_images(images: Sequence[EvalImage]) -> EvalDataset:
 
     Labels equal under ``normalize_label`` are one category, spelled as first seen.
     """
-    categories: dict[str, str] = {}
-    for image in images:
-        for key, indices in image.gt.by_label.items():
-            categories.setdefault(key, image.gt.instances[indices[0]].label)
-    return EvalDataset(images=tuple(images), categories=tuple(sorted(categories.values())))
+    categories = label_spellings(image.gt for image in images).values()
+    return EvalDataset(images=tuple(images), categories=tuple(sorted(categories)))
 
 
 def convert_coco_layout(src: str | Path, dst: str | Path) -> int:

@@ -132,6 +132,15 @@ class GroundTruthSet:
         return {key: tuple(indices) for key, indices in groups.items()}
 
 
+def label_spellings(gts: Iterable[GroundTruthSet]) -> dict[str, str]:
+    """Normalized label -> its first spelling over ``gts``, in order of first appearance."""
+    spellings: dict[str, str] = {}
+    for gt in gts:
+        for key, indices in gt.by_label.items():
+            spellings.setdefault(key, gt.instances[indices[0]].label)
+    return spellings
+
+
 @dataclass(frozen=True)
 class MatchedPrediction:
     """A prediction with its assigned ground truth (if any) and overlap."""

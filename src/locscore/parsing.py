@@ -16,9 +16,10 @@ well formed and every box to be valid in the declared coordinate space.
 Entries that are well formed but carry an invalid box are retained (marked
 ``box_valid=False``) so downstream rewards can still use them.
 
-``read_completions`` reads a group's completions into entries, and
-``parse_block`` holds the entries of a block of read groups as one (n, 4)
-array, validated once, vectorised, each row against its own group's extent;
+``read_completions`` reads a group's completions into entries, labels as
+written, and ``parse_block`` holds the entries of a block of read groups as
+one (n, 4) array, validated once, vectorised, each row against its own
+group's extent, and collapses each distinct label of the block once;
 ``parse_completion`` is the two for a single completion.
 """
 
@@ -116,16 +117,7 @@ def _strip_fences(text: str) -> str | None:
     return "\n".join(lines[1:-1])
 
 
-def _collapsed(label: str, names: dict[str, str]) -> str:
-    """``collapse_whitespace(label)``, computed once per distinct label in ``names``."""
-    if label not in names:
-        names[label] = collapse_whitespace(label)
-    return names[label]
-
-
-def _read_structured(
-    text: str, names: dict[str, str]
-) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
     body = _strip_fences(text)
     if body is None:
         return None, ["unbalanced code fence"]
@@ -152,17 +144,14 @@ def _read_structured(
             faults.append(f"entry {index}: bbox_2d must be an array of four finite numbers")
             continue
         label = entry.get("label")
-        label = _collapsed(label, names) if isinstance(label, str) else ""
-        if not label:
+        if not isinstance(label, str) or not label or label.isspace():
             faults.append(f"entry {index}: label must be a non-empty string")
             continue
         entries.append((label, coords))
     return entries, faults
 
 
-def _read_plain(
-    text: str, names: dict[str, str]
-) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+def _read_plain(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
     s = text.strip()
     if not s:
         # canonical abstention: an empty completion declares zero objects
@@ -173,11 +162,8 @@ def _read_plain(
         matched = _PLAIN_SEGMENT.match(segment) if segment else None
         if matched is None:
             return None, [f"segment {index} does not match label-[x1,y1,x2,y2]"]
-        label = _collapsed(matched.group("label"), names)
-        if not label:
-            return None, [f"segment {index} has an empty label"]
         coords = tuple(map(float, matched.group("x1", "y1", "x2", "y2")))
-        entries.append((label, coords))
+        entries.append((matched.group("label"), coords))
     return entries, []
 
 
@@ -213,25 +199,21 @@ class ReadGroup(NamedTuple):
 
     template_ok: list[bool]
     faults: list[list[str]]  # each completion's malformed entries
-    labels: list[str]  # each well-formed entry's label, in emission order
+    labels: list[str]  # each well-formed entry's label as written, in emission order
     flat: list[float]  # each well-formed entry's four coordinates, in the same order
     sizes: list[int]  # each completion's count of well-formed entries
 
 
-def read_completions(
-    texts: Sequence[str], fmt: CompletionFormat, names: dict[str, str] | None = None
-) -> ReadGroup:
+def read_completions(texts: Sequence[str], fmt: CompletionFormat) -> ReadGroup:
     """Read every completion of a group into entries; never raises.
 
-    ``names`` caches each distinct raw label's collapsed form, and may be
-    shared by the groups of a block.
+    Labels are kept as written: ``parse_block`` collapses their whitespace.
     """
     read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
-    names = {} if names is None else names
     group = ReadGroup([], [], [], [], [])
     template_ok, entry_faults, labels, flat, sizes = group
     for text in texts:
-        entries, faults = read(text, names)
+        entries, faults = read(text)
         template_ok.append(entries is not None)
         entry_faults.append(faults)
         for label, coords in entries or ():
@@ -248,8 +230,9 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     block (``ParsedGroup.group``, the package's only row-to-group index). Each
     box is validated once, by one check over the whole block in which each
     row meets its own group's extent, which also names each rejected box's
-    fault. Each completion's outcome is the one it has when its group is
-    parsed alone.
+    fault. Each distinct label of the block is collapsed once
+    (``collapse_whitespace``). Each completion's outcome is the one it has
+    when its group is parsed alone.
 
     Keep the one-group path (no concatenation of the read lists, no index):
     it saves 17-68 µs per stream group (see ``matching.cost_matrices``).
@@ -262,6 +245,8 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
             list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
         )
         group = np.repeat(np.arange(len(groups)), [len(read.labels) for read, _ in groups])
+    spelled = {label: collapse_whitespace(label) for label in set(labels)}
+    labels = [spelled[label] for label in labels]
     bounds = list(accumulate(sizes, initial=0))
     coords = np.array(flat, dtype=float).reshape(-1, 4)
     extents = np.array([(space.max_x, space.max_y) for _, space in groups])

@@ -313,13 +313,12 @@ def score_groups(
     dropped. Each group's ``thresholds`` are checked as it is read, and its
     ``space`` must describe its ground truth's image (``SpaceMismatchError``).
     """
-    names: dict[str, str] = {}
     scored: list[tuple[RewardBreakdown, ...]] = []
     block: list[tuple[Group, ReadGroup]] = []
     rows = width = 0
     for group in groups:
         _check_triple("thresholds", group.thresholds)  # xi0 > 0: a prediction left unassigned is never valid
-        read = read_completions(group.texts, group.fmt, names)
+        read = read_completions(group.texts, group.fmt)
         if block and (rows + len(read.labels)) * max(width, len(group.gt)) > BLOCK_CELLS:
             scored += _score_block(block, rules)
             block, rows, width = [], 0, 0

@@ -14,7 +14,7 @@ from locscore import (
     render_prompt,
     sample_mixture,
 )
-from locscore.curation import _label_universe
+from locscore.matching import label_spellings
 
 from conftest import LABELS, random_box
 
@@ -177,7 +177,9 @@ class TestSampleMixture:
             detection("spaced", ["traffic  light"]),
             detection("plain", ["traffic light", "cat"]),
         ]
-        assert len(_label_universe(corpus)) == 2
+        spellings = label_spellings(sample.gt for sample in corpus)
+        assert len(spellings) == 2
+        assert spellings == {"traffic light": "traffic  light", "cat": "cat"}
         for seed in range(10):
             spec = MixtureSpec(counts={TaskKind.GROUNDING: 1}, negative_fraction=1.0, seed=seed)
             negatives = sample_mixture(corpus, spec).samples

@@ -65,6 +65,11 @@ class TestGroupAdvantages:
         with pytest.raises(NonFiniteInputError):
             group_advantages([1.0, math.nan])
 
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ValueError) as raised:
+            group_advantages([1.0, 2.0], epsilon=0)
+        assert str(raised.value) == "epsilon must be positive, got 0"
+
     @given(st.lists(st.floats(0, 3, allow_nan=False), min_size=2, max_size=16),
            st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=200)
@@ -182,6 +187,11 @@ class TestObjective:
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
             grpo_objective([record([-1.0])], [1.0, -1.0])
+
+    def test_one_record_rejected(self):
+        with pytest.raises(GroupTooSmallError) as raised:
+            grpo_objective_detailed([record([-1.0])], [1.0])
+        assert str(raised.value) == "objective evaluation needs a group of at least two"
 
     def test_nonfinite_advantage_rejected(self):
         with pytest.raises(NonFiniteInputError):

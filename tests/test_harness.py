@@ -257,6 +257,13 @@ class TestWire:
             parse_response({**data, **change})
         assert str(raised.value) == message
 
+    def test_response_without_diagnostics(self):
+        from locscore.harness import parse_response, response_to_dict
+
+        data = response_to_dict(score_group(parse_request(make_request_dict())))
+        del data["diagnostics"]
+        assert parse_response(data).diagnostics == ()
+
     def test_response_missing_field_rejected(self):
         from locscore.harness import parse_response, response_to_dict
 
@@ -360,6 +367,12 @@ class TestScoreGroup:
         resp = handle_request_line(json.dumps(data))
         assert resp["ok"]
         assert resp["diagnostics"] == ["1 sequence log-ratio(s) clamped to +/-50"]
+
+    def test_logprobs_cut_to_one_record_rejected(self):
+        req = parse_request(make_request_dict(logprobs=_logprobs_with([-1.0])))
+        with pytest.raises(MalformedRequestError) as raised:
+            score_group(dataclasses.replace(req, logprobs=req.logprobs[:1]))
+        assert str(raised.value) == "one log-prob record per completion is required"
 
     def test_single_completion_with_advantages_rejected(self):
         data = make_request_dict(completions=["[]"])
@@ -997,6 +1010,14 @@ class TestAnnotations:
         loaded = load_annotations(dst)
         assert loaded[0].image_id == "1"
         assert loaded[0] == _image("1", [("cat", Box(10, 20, 110, 70))])
+
+    def test_coco_file_not_an_object_rejected(self, tmp_path):
+        src = tmp_path / "coco.json"
+        src.write_text("[]")
+        with pytest.raises(ValueError) as raised:
+            convert_coco_layout(src, tmp_path / "native.jsonl")
+        assert str(raised.value) == f"{src}: the file must hold a JSON object"
+        assert not (tmp_path / "native.jsonl").exists()
 
     def test_corpus_from_annotations(self, rng):
         images = [_image("img0", [("cat", random_int_box(rng)), ("dog", random_int_box(rng))])]

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from locscore.parsing import (
     emit_plain,
     emit_structured,
     normalize_label,
+    parse_block,
+    read_completions,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "parser_golden.jsonl"
@@ -172,6 +176,76 @@ def test_plain_round_trip(objects):
     outcome = parse_completion(text, PLAIN_FORMAT, thousandths_space(640, 480))
     assert outcome.template_ok and outcome.content_ok
     assert extract_objects(outcome) == list(objects)
+
+
+# letters mixed with ASCII, no-break, em, ideographic and line-separator
+# spaces and a separator control; str.split() and the parser both take each
+# for whitespace
+_WHITESPACE = " \t\n\u00a0\u2003\u3000\x1c\u2028"
+# a plain label holds no newline, ";" or "-[": the grammar rejects those outright
+_PLAIN_LABELS = st.text(alphabet="abXY" + _WHITESPACE.replace("\n", ""), max_size=10)
+_STRUCTURED_LABELS = st.text(alphabet="abXY" + _WHITESPACE, max_size=10)
+
+
+def _structured_text(raw_labels):
+    return json.dumps([{"bbox_2d": [1, 2, 3, 4], "label": raw} for raw in raw_labels])
+
+
+def _plain_text(raw_labels):
+    return ";".join(f"{raw}-[1,2,3,4]" for raw in raw_labels)
+
+
+@given(st.lists(_STRUCTURED_LABELS, min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_structured_unicode_whitespace_labels(raw_labels):
+    outcome = parse_completion(_structured_text(raw_labels), STRUCTURED_FORMAT, pixel_space(640, 480))
+    assert outcome.template_ok
+    assert [p.label for p in outcome.predictions] == [" ".join(raw.split()) for raw in raw_labels if raw.split()]
+    assert outcome.diagnostics == tuple(
+        f"entry {index}: label must be a non-empty string" for index, raw in enumerate(raw_labels) if not raw.split()
+    )
+    assert outcome.content_ok == all(raw.split() for raw in raw_labels)
+
+
+@given(st.lists(_PLAIN_LABELS, min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_plain_unicode_whitespace_labels(raw_labels):
+    outcome = parse_completion(_plain_text(raw_labels), PLAIN_FORMAT, thousandths_space(640, 480))
+    blank = [index for index, raw in enumerate(raw_labels) if not raw.split()]
+    if blank:  # an all-whitespace label fails the segment match
+        assert not outcome.template_ok and outcome.predictions == ()
+        assert outcome.diagnostics == (f"segment {blank[0]} does not match label-[x1,y1,x2,y2]",)
+    else:
+        assert outcome.template_ok and outcome.content_ok
+        assert [p.label for p in outcome.predictions] == [" ".join(raw.split()) for raw in raw_labels]
+
+
+@st.composite
+def _label_blocks(draw):
+    """2-4 groups of both formats whose completions draw on one pool of raw labels."""
+    pool = draw(st.lists(_PLAIN_LABELS, min_size=1, max_size=4))
+    groups = []
+    for _ in range(draw(st.integers(2, 4))):
+        plain = draw(st.booleans())
+        fmt, space = (PLAIN_FORMAT, thousandths_space(640, 480)) if plain else (STRUCTURED_FORMAT, pixel_space(640, 480))
+        emit = _plain_text if plain else _structured_text
+        texts = [emit(draw(st.lists(st.sampled_from(pool), max_size=4))) for _ in range(draw(st.integers(1, 3)))]
+        groups.append((texts, fmt, space))
+    return groups
+
+
+@given(_label_blocks())
+@settings(max_examples=100)
+def test_block_labels_equal_each_completion_alone(groups):
+    parsed = parse_block([(read_completions(texts, fmt), space) for texts, fmt, space in groups])
+    alone = [parse_completion(text, fmt, space) for texts, fmt, space in groups for text in texts]
+    assert [parsed.outcome(index) for index in range(len(alone))] == alone
+
+
+def test_regex_whitespace_is_str_isspace():
+    """The label check (``label.isspace()``) agrees with what ``collapse_whitespace`` removes."""
+    whitespace = re.compile(r"\s")
+    assert [c for c in map(chr, range(sys.maxunicode + 1)) if bool(whitespace.fullmatch(c)) != c.isspace()] == []
 
 
 def test_emit_plain_rejects_fractional_coords():
