@@ -3,8 +3,10 @@
 Each box rule is written once, as a kernel over (n, 4) corner arrays:
 ``validate_boxes`` (the invariants, the package's one box check), one IoU
 formula behind ``iou_matrix`` (every pair of two sets) and ``iou_pairs``
-(box against box at the same position), and ``to_space_array`` (conversion,
-whose factors ``conversion_factors`` gives per space pair).
+(box against box at the same position), and ``conversion_factors``, the one
+source of a conversion's factors per space pair, applied as ``coords *
+multiplier / divisor`` both by ``to_space_array`` and, each row by its own
+group's factors, by the group kernel (``rewards``).
 ``validate_box``, ``iou`` and ``to_space`` are one-row calls into them.
 """
 

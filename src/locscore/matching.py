@@ -310,32 +310,30 @@ def cost_matrices(
     labels: Sequence[str],
     gts: Sequence[GroundTruthSet],
     policies: Sequence[MatcherPolicy],
-    owner: np.ndarray | None,
+    owner: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost, IoU and label-agreement matrices of (n, 4) ``boxes`` against their groups' ground truths.
 
-    Row r meets ``gts[owner[r]]`` under ``policies[owner[r]]``, or ``gts[0]``
-    under ``policies[0]`` when ``owner`` is ``None``. Each matrix is (n, w),
-    with w the most ground truths of any group; row r meets only its own
-    group's g ground truths, in columns ``0..g-1``, and its other columns are
-    padding. One group's boxes meet ``gt.coords`` by broadcasting; rows with
-    an ``owner`` each meet their own ground truths, gathered. Either way each
-    cell holds what the group alone gives it, bit for bit. Each distinct
-    label is normalized once; labels are compared as small integers (numpy
-    strings drop trailing NULs).
+    Row r meets ``gts[owner[r]]`` under ``policies[owner[r]]``. Each matrix
+    is (n, w), with w the most ground truths of any group; row r meets only
+    its own group's g ground truths, in columns ``0..g-1``, and its other
+    columns are padding. Each cell holds what the group alone gives it, bit
+    for bit. Each distinct label is normalized once; labels are compared as
+    small integers (numpy strings drop trailing NULs).
 
-    Keep both branches. On one group broadcasting beats the gather (202
-    against 916 µs at 300×40); on a block of 64 groups the gather beats a
-    per-group broadcast loop (549 against 1983 µs). Without this branch and
-    the one-group paths of ``parse_block`` and ``_ground_truth_rows``,
-    stream-dense lost 9% groups/s (docs/protocol.md).
+    This is the package's one fork on one group against several: one
+    ground-truth set is met by broadcasting (``owner`` is then all zeros and
+    unread), several by gathering each row's own ground truths. On one group
+    broadcasting beats the gather (202 against 916 µs at 300×40); on a block
+    of 64 groups the gather beats a per-group broadcast loop (549 against
+    1983 µs).
     """
     ids: dict[str, int] = {}
     gt_ids = [ids.setdefault(key, len(ids)) for gt in gts for key in gt.label_keys]
     keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in dict.fromkeys(labels)}
     pred_ids = np.array([keys[label] for label in labels], dtype=np.intp)
     penalized = [policy is MatcherPolicy.BOX_AND_LABEL for policy in policies]
-    if owner is None:
+    if len(gts) == 1:
         ious = iou_matrix(boxes, gts[0].coords)
         same = pred_ids[:, None] == np.array(gt_ids, dtype=np.intp)[None, :]
         penalty = LABEL_MISMATCH_PENALTY if penalized[0] else None
@@ -390,7 +388,7 @@ def match(
             f"prediction box {predictions[row][1].coords()} invalid in the ground-truth space: {reason}"
         )
     labels = [label for label, _ in predictions]
-    costs = cost_matrices(boxes, labels, [gt], [policy], None)
+    costs = cost_matrices(boxes, labels, [gt], [policy], np.zeros(len(predictions), dtype=np.intp))
     assigned = {i: rest for i, *rest in assign_slices(*costs, [0, len(predictions)], [len(gt)])[0]}
     out: list[MatchedPrediction] = []
     for index, (label, box) in enumerate(predictions):

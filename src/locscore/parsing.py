@@ -182,7 +182,7 @@ class ParsedGroup:
     labels: list[str]
     coords: np.ndarray  # (n, 4) float64, each row in its group's declared space
     valid: np.ndarray  # (n,) bool: the row's box is valid in its group's declared space
-    group: np.ndarray | None  # (n,) each row's group in the block; None for one group
+    group: np.ndarray  # (n,) intp: each row's group in the block, all zeros for one group
 
     def outcome(self, index: int) -> ParseOutcome:
         """The ``ParseOutcome`` of completion ``index``."""
@@ -232,26 +232,21 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     row meets its own group's extent, which also names each rejected box's
     fault. Each distinct label of the block is collapsed once
     (``collapse_whitespace``). Each completion's outcome is the one it has
-    when its group is parsed alone.
-
-    Keep the one-group path (no concatenation of the read lists, no index):
-    it saves 17-68 µs per stream group (see ``matching.cost_matrices``).
+    when its group is parsed alone. One group is a block of one: its index
+    is all zeros.
     """
-    if len(groups) == 1:
-        template_ok, entry_faults, labels, flat, sizes = groups[0][0]
-        group = None
-    else:
-        template_ok, entry_faults, labels, flat, sizes = (
-            list(chain.from_iterable(read[field] for read, _ in groups)) for field in range(len(ReadGroup._fields))
-        )
-        group = np.repeat(np.arange(len(groups)), [len(read.labels) for read, _ in groups])
-    spelled = {label: collapse_whitespace(label) for label in set(labels)}
-    labels = [spelled[label] for label in labels]
+    template_ok, entry_faults, sizes = (
+        list(chain.from_iterable(getattr(read, field) for read, _ in groups))
+        for field in ("template_ok", "faults", "sizes")
+    )
+    # labels and coordinates are read from each group's lists in place: joining them first copies every entry
+    spelled = {label: collapse_whitespace(label) for label in set().union(*(read.labels for read, _ in groups))}
+    labels = [spelled[label] for read, _ in groups for label in read.labels]
+    coords = np.fromiter(chain.from_iterable(read.flat for read, _ in groups), float).reshape(-1, 4)
+    counts = [len(read.labels) for read, _ in groups]
+    group = np.repeat(np.arange(len(groups)), counts)
     bounds = list(accumulate(sizes, initial=0))
-    coords = np.array(flat, dtype=float).reshape(-1, 4)
-    extents = np.array([(space.max_x, space.max_y) for _, space in groups])
-    # one group's extent for every row, or each row's own group's
-    max_x, max_y = extents[0 if group is None else group].T
+    max_x, max_y = np.repeat([(space.max_x, space.max_y) for _, space in groups], counts, axis=0).T
     valid, box_faults = validate_boxes(coords, max_x, max_y)
     bad: dict[int, list[str]] = {}
     for row, reason in box_faults.items():

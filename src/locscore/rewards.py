@@ -224,36 +224,28 @@ class Group(NamedTuple):
     thresholds: ThresholdTriple
 
 
-def _per_row(values: Sequence, owner: np.ndarray | None):
-    """Each row's value from its group's ``values``; one group's value as it is."""
-    return values[0] if owner is None else np.array(values)[owner]
-
-
-def _ground_truth_rows(
-    parsed: ParsedGroup, groups: Sequence[Group]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _ground_truth_rows(parsed: ParsedGroup, groups: Sequence[Group]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block's valid rows, their boxes, each in its group's ground-truth space, and their groups.
 
-    The groups are ``parsed.group`` at those rows (``None`` for one group).
-    Unless every group's completions use its ground truth's space, each
-    group's boxes go through ``conversion_factors`` (``SpaceMismatchError``
-    for a space of another image) and are checked again in the ground-truth
-    space: a box that conversion makes invalid there, by collapsing it or
-    rounding it past the extent, is dropped.
+    The groups are ``parsed.group`` at those rows. Unless every group's
+    completions use its ground truth's space, each row is multiplied by its
+    own group's ``conversion_factors`` as ``coords * multiplier / divisor``
+    (``SpaceMismatchError`` for a space of another image) and checked again
+    in the ground-truth space: a box that conversion makes invalid there, by
+    collapsing it or rounding it past the extent, is dropped.
 
-    Keep the equal-space return and the one-group path (no row-to-group
-    index): both save time per stream group (see ``matching.cost_matrices``).
+    Keep the equal-space return: it saves time per stream group.
     """
     rows = np.flatnonzero(parsed.valid)
     boxes = parsed.coords[rows]
-    owner = None if parsed.group is None else parsed.group[rows]
+    owner = parsed.group[rows]
     if all(group.space == group.gt.space for group in groups):
         return rows, boxes, owner
     multipliers, divisors = zip(*(conversion_factors(group.space, group.gt.space) for group in groups))
-    boxes = boxes * _per_row(multipliers, owner) / _per_row(divisors, owner)
-    max_x, max_y = zip(*((group.gt.space.max_x, group.gt.space.max_y) for group in groups))
-    kept, _ = validate_boxes(boxes, _per_row(max_x, owner), _per_row(max_y, owner))
-    return rows[kept], boxes[kept], None if owner is None else owner[kept]
+    boxes = boxes * np.array(multipliers)[owner] / np.array(divisors)[owner]
+    max_x, max_y = np.array([(group.gt.space.max_x, group.gt.space.max_y) for group in groups])[owner].T
+    kept, _ = validate_boxes(boxes, max_x, max_y)
+    return rows[kept], boxes[kept], owner[kept]
 
 
 def _score_block(

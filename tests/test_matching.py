@@ -32,7 +32,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def engine_cost_matrix(preds, gt, policy):
     """The engine's (cost, IoU) matrices for (label, box) predictions."""
     boxes = box_array(box for _, box in preds)
-    return cost_matrices(boxes, [label for label, _ in preds], [gt], [policy], None)[:2]
+    return cost_matrices(boxes, [label for label, _ in preds], [gt], [policy], np.zeros(len(preds), dtype=np.intp))[:2]
 
 
 def _cost_matrix(preds, gt, policy):
@@ -363,18 +363,20 @@ class TestCostMatrix:
     @given(boxes=related_boxes(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_group_broadcast_equals_gather(self, boxes, data):
-        """One group's matrices by broadcasting (no ``owner``) and by the
-        block gather (every row owned by group 0) are bit-identical."""
+        """One group's matrices by broadcasting (one ground-truth set) and by
+        the block gather (the same set twice, every row owned by either copy)
+        are bit-identical."""
         split = data.draw(st.integers(0, len(boxes)))
         labels = st.sampled_from(LABELS[:3] + (" Cat ",))
         preds = [(data.draw(labels), box) for box in boxes[:split]]
         gt = GroundTruthSet.from_pairs([(data.draw(labels), box) for box in boxes[split:]], pixel_space(300, 300))
-        args = box_array(box for _, box in preds), [label for label, _ in preds], [gt]
+        args = box_array(box for _, box in preds), [label for label, _ in preds]
         for policy in MatcherPolicy:
-            broadcast = cost_matrices(*args, [policy], None)
-            gathered = cost_matrices(*args, [policy], np.zeros(len(preds), dtype=np.intp))
-            for one, other in zip(broadcast, gathered):
-                assert (one.shape, one.dtype, one.tobytes()) == (other.shape, other.dtype, other.tobytes())
+            broadcast = cost_matrices(*args, [gt], [policy], np.zeros(len(preds), dtype=np.intp))
+            for copy in (0, 1):
+                gathered = cost_matrices(*args, [gt, gt], [policy, policy], np.full(len(preds), copy, dtype=np.intp))
+                for one, other in zip(broadcast, gathered):
+                    assert (one.shape, one.dtype, one.tobytes()) == (other.shape, other.dtype, other.tobytes())
 
 
 def _fresh_interpreter(code):

@@ -3,6 +3,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +241,34 @@ def test_block_labels_equal_each_completion_alone(groups):
     parsed = parse_block([(read_completions(texts, fmt), space) for texts, fmt, space in groups])
     alone = [parse_completion(text, fmt, space) for texts, fmt, space in groups for text in texts]
     assert [parsed.outcome(index) for index in range(len(alone))] == alone
+
+
+def test_one_group_is_a_block_of_one():
+    """One group's parse has an all-zero row-to-group index, and its rows are
+    those of the same group inside a two-group block, in either place."""
+    texts = [
+        '[{"bbox_2d": [10, 20, 300, 200], "label": " Cat "}, {"bbox_2d": [5, 5, 90, 90], "label": "dog"}]',
+        '[{"bbox_2d": [1, 2, 3], "label": "cat"}, {"bbox_2d": [0, 0, 50, 470], "label": "a  b"}]',
+        "no objects here",
+        "[]",
+    ]
+    other = (["cat-[1,2,30,40];dog-[5,5,990,1200]", "", "cat-[bad]"], PLAIN_FORMAT, thousandths_space(640, 480))
+    for space in (pixel_space(640, 480), pixel_space(100, 100)):
+        alone = parse_block([(read_completions(texts, STRUCTURED_FORMAT), space)])
+        assert alone.group.dtype.kind == "i" and alone.group.tolist() == [0] * len(alone.labels)
+        group = (texts, STRUCTURED_FORMAT, space)
+        for place, block_groups in enumerate(([group, other], [other, group])):
+            block = parse_block([(read_completions(t, fmt), s) for t, fmt, s in block_groups])
+            first = 0 if place == 0 else len(other[0])
+            bounds = block.bounds[first : first + len(texts) + 1]
+            rows = np.flatnonzero(block.group == place)
+            assert rows.tolist() == list(range(bounds[0], bounds[-1]))
+            assert [bound - bounds[0] for bound in bounds] == alone.bounds
+            assert [block.labels[row] for row in rows] == alone.labels
+            assert block.coords[rows].tobytes() == alone.coords.tobytes()
+            assert block.valid[rows].tolist() == alone.valid.tolist()
+            assert block.diagnostics[first : first + len(texts)] == alone.diagnostics
+    assert not alone.valid.all()  # the second space rejects a box the first keeps
 
 
 def test_regex_whitespace_is_str_isspace():
