@@ -49,7 +49,6 @@ from .matching import (
 )
 from .metrics import EvalDataset, EvalImage, EvalResult, evaluate
 from .parsing import (
-    CompletionFormat,
     FormatKind,
     ParseOutcome,
     RawPrediction,
@@ -81,7 +80,7 @@ __all__ = [
     "pixel_space", "thousandths_space", "to_space", "validate_box", "KlMode", "LogProbRecord",
     "group_advantages", "grpo_objective", "kl_estimate", "GroundTruthInstance",
     "GroundTruthSet", "MatchedPrediction", "MatcherPolicy", "assignment_cost", "match",
-    "EvalDataset", "EvalImage", "EvalResult", "evaluate", "CompletionFormat", "FormatKind",
+    "EvalDataset", "EvalImage", "EvalResult", "evaluate", "FormatKind",
     "ParseOutcome", "RawPrediction", "emit_plain", "emit_structured", "extract_objects",
     "parse_completion", "PhaseConfig", "RewardBreakdown", "RewardRules", "ThresholdTriple",
     "differentiate", "phase_thresholds", "precision_reward", "recall_reward",

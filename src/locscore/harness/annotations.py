@@ -19,7 +19,7 @@ from typing import Any
 from ..curation import Sample, TaskKind
 from ..errors import FieldError
 from ..fields import read_field, read_id, read_numbers, read_strings
-from ..geometry import Box, SpaceKind, pixel_space
+from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..matching import GroundTruthSet, label_spellings
 from ..metrics import EvalDataset, EvalImage
 from . import wire
@@ -52,18 +52,15 @@ def write_jsonl(path: str | Path, entries: Iterable[Mapping[str, Any]]) -> None:
             handle.write("\n")
 
 
-def _image(image_id: str, width: int, height: int, pairs: Iterable[tuple[str, Box]]) -> EvalImage:
-    """An annotated image in pixel space; its ground truth is built, and checked against it, once."""
-    space = pixel_space(width, height)
+def _image(image_id: str, space: CoordinateSpace, pairs: Iterable[tuple[str, Box]]) -> EvalImage:
+    """An annotated image, which must be in pixels; its ground truth is built, and checked against it, once."""
+    if space.kind is not SpaceKind.PIXELS:
+        raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
     return EvalImage(image_id, space, GroundTruthSet.from_pairs(pairs, space))
 
 
 def _image_from_dict(data: Mapping[str, Any]) -> EvalImage:
-    image_id = read_id(data, "image_id")
-    space = wire.parse_space(data)
-    if space.kind is not SpaceKind.PIXELS:
-        raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
-    return _image(image_id, space.width, space.height, wire.parse_objects(data, "instances"))
+    return _image(read_id(data, "image_id"), wire.parse_space(data), wire.parse_objects(data, "instances"))
 
 
 def load_annotations(path: str | Path) -> list[EvalImage]:
@@ -111,8 +108,7 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
         images = []
         for img in wire.object_array(data, "images"):
             image_id = read_id(img, "id")
-            space = wire.parse_space(img)
-            images.append(_image(image_id, space.width, space.height, by_image.get(image_id, [])))
+            images.append(_image(image_id, wire.parse_space(img), by_image.get(image_id, [])))
     except ValueError as exc:
         raise ValueError(f"{src}: {exc}") from None
     write_annotations(images, dst)

@@ -12,7 +12,6 @@ from ..config import DEFAULT_CONFIG, EngineConfig
 from ..errors import EngineError, FieldError, MalformedRequestError
 from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
-from ..parsing import default_format
 from ..rewards import Group, RewardBreakdown, in_advanced_phase, phase_thresholds, score_groups
 from ..rewards import score_completion  # looked up by perfbench/tracing.py
 from .wire import (
@@ -50,7 +49,7 @@ def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
     if req.logprobs is not None and len(req.logprobs) != len(req.completions):
         raise MalformedRequestError("one log-prob record per completion is required")
 
-    fmt = req.format or default_format(config.completion_format)
+    fmt = req.format or config.completion_format
     return Group(
         req.completions,
         fmt,

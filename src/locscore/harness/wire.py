@@ -20,7 +20,7 @@ from ..geometry import Box, CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
 from ..metrics import EvalResult
-from ..parsing import CompletionFormat, FormatKind, default_format
+from ..parsing import FormatKind
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
 WIRE_VERSION = 1
@@ -42,7 +42,7 @@ class ScoringRequest:
     completions: tuple[str, ...]
     logprobs: tuple[LogProbRecord, ...] | None = None
     progress: float = 0.0
-    format: CompletionFormat | None = None
+    format: FormatKind | None = None
     matcher: MatcherPolicy | None = None
     phase: PhaseConfig | None = None
     want_advantages: bool = True
@@ -146,7 +146,6 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
     progress = read_field(data, "progress", float, 0.0)
     if not 0 <= progress <= 1:
         raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
-    kind = read_field(data, "format", FormatKind, None)
     phase = data.get("phase")
     logprobs = data.get("logprobs")
     return ScoringRequest(
@@ -155,7 +154,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
         completions=completions,
         logprobs=None if logprobs is None else _parse_logprobs(data, len(completions)),
         progress=progress,
-        format=None if kind is None else default_format(kind),
+        format=read_field(data, "format", FormatKind, None),
         matcher=read_field(data, "matcher", MatcherPolicy, None),
         phase=None if phase is None else phase_from_dict(phase),
         want_advantages=read_field(data, "advantages", bool, True),
@@ -172,7 +171,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
         "advantages": req.want_advantages,
     }
     if req.format is not None:
-        data["format"] = req.format.kind.value
+        data["format"] = req.format.value
     if req.matcher is not None:
         data["matcher"] = req.matcher.value
     if req.phase is not None:

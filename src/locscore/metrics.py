@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidBoxError
+from .errors import InvalidBoxError, SpaceMismatchError
 from .geometry import Box, CoordinateSpace, box_array, iou_pairs, validate_boxes
 from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
@@ -60,8 +60,13 @@ _RECALL_GRID = np.array([i / 100 for i in range(101)])
 @dataclass(frozen=True)
 class EvalImage:
     image_id: str
-    space: CoordinateSpace
+    space: CoordinateSpace  # predictions are checked against it: the ground truth's own space
     gt: GroundTruthSet
+
+    def __post_init__(self) -> None:
+        if self.space != self.gt.space:
+            space, gt_space = (f"{s.kind.value} {s.width}x{s.height}" for s in (self.space, self.gt.space))
+            raise SpaceMismatchError(f"image {self.image_id!r}: space {space} is not its ground truth's {gt_space}")
 
 
 @dataclass(frozen=True)

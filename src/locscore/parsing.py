@@ -1,7 +1,8 @@
 """Completion parsing: canonical grammars, validity flags, and extraction.
 
-Two completion grammars are supported (see ``docs/grammar.md`` for the
-normative definition):
+Two completion grammars are supported, each named by one ``FormatKind``
+whose ``space_kind`` is its default coordinate convention (see
+``docs/grammar.md`` for the normative definition):
 
 * ``structured``: a JSON array of objects, each carrying ``bbox_2d`` (four
   numbers) and ``label`` (non-empty string), optionally wrapped in a markdown
@@ -62,21 +63,14 @@ class FormatKind(str, Enum):
     STRUCTURED = "structured"
     PLAIN = "plain"
 
-
-@dataclass(frozen=True)
-class CompletionFormat:
-    """Which grammar a completion uses and which coordinate kind it implies."""
-
-    kind: FormatKind
-    space_kind: SpaceKind
+    @property
+    def space_kind(self) -> SpaceKind:
+        """The grammar's default coordinate convention: pixels, or thousandths for plain."""
+        return SpaceKind.PIXELS if self is FormatKind.STRUCTURED else SpaceKind.THOUSANDTHS
 
 
-STRUCTURED_FORMAT = CompletionFormat(FormatKind.STRUCTURED, SpaceKind.PIXELS)
-PLAIN_FORMAT = CompletionFormat(FormatKind.PLAIN, SpaceKind.THOUSANDTHS)
-
-
-def default_format(kind: FormatKind) -> CompletionFormat:
-    return STRUCTURED_FORMAT if kind is FormatKind.STRUCTURED else PLAIN_FORMAT
+STRUCTURED_FORMAT = FormatKind.STRUCTURED
+PLAIN_FORMAT = FormatKind.PLAIN
 
 
 @dataclass(frozen=True)
@@ -204,12 +198,12 @@ class ReadGroup(NamedTuple):
     sizes: list[int]  # each completion's count of well-formed entries
 
 
-def read_completions(texts: Sequence[str], fmt: CompletionFormat) -> ReadGroup:
+def read_completions(texts: Sequence[str], fmt: FormatKind) -> ReadGroup:
     """Read every completion of a group into entries; never raises.
 
     Labels are kept as written: ``parse_block`` collapses their whitespace.
     """
-    read = _read_structured if fmt.kind is FormatKind.STRUCTURED else _read_plain
+    read = _read_structured if fmt is FormatKind.STRUCTURED else _read_plain
     group = ReadGroup([], [], [], [], [])
     template_ok, entry_faults, labels, flat, sizes = group
     for text in texts:
@@ -260,8 +254,8 @@ def parse_block(groups: Sequence[tuple[ReadGroup, CoordinateSpace]]) -> ParsedGr
     return ParsedGroup(template_ok, content_ok, diagnostics, bounds, labels, coords, valid, group)
 
 
-def parse_completion(text: str, fmt: CompletionFormat, space: CoordinateSpace) -> ParseOutcome:
-    """Parse one raw completion into predictions plus the two validity flags.
+def parse_completion(text: str, fmt: FormatKind, space: CoordinateSpace) -> ParseOutcome:
+    """Parse one raw completion in grammar ``fmt``, boxes in ``space``, into predictions and the two flags.
 
     Deterministic and total: every malformation is reported through the flags
     and diagnostics, never an exception.

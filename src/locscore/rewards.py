@@ -33,7 +33,7 @@ from .geometry import CoordinateSpace, conversion_factors, validate_boxes
 from .geometry import to_space  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_slices, cost_matrices
 from .matching import match  # looked up by perfbench/tracing.py
-from .parsing import CompletionFormat, ParsedGroup, ParseOutcome, ReadGroup, parse_block, read_completions
+from .parsing import FormatKind, ParsedGroup, ParseOutcome, ReadGroup, parse_block, read_completions
 from .parsing import parse_completion  # looked up by perfbench/tracing.py
 
 # most cells (entries x most ground truths of a group) of one block's cost,
@@ -217,8 +217,8 @@ class Group(NamedTuple):
     """One group's input to ``score_groups``: its completions and how to score them."""
 
     texts: Sequence[str]
-    fmt: CompletionFormat
-    space: CoordinateSpace  # the completions' coordinate convention
+    fmt: FormatKind  # the completions' grammar
+    space: CoordinateSpace  # the completions' coordinate convention; the engine's is of kind fmt.space_kind
     gt: GroundTruthSet
     policy: MatcherPolicy
     thresholds: ThresholdTriple
@@ -323,7 +323,7 @@ def score_groups(
 
 def score_completion(
     text: str,
-    fmt: CompletionFormat,
+    fmt: FormatKind,
     space: CoordinateSpace,
     gt: GroundTruthSet,
     policy: MatcherPolicy = MatcherPolicy.BOX_ONLY,
@@ -333,7 +333,7 @@ def score_completion(
 ) -> RewardBreakdown:
     """Parse, match, and reward one completion against its ground truth.
 
-    ``space`` declares the coordinate convention of the completion itself;
+    ``fmt`` names the completion's grammar and ``space`` its own coordinate convention;
     extracted boxes are converted to the ground-truth space before matching.
     Pure in all arguments.
     """

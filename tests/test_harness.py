@@ -202,6 +202,24 @@ class TestWire:
         again = parse_request(request_to_dict(req))
         assert again == req
 
+    def test_overrides_decode_to_the_config_field_types(self):
+        from locscore.config import DEFAULT_CONFIG, phase_to_dict
+        from locscore.geometry import SpaceKind
+
+        data = make_request_dict(format="plain", matcher="box-label", phase=phase_to_dict(PhaseConfig()))
+        req = parse_request(data)
+        for override, default in [
+            (req.format, DEFAULT_CONFIG.completion_format),
+            (req.matcher, DEFAULT_CONFIG.matcher),
+            (req.phase, DEFAULT_CONFIG.phase),
+        ]:
+            assert type(override) is type(default)
+        assert req.format is FormatKind.PLAIN
+        assert FormatKind.STRUCTURED.space_kind is SpaceKind.PIXELS
+        assert FormatKind.PLAIN.space_kind is SpaceKind.THOUSANDTHS
+        written = request_to_dict(req)["format"]
+        assert type(written) is str and written == "plain"
+
     def test_response_round_trip(self):
         from locscore.harness import parse_response, response_to_dict
 
@@ -1399,7 +1417,7 @@ def _write(path, lines):
 @pytest.mark.parametrize(
     "case", ["missing-file", "bad-json", "three-number-bbox", "height-true", "bad-config",
              "unknown-coco-category", "config-beta-true", "annotation-thousandths",
-             "annotation-box-past-image", "config-not-json", "config-not-object"],
+             "annotation-box-past-image", "config-not-json", "config-not-object", "coco-thousandths"],
 )
 def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
     good = {name: json.dumps(line) for name, line in _GOOD_LINES.items()}
@@ -1456,6 +1474,12 @@ def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
         predictions = _write(tmp_path / "pred.jsonl", [good["predictions"]])
         argv = ["eval", "--annotations", annotations, "--predictions", predictions]
         message = f"locscore eval: {annotations}:2: {detail}"
+    elif case == "coco-thousandths":
+        coco = {"images": [{"id": 1, "width": 640, "height": 480, "coord_space": "thousandths"}],
+                "annotations": [], "categories": []}
+        src = _write(tmp_path / "coco.json", [json.dumps(coco)])
+        argv = ["convert", "--from", "coco", src, str(tmp_path / "native.jsonl")]
+        message = f"locscore convert: {src}: coord_space must be 'pixels' in an annotation, got 'thousandths'"
     else:
         coco = {
             "images": [{"id": 1, "width": 640, "height": 480}],

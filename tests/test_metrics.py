@@ -13,6 +13,7 @@ from locscore import (
     GroundTruthSet,
     InvalidBoxError,
     SpaceKind,
+    SpaceMismatchError,
     evaluate,
     pixel_space,
 )
@@ -101,6 +102,15 @@ class TestEvalDataset:
         with pytest.raises(ValueError) as raised:
             EvalDataset(images, ("dog",))
         assert str(raised.value) == "ground-truth label 'cat' missing from the category list"
+
+    @pytest.mark.parametrize("space", [CoordinateSpace(SpaceKind.THOUSANDTHS, 640, 480), pixel_space(320, 240)])
+    def test_space_other_than_the_ground_truths_rejected(self, space):
+        # a prediction would be checked against ``space``, the ground truth against its own
+        gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 320, 240))], SPACE)
+        with pytest.raises(SpaceMismatchError) as raised:
+            EvalImage("img0", space, gt)
+        described = f"{space.kind.value} {space.width}x{space.height}"
+        assert str(raised.value) == f"image 'img0': space {described} is not its ground truth's pixels 640x480"
 
 
 class TestEvaluateExamples:

@@ -21,7 +21,6 @@ from locscore.parsing import (
     PLAIN_FORMAT,
     STRUCTURED_FORMAT,
     FormatKind,
-    default_format,
     emit_plain,
     emit_structured,
     normalize_label,
@@ -41,8 +40,7 @@ GOLDEN_CASES = load_golden()
 
 
 def _format_for(case):
-    kind = FormatKind(case["format"])
-    return default_format(kind)
+    return FormatKind(case["format"])
 
 
 def _space_for(case):
