@@ -1,10 +1,15 @@
-"""Group scoring: the reward engine behind both the service and batch paths."""
+"""Group scoring: the one request pipeline, ``score_requests``, behind the service and batch paths.
+
+Requests are checked one at a time, and the groups of up to ``BLOCK_GROUPS``
+checked requests go to the group kernel in one call, so its fixed array cost
+is paid once per block; the outcomes are those of scoring one at a time.
+"""
 
 from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import replace
 from typing import Any
 
@@ -12,33 +17,57 @@ from ..config import DEFAULT_CONFIG, EngineConfig
 from ..errors import EngineError, FieldError, MalformedRequestError
 from ..fields import read_id
 from ..grpo import group_advantages, grpo_objective_detailed
-from ..rewards import Group, RewardBreakdown, in_advanced_phase, phase_thresholds, score_groups
+from ..rewards import Group, RewardBreakdown, phase_thresholds, score_groups
 from ..rewards import score_completion  # looked up by perfbench/tracing.py
-from .wire import (
-    ScoringRequest,
-    ScoringResponse,
-    error_to_dict,
-    parse_request,
-    response_to_dict,
-)
+from .wire import ScoringRequest, ScoringResponse, error_to_dict, parse_request, response_to_dict
 
 log = logging.getLogger(__name__)
 
+# most groups the kernel scores in one call; the kernel itself bounds the
+# size of the matrices it builds at once (rewards.BLOCK_CELLS)
+BLOCK_GROUPS = 64
+
+Outcome = ScoringResponse | tuple[str, str]  # a response, or an error's kind and detail
+
+
+class DecodeError(ValueError):
+    """A request line that is not JSON; given to ``score_requests``, it stands for that line."""
+
 
 def decode_line(line: str) -> Any:
-    """Decode one request line; a fault raises ``ValueError`` holding its detail."""
+    """Decode one request line; a fault raises ``DecodeError`` holding its detail."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{exc.msg} at position {exc.pos}") from None
+        raise DecodeError(f"{exc.msg} at position {exc.pos}") from None
     except RecursionError:
-        raise ValueError("nesting too deep") from None
+        raise DecodeError("nesting too deep") from None
     except ValueError:  # an integer literal over the interpreter's digit limit
-        raise ValueError("number too long") from None
+        raise DecodeError("number too long") from None
 
 
-def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
-    """The per-request checks, then the request as the group kernel's input.
+def decoded(line: str) -> Any:
+    """One line's input to ``score_requests``: its object, or the ``DecodeError`` it raised."""
+    try:
+        return decode_line(line)
+    except DecodeError as exc:
+        return exc
+
+
+def error_outcome(exc: Exception) -> tuple[str, str]:
+    """The one exception table: a fault's error kind and detail."""
+    if isinstance(exc, DecodeError):
+        return "parse-error", str(exc)
+    if isinstance(exc, MalformedRequestError):
+        return "malformed-request", str(exc)
+    if isinstance(exc, EngineError):
+        return "scoring-error", str(exc)
+    log.error("a request failed", exc_info=exc)  # a fault in the engine itself; the caller goes on
+    return "internal-error", f"{type(exc).__name__}: {exc}"
+
+
+def request_group(req: ScoringRequest, config: EngineConfig) -> tuple[Group, str]:
+    """The per-request checks, then the request as the group kernel's input, and its phase's name.
 
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
@@ -50,20 +79,23 @@ def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
         raise MalformedRequestError("one log-prob record per completion is required")
 
     fmt = req.format or config.completion_format
+    phase = req.phase or config.phase
+    thresholds = phase_thresholds(phase, req.progress)  # one of phase's two distinct triples
     return Group(
         req.completions,
         fmt,
         replace(req.sample.gt.space, kind=fmt.space_kind),
         req.sample.gt,
         req.matcher or config.matcher,
-        phase_thresholds(req.phase or config.phase, req.progress),
-    )
+        thresholds,
+    ), "advanced" if thresholds is phase.advanced else "beginner"
 
 
 def group_response(
     req: ScoringRequest,
     config: EngineConfig,
     group: Group,
+    phase_name: str,
     breakdowns: tuple[RewardBreakdown, ...],
 ) -> ScoringResponse:
     """The response to a request whose group the kernel scored: its advantages and objective."""
@@ -92,7 +124,7 @@ def group_response(
         objective=objective,
         kl_values=kl_values,
         thresholds=group.thresholds,
-        phase_name="advanced" if in_advanced_phase(req.phase or config.phase, req.progress) else "beginner",
+        phase_name=phase_name,
         diagnostics=tuple(diagnostics),
     )
 
@@ -104,31 +136,67 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
     config = config or DEFAULT_CONFIG
-    group = request_group(req, config)
-    return group_response(req, config, group, score_groups([group], config.rules)[0])
+    group, phase_name = request_group(req, config)
+    return group_response(req, config, group, phase_name, score_groups([group], config.rules)[0])
+
+
+def score_requests(
+    objects: Iterable[Any], config: EngineConfig
+) -> Iterator[tuple[ScoringRequest | None, Outcome]]:
+    """Each decoded request object's request (None if it did not parse) and outcome, in order.
+
+    A ``DecodeError`` among ``objects`` stands for a line that did not decode.
+    """
+    pending: list[tuple[ScoringRequest | None, Outcome | None]] = []  # None: waiting in `checked`
+    checked: list[tuple[Group, str]] = []
+    for data in objects:
+        request = None
+        try:
+            if isinstance(data, DecodeError):
+                raise data
+            request = parse_request(data)
+            checked.append(request_group(request, config))
+        except Exception as exc:
+            pending.append((request, error_outcome(exc)))
+            continue
+        pending.append((request, None))
+        if len(checked) == BLOCK_GROUPS:
+            yield from _scored_block(pending, checked, config)
+            pending, checked = [], []
+    yield from _scored_block(pending, checked, config)
+
+
+def _scored_block(pending: list, checked: list[tuple[Group, str]], config: EngineConfig) -> Iterator[tuple]:
+    """``pending`` with every outcome, ``checked``'s groups scored in one kernel call; when that
+    call raises, each group is scored alone instead, so that a fault lands on its own request."""
+    try:
+        scored = score_groups([group for group, _ in checked], config.rules)
+    except Exception:
+        scored = [None] * len(checked)
+    waiting = zip(checked, scored)
+    for request, outcome in pending:
+        if outcome is None:
+            (group, phase_name), breakdowns = next(waiting)
+            try:
+                if breakdowns is None:
+                    breakdowns = score_groups([group], config.rules)[0]
+                outcome = group_response(request, config, group, phase_name, breakdowns)
+            except Exception as exc:
+                outcome = error_outcome(exc)
+        yield request, outcome
 
 
 def handle_request_object(data: Any, config: EngineConfig | None = None) -> dict[str, Any]:
     """Request dict in, response dict out; faults become error responses."""
+    _, outcome = next(score_requests([data], config or DEFAULT_CONFIG))
+    if isinstance(outcome, ScoringResponse):
+        return response_to_dict(outcome)
     try:  # the echo of a request whose id is itself bad is null
         request_id = read_id(data, "request_id") if isinstance(data, Mapping) else None
     except FieldError:
         request_id = None
-    try:
-        req = parse_request(data)
-        return response_to_dict(score_group(req, config))
-    except MalformedRequestError as exc:
-        return error_to_dict(request_id, "malformed-request", str(exc))
-    except EngineError as exc:
-        return error_to_dict(request_id, "scoring-error", str(exc))
-    except Exception as exc:  # a fault in the engine itself; the service keeps going
-        log.exception("request %s failed", request_id)
-        return error_to_dict(request_id, "internal-error", f"{type(exc).__name__}: {exc}")
+    return error_to_dict(request_id, *outcome)
 
 
 def handle_request_line(line: str, config: EngineConfig | None = None) -> dict[str, Any]:
-    try:
-        data = decode_line(line)
-    except ValueError as exc:
-        return error_to_dict(None, "parse-error", str(exc))
-    return handle_request_object(data, config)
+    return handle_request_object(decoded(line), config)

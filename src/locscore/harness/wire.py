@@ -46,6 +46,7 @@ class ScoringRequest:
     matcher: MatcherPolicy | None = None
     phase: PhaseConfig | None = None
     want_advantages: bool = True
+    final: bool = False  # acted on only by batch scoring
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
         matcher=read_field(data, "matcher", MatcherPolicy, None),
         phase=None if phase is None else phase_from_dict(phase),
         want_advantages=read_field(data, "advantages", bool, True),
+        final=read_field(data, "final", bool, False),
     )
 
 
@@ -181,6 +183,8 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
             {"policy": list(r.policy), "old": list(r.old), "ref": list(r.ref)}
             for r in req.logprobs
         ]
+    if req.final:
+        data["final"] = True
     return data
 
 

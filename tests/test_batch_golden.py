@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from locscore.harness.batch import run_batch
+from locscore.harness import handle_request_line
+from locscore.harness.batch import ERROR_TEXT, run_batch
 
 GOLDEN = Path(__file__).parent / "data" / "batch_golden.jsonl"
 CASES = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
@@ -30,3 +31,24 @@ def test_batch_outputs_are_byte_identical(case, tmp_path):
     run_batch(manifest, tmp_path / "out")
     assert (tmp_path / "out" / "responses.jsonl").read_bytes().decode("utf-8") == case["responses"]
     assert (tmp_path / "out" / "report.json").read_bytes().decode("utf-8") == case["report"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_serve_and_score_agree_line_by_line(case):
+    """Each manifest line's service reply is its recorded batch outcome."""
+    lines = [(n, line) for n, line in enumerate(case["manifest"].splitlines(), start=1) if line.strip()]
+    responses = iter(case["responses"].splitlines())
+    errors = {}
+    for entry in json.loads(case["report"])["errors"]:
+        if not entry["error"].startswith("duplicate final entry"):  # a fact of the batch, not of a line
+            errors[entry["line"]] = entry["error"]
+    for lineno, line in lines:
+        reply = handle_request_line(line.strip())
+        if reply["ok"]:
+            assert lineno not in errors
+            assert reply == json.loads(next(responses))
+        else:
+            error = reply["error"]
+            assert ERROR_TEXT[error["kind"]].format(error["detail"]) == errors.pop(lineno)
+    assert next(responses, None) is None
+    assert errors == {}

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import locscore.harness.batch as batch_module
+import locscore.harness.engine as engine_module
 import locscore.rewards as rewards_module
 from locscore.geometry import Box, CoordinateSpace, SpaceKind, pixel_space
 from locscore.harness.batch import run_batch
@@ -150,9 +150,9 @@ def test_run_batch_gives_the_kernel_blocks_of_at_most_64_groups(tmp_path, monkey
     lines.insert(70, "{broken")
     (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
     sizes = []
-    real = batch_module.score_groups
+    real = engine_module.score_groups
     monkeypatch.setattr(
-        batch_module, "score_groups", lambda groups, rules: sizes.append(len(groups)) or real(groups, rules)
+        engine_module, "score_groups", lambda groups, rules: sizes.append(len(groups)) or real(groups, rules)
     )
     report = run_batch(tmp_path / "manifest.jsonl", tmp_path / "out")
     assert sizes == [64, 64, 22]

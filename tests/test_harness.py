@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import locscore.harness.batch as batch_module
 import locscore.harness.engine as engine_module
 import locscore.rewards as rewards_module
 from locscore import Box, EngineConfig, EvalImage, GroundTruthSet, PhaseConfig, pixel_space, thousandths_space
@@ -180,7 +179,7 @@ _json_values = st.recursive(
 )
 
 
-def _fails_once(monkeypatch, module, bad_id="boom", name="score_group"):
+def _fails_once(monkeypatch, module, bad_id="boom", name="group_response"):
     """Make ``module.<name>``, called with a request first, raise a non-engine error for one request id."""
     real = getattr(module, name)
 
@@ -201,6 +200,13 @@ class TestWire:
         req = parse_request(data)
         again = parse_request(request_to_dict(req))
         assert again == req
+
+    def test_round_trip_of_a_final_entry(self):
+        req = parse_request(make_request_dict(final=True))
+        assert req.final is True
+        assert request_to_dict(req)["final"] is True
+        assert parse_request(request_to_dict(req)) == req
+        assert "final" not in request_to_dict(parse_request(make_request_dict()))
 
     def test_overrides_decode_to_the_config_field_types(self):
         from locscore.config import DEFAULT_CONFIG, phase_to_dict
@@ -494,6 +500,8 @@ class TestService:
             (make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [0, 0, "1", 1]},
                                                      {"label": 7, "bbox": [0, 0, 1, 1]}]),
              "field 'bbox' must be an array of four finite numbers"),
+            # checked on both paths, acted on only by batch scoring
+            (make_request_dict(request_id="bad", final="yes"), "field 'final' must be bool"),
         ],
         ids=[
             "step-fraction-null",
@@ -520,6 +528,7 @@ class TestService:
             "advantages-one",
             "gt-bad-label-then-bad-bbox",
             "gt-bad-bbox-then-bad-label",
+            "final-string",
         ],
     )
     def test_malformed_request_between_good_ones(self, bad, detail):
@@ -631,7 +640,7 @@ class TestService:
     def test_internal_fault_gets_internal_error_and_service_continues(
         self, monkeypatch, caplog
     ):
-        _fails_once(monkeypatch, engine_module)
+        _fails_once(monkeypatch, engine_module)  # the step after the kernel
         lines = [json.dumps(make_request_dict(request_id=rid)) for rid in ("a", "boom", "b")]
         with caplog.at_level("ERROR", logger="locscore.harness.engine"):
             responses = _serve(lines)
@@ -740,7 +749,7 @@ class TestBatch:
         ]
 
     def test_internal_fault_collected_and_batch_continues(self, tmp_path, rng, monkeypatch):
-        _fails_once(monkeypatch, batch_module, name="group_response")  # each line's step after the kernel
+        _fails_once(monkeypatch, engine_module)  # each line's step after the kernel
         entries = _manifest_entries(rng, 3)
         entries[1]["request_id"] = "boom"
         manifest = tmp_path / "manifest.jsonl"
@@ -753,7 +762,7 @@ class TestBatch:
         assert report["completions"] == 6
 
     def test_internal_fault_before_the_kernel_collected(self, tmp_path, rng, monkeypatch):
-        _fails_once(monkeypatch, batch_module, name="request_group")  # each line's check before the kernel
+        _fails_once(monkeypatch, engine_module, name="request_group")  # each line's check before the kernel
         entries = _manifest_entries(rng, 3)
         entries[1]["request_id"] = "boom"
         manifest = tmp_path / "manifest.jsonl"

@@ -503,6 +503,31 @@ class TestGroupKernel:
         assert handle_request_line(json.dumps(request))["ok"]
         assert len(calls) == 1
 
+    def test_phase_decided_once_per_request(self, monkeypatch):
+        import locscore.harness.engine as engine
+        import locscore.rewards as rewards
+        from locscore.harness import handle_request_line
+
+        calls = []
+        original = rewards.in_advanced_phase
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rewards, "in_advanced_phase", counting)
+        monkeypatch.setattr(engine, "in_advanced_phase", counting, raising=False)
+        gt = [{"label": "cat", "bbox": [10.0, 10.0, 50.0, 50.0]}]
+        completions = ['[{"bbox_2d": [10, 10, 50, 50], "label": "cat"}]'] * 2
+        same = {"beginner": [0.5, 0.5, 0.75], "advanced": [0.5, 0.5, 0.75]}  # named by the phase, not the values
+        for progress, phase, name in [(0.2, None, "beginner"), (0.8, None, "advanced"),
+                                      (0.2, same, "beginner"), (0.8, same, "advanced")]:
+            calls.clear()
+            request = {"v": 1, "request_id": "r", "completions": completions, "progress": progress,
+                       "phase": phase, "sample": {"image_id": "i", "width": 64, "height": 64, "gt": gt}}
+            assert handle_request_line(json.dumps(request))["thresholds"]["phase"] == name
+            assert len(calls) == 1
+
     def test_completion_space_of_another_image_rejected_in_a_block(self):
         gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 100, 100))], SPACE)
         text = '[{"bbox_2d": [700, 0, 800, 100], "label": "cat"}]'
