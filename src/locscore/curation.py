@@ -46,7 +46,7 @@ class Sample:
     is_negative: bool
 
     def __post_init__(self) -> None:
-        if self.is_negative != (len(self.gt.instances) == 0):
+        if self.is_negative != (len(self.gt) == 0):
             raise ValueError("is_negative must mirror an empty ground-truth set")
 
     def query_categories(self) -> int:
@@ -59,7 +59,7 @@ def classify_difficulty(
     category_threshold: int = HARD_CATEGORY_THRESHOLD,
 ) -> str:
     """``"hard"`` when instances or queried categories exceed their thresholds."""
-    if len(sample.gt.instances) > instance_threshold:
+    if len(sample.gt) > instance_threshold:
         return "hard"
     if sample.query_categories() > category_threshold:
         return "hard"

@@ -80,13 +80,13 @@ def read_strings(data: Mapping[str, Any], key: str, default: Any = REQUIRED) -> 
     raise FieldError(f"field {key!r} must be an array of strings")
 
 
-def read_number_rows(
-    rows: Sequence[Mapping[str, Any]], key: str, length: int
-) -> list[tuple[float, ...] | None]:
-    """``read_numbers(row, key, length)`` of every row, or None where it fails.
+def read_number_rows(rows: Sequence[Mapping[str, Any]], key: str, length: int) -> list[float] | None:
+    """``read_numbers(row, key, length)`` of every row, joined in row order into one flat list.
 
-    All rows are checked at once with builtins; only when one fails are
-    they read again one by one, to find which.
+    None when some row fails: a caller that must name it reads the rows
+    again one by one. All rows are checked at once with builtins; only when
+    that check fails are they read one by one here, to tell a bad row from a
+    sum that overflows.
     """
     values = [row.get(key) for row in rows]
     flat = [v for value in values if type(value) is list and len(value) == length for v in value]
@@ -96,13 +96,13 @@ def read_number_rows(
         except OverflowError:  # an integer beyond float64
             floats = [math.inf]
         if math.isfinite(sum(floats)):  # a finite sum has finite terms
-            return list(zip(*[iter(floats)] * length))
-    out: list[tuple[float, ...] | None] = []
+            return floats
+    out: list[float] = []
     for row in rows:
         try:
-            out.append(read_numbers(row, key, length))
+            out += read_numbers(row, key, length)
         except FieldError:
-            out.append(None)
+            return None
     return out
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GroupTooSmallError, LengthMismatchError, NonFiniteInputError
+from .sums import left_sum
 
 DEFAULT_BETA = 0.2
 DEFAULT_EPSILON = 1e-4
@@ -141,7 +142,7 @@ def grpo_objective_detailed(
             surrogate = min(ratio * advantage, clipped * advantage)
         kl_values.append(kl)
         terms.append(surrogate - beta * kl)
-    objective = sum(terms) / len(terms)
+    objective = left_sum(terms) / len(terms)
     if not math.isfinite(objective):  # as it is whenever a KL estimate is not
         raise NonFiniteInputError("KL estimate or objective overflows float64")
     return ObjectiveResult(

@@ -16,6 +16,8 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from ..curation import Sample, TaskKind
 from ..errors import FieldError
 from ..fields import read_field, read_id, read_numbers, read_strings
@@ -52,15 +54,17 @@ def write_jsonl(path: str | Path, entries: Iterable[Mapping[str, Any]]) -> None:
             handle.write("\n")
 
 
-def _image(image_id: str, space: CoordinateSpace, pairs: Iterable[tuple[str, Box]]) -> EvalImage:
+def _image(
+    image_id: str, space: CoordinateSpace, labels: Sequence[str], coords: np.ndarray | Sequence[float]
+) -> EvalImage:
     """An annotated image, which must be in pixels; its ground truth is built, and checked against it, once."""
     if space.kind is not SpaceKind.PIXELS:
         raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
-    return EvalImage(image_id, space, GroundTruthSet.from_pairs(pairs, space))
+    return EvalImage(image_id, space, GroundTruthSet.from_arrays(labels, coords, space))
 
 
 def _image_from_dict(data: Mapping[str, Any]) -> EvalImage:
-    return _image(read_id(data, "image_id"), wire.parse_space(data), wire.parse_objects(data, "instances"))
+    return _image(read_id(data, "image_id"), wire.parse_space(data), *wire.parse_objects(data, "instances"))
 
 
 def load_annotations(path: str | Path) -> list[EvalImage]:
@@ -96,19 +100,19 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
             read_field(c, "id", int): read_field(c, "name", str)
             for c in wire.object_array(data, "categories")
         }
-        by_image: dict[str, list[tuple[str, Box]]] = {}
+        by_image: dict[str, tuple[list[str], list[float]]] = {}
         for ann in wire.object_array(data, "annotations"):
             category = read_field(ann, "category_id", int)
             if category not in categories:
                 raise ValueError(f"unknown category_id {category}")
             x, y, w, h = read_numbers(ann, "bbox", 4)
-            by_image.setdefault(read_id(ann, "image_id"), []).append(
-                (categories[category], Box(x, y, x + w, y + h))
-            )
+            labels, coords = by_image.setdefault(read_id(ann, "image_id"), ([], []))
+            labels.append(categories[category])
+            coords.extend((x, y, x + w, y + h))
         images = []
         for img in wire.object_array(data, "images"):
             image_id = read_id(img, "id")
-            images.append(_image(image_id, wire.parse_space(img), by_image.get(image_id, [])))
+            images.append(_image(image_id, wire.parse_space(img), *by_image.get(image_id, ([], []))))
     except ValueError as exc:
         raise ValueError(f"{src}: {exc}") from None
     write_annotations(images, dst)
@@ -116,7 +120,9 @@ def convert_coco_layout(src: str | Path, dst: str | Path) -> int:
 
 
 def _predictions_from_dict(data: Mapping[str, Any]) -> tuple[str, list[tuple[str, Box]]]:
-    return read_id(data, "image_id"), wire.parse_objects(data, "predictions")
+    image_id = read_id(data, "image_id")
+    labels, coords = wire.parse_objects(data, "predictions")
+    return image_id, [(label, Box(*row)) for label, row in zip(labels, coords.tolist())]
 
 
 def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:

@@ -19,6 +19,7 @@ from ..metrics import EvalImage, evaluate_objects
 from ..metrics import evaluate  # looked up by perfbench/tracing.py
 from ..parsing import parse_completion  # looked up by perfbench/tracing.py
 from ..rewards import RewardBreakdown
+from ..sums import left_sum
 from .annotations import dataset_from_images, write_jsonl
 from .engine import decoded, score_requests
 from .engine import score_group  # looked up by perfbench/tracing.py
@@ -49,7 +50,7 @@ def _histogram(totals: list[float]) -> dict[str, int]:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def run_batch(
@@ -106,12 +107,11 @@ def run_batch(
         "reward_histogram": _histogram(totals),
     }
     if eval_images:
-        try:
-            result = evaluate_objects(list(final_objects.values()), dataset_from_images(eval_images))
-        except ValueError as exc:
-            report["eval_error"] = str(exc)
-        else:
-            report["eval"] = eval_to_dict(result)
+        # raises nothing: one detection set per image, under unique ids, the
+        # categories are the images' own labels, and the kernel keeps only
+        # boxes valid in their ground truth's space, which is the image's
+        result = evaluate_objects(list(final_objects.values()), dataset_from_images(eval_images))
+        report["eval"] = eval_to_dict(result)
 
     write_jsonl(output_dir / "responses.jsonl", responses)
     with open(output_dir / "report.json", "w", encoding="utf-8") as handle:

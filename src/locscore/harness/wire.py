@@ -12,11 +12,13 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..config import phase_from_dict, phase_to_dict
 from ..curation import Sample, TaskKind
 from ..errors import FieldError, MalformedRequestError
 from ..fields import REQUIRED, read_field, read_id, read_number_rows, read_numbers, read_strings
-from ..geometry import Box, CoordinateSpace, SpaceKind
+from ..geometry import CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
 from ..metrics import EvalResult
@@ -64,7 +66,8 @@ class ScoringResponse:
 def object_array(data: Mapping[str, Any], key: str, default: Any = ()) -> list[Mapping[str, Any]]:
     """The array of objects ``data[key]``; absent means ``default``."""
     entries = read_field(data, key, list, default)
-    if not all(isinstance(entry, Mapping) for entry in entries):
+    # one kind check over the list; decoded JSON objects are all dicts
+    if not set(map(type, entries)) <= {dict} and not all(isinstance(entry, Mapping) for entry in entries):
         raise FieldError(f"each {key} entry must be an object")
     return entries
 
@@ -78,17 +81,21 @@ def parse_space(data: Mapping[str, Any]) -> CoordinateSpace:
     )
 
 
-def parse_objects(data: Mapping[str, Any], key: str) -> list[tuple[str, Box]]:
-    """The optional ``[{"label", "bbox"}]`` array ``data[key]`` as (label, box) pairs.
+def parse_objects(data: Mapping[str, Any], key: str) -> tuple[list[str], np.ndarray]:
+    """The optional ``[{"label", "bbox"}]`` array ``data[key]``: its labels, and its boxes as (n, 4) float64.
 
-    Every ``bbox`` is read at once; the first bad entry, label before box,
-    names the fault.
+    The labels are checked by one kind check over the list and the boxes by
+    one ``read_number_rows``; only when a check fails are the entries read
+    one by one, to name the first bad one, label before box.
     """
     entries = object_array(data, key)
-    return [
-        (read_field(entry, "label", str), Box(*(coords or read_numbers(entry, "bbox", 4))))
-        for entry, coords in zip(entries, read_number_rows(entries, "bbox", 4))
-    ]
+    labels = [entry.get("label") for entry in entries]
+    flat = read_number_rows(entries, "bbox", 4)
+    if flat is None or not set(map(type, labels)) <= {str}:
+        for entry in entries:
+            read_field(entry, "label", str)
+            read_numbers(entry, "bbox", 4)
+    return labels, np.array(flat, dtype=float).reshape(-1, 4)
 
 
 def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, Any]]:
@@ -99,7 +106,7 @@ def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, 
 def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
     image_id = read_id(data, "image_id")
     space = parse_space(data)
-    gt = GroundTruthSet.from_pairs(parse_objects(data, "gt"), space)
+    gt = GroundTruthSet.from_arrays(*parse_objects(data, "gt"), space)
     return SampleSpec(image_id, gt, read_field(data, "task", TaskKind, TaskKind.DETECTION))
 
 

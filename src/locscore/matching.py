@@ -35,7 +35,7 @@ from enum import Enum
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,33 +95,85 @@ class GroundTruthInstance:
     box: Box
 
 
-@dataclass(frozen=True)
 class GroundTruthSet:
-    """Annotated instances for one query; may be empty (negative sample)."""
+    """Annotated instances for one query; may be empty (negative sample).
 
-    instances: tuple[GroundTruthInstance, ...]
-    space: CoordinateSpace
+    Held as each instance's label (``labels``) and one read-only (g, 4)
+    float64 array of their corners (``coords``), checked against ``space``
+    once, when the set is made. ``GroundTruthSet(instances, space)``,
+    ``from_pairs`` and ``from_arrays`` all make this one form; ``instances``
+    is built from it on first read when it was not given. Equality and hash
+    are those of ``(instances, space)``, and the set is immutable.
+    """
 
-    def __post_init__(self) -> None:
-        for row, reason in validate_boxes(self.coords, self.space.max_x, self.space.max_y)[1].items():  # the first one
-            raise SpaceMismatchError(
-                f"ground-truth box {self.instances[row].box.coords()} invalid in its space: {reason}"
-            )
+    def __init__(self, instances: Iterable[GroundTruthInstance], space: CoordinateSpace) -> None:
+        instances = tuple(instances)
+        coords = box_array(inst.box for inst in instances)
+        self._hold([inst.label for inst in instances], coords, space, lambda row: instances[row].box.coords())
+        vars(self)["instances"] = instances  # kept as given: the cached property never rebuilds them
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Box]], space: CoordinateSpace) -> "GroundTruthSet":
         return cls(tuple(GroundTruthInstance(label, box) for label, box in pairs), space)
 
+    @classmethod
+    def from_arrays(
+        cls,
+        labels: Iterable[str],
+        coords: np.ndarray | Sequence[Sequence[float]] | Sequence[float],
+        space: CoordinateSpace,
+    ) -> "GroundTruthSet":
+        """The set of instance i with ``labels[i]`` and the box at row i of ``coords``, (g, 4) corners.
+
+        ``coords`` may also be flat, four numbers per instance. An invalid box
+        is named by its coordinates as floats.
+        """
+        gt = cls.__new__(cls)
+        rows = np.array(coords, dtype=float).reshape(-1, 4)
+        labels = tuple(labels)
+        if len(labels) != len(rows):
+            raise ValueError(f"{len(labels)} labels for {len(rows)} boxes")
+        gt._hold(labels, rows, space, lambda row: tuple(rows[row].tolist()))
+        return gt
+
+    def _hold(
+        self, labels: Sequence[str], coords: np.ndarray, space: CoordinateSpace, box_text: Callable[[int], tuple]
+    ) -> None:
+        """Check ``coords`` against ``space`` and keep the three; ``box_text(row)`` names an invalid box."""
+        for row, reason in validate_boxes(coords, space.max_x, space.max_y)[1].items():  # the first one
+            raise SpaceMismatchError(f"ground-truth box {box_text(row)} invalid in its space: {reason}")
+        coords.flags.writeable = False
+        vars(self).update(labels=tuple(labels), coords=coords, space=space)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroundTruthSet")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroundTruthSet")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instances, self.space) == (other.instances, other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.instances, self.space))
+
+    def __repr__(self) -> str:
+        return f"GroundTruthSet(instances={self.instances!r}, space={self.space!r})"
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.labels)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        return box_array(inst.box for inst in self.instances)
+    def instances(self) -> tuple[GroundTruthInstance, ...]:
+        return tuple(GroundTruthInstance(label, Box(*row)) for label, row in zip(self.labels, self.coords.tolist()))
 
     @cached_property
     def label_keys(self) -> tuple[str, ...]:
-        return tuple(normalize_label(inst.label) for inst in self.instances)
+        """Each instance's ``normalize_label``, each distinct label normalized once."""
+        keys = {label: normalize_label(label) for label in set(self.labels)}
+        return tuple(map(keys.__getitem__, self.labels))
 
     @cached_property
     def by_label(self) -> dict[str, tuple[int, ...]]:
@@ -137,7 +189,7 @@ def label_spellings(gts: Iterable[GroundTruthSet]) -> dict[str, str]:
     spellings: dict[str, str] = {}
     for gt in gts:
         for key, indices in gt.by_label.items():
-            spellings.setdefault(key, gt.instances[indices[0]].label)
+            spellings.setdefault(key, gt.labels[indices[0]])
     return spellings
 
 

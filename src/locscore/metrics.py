@@ -41,6 +41,7 @@ from .geometry import Box, CoordinateSpace, box_array, iou_pairs, validate_boxes
 from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
 from .parsing import normalize_label
+from .sums import left_sum
 
 
 def _threshold_grid() -> tuple[float, ...]:
@@ -280,7 +281,7 @@ def _evaluate(
         )
 
     ap_per_iou = {
-        threshold: sum(values) / len(values) if values else 0.0
+        threshold: left_sum(values) / len(values) if values else 0.0
         for threshold, values in zip(IOU_THRESHOLDS, ap.tolist())
     }
     recall_values = [value for values in recall.tolist() for value in values]
@@ -289,9 +290,9 @@ def _evaluate(
     ap_list = [ap_per_iou[t] for t in IOU_THRESHOLDS]
     return EvalResult(
         ap_per_iou=ap_per_iou,
-        map_5095=sum(ap_list) / len(ap_list),
+        map_5095=left_sum(ap_list) / len(ap_list),
         ap50=ap_per_iou[IOU_THRESHOLDS[0]],
         ap75=ap_per_iou[IOU_THRESHOLDS[5]],
-        ar100=(sum(recall_values) / len(recall_values)) if recall_values else 0.0,
+        ar100=(left_sum(recall_values) / len(recall_values)) if recall_values else 0.0,
         diagnostics=tuple(diagnostics),
     )

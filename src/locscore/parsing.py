@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import read_number_rows
+from .errors import FieldError
+from .fields import read_number_rows, read_numbers
 from .geometry import Box, CoordinateSpace, SpaceKind, validate_boxes
 
 _WS_RUN = re.compile(r"\s+")
@@ -111,54 +112,73 @@ def _strip_fences(text: str) -> str | None:
     return "\n".join(lines[1:-1])
 
 
-def _read_structured(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+# a completion read by its grammar: each well-formed entry's label as written
+# (None when the template fails), their coordinates as one flat list, and
+# each malformed entry's fault
+_Entries = tuple[list[str] | None, list[float], list[str]]
+
+
+def _read_structured(text: str) -> _Entries:
     body = _strip_fences(text)
     if body is None:
-        return None, ["unbalanced code fence"]
+        return None, [], ["unbalanced code fence"]
     body = body.strip()
     if not body:
-        return None, ["empty completion (structured format requires a JSON array)"]
+        return None, [], ["empty completion (structured format requires a JSON array)"]
     try:
         value = json.loads(body)
     except json.JSONDecodeError as exc:
-        return None, [f"not valid JSON: {exc.msg} at position {exc.pos}"]
+        return None, [], [f"not valid JSON: {exc.msg} at position {exc.pos}"]
     except RecursionError:
-        return None, ["not valid JSON: nesting too deep"]
+        return None, [], ["not valid JSON: nesting too deep"]
     except ValueError:  # an integer literal over the interpreter's digit limit
-        return None, ["not valid JSON: number too long"]
+        return None, [], ["not valid JSON: number too long"]
     if not isinstance(value, list):
-        return None, ["top-level JSON value is not an array"]
-    for index, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            return None, [f"array element {index} is not an object"]
-    entries: list[tuple[str, tuple[float, ...]]] = []
+        return None, [], ["top-level JSON value is not an array"]
+    if not set(map(type, value)) <= {dict}:
+        for index, entry in enumerate(value):
+            if not isinstance(entry, dict):
+                return None, [], [f"array element {index} is not an object"]
+    labels = [entry.get("label") for entry in value]
+    flat = read_number_rows(value, "bbox_2d", 4)
+    # the whole list is checked at once, each distinct label once
+    if flat is not None and set(map(type, labels)) <= {str} and all(
+        label and not label.isspace() for label in set(labels)
+    ):
+        return labels, flat, []
+    # some entry is malformed: walk them in order, to name each one and keep the others
+    kept: list[str] = []
+    coords: list[float] = []
     faults: list[str] = []
-    for index, (entry, coords) in enumerate(zip(value, read_number_rows(value, "bbox_2d", 4))):
-        if coords is None:
+    for index, (entry, label) in enumerate(zip(value, labels)):
+        try:
+            numbers = read_numbers(entry, "bbox_2d", 4)
+        except FieldError:
             faults.append(f"entry {index}: bbox_2d must be an array of four finite numbers")
             continue
-        label = entry.get("label")
         if not isinstance(label, str) or not label or label.isspace():
             faults.append(f"entry {index}: label must be a non-empty string")
             continue
-        entries.append((label, coords))
-    return entries, faults
+        kept.append(label)
+        coords.extend(numbers)
+    return kept, coords, faults
 
 
-def _read_plain(text: str) -> tuple[list[tuple[str, tuple[float, ...]]] | None, list[str]]:
+def _read_plain(text: str) -> _Entries:
     s = text.strip()
     if not s:
         # canonical abstention: an empty completion declares zero objects
-        return [], []
-    entries: list[tuple[str, tuple[float, ...]]] = []
+        return [], [], []
+    labels: list[str] = []
+    flat: list[float] = []
     for index, segment in enumerate(s.split(";")):
         segment = segment.strip()
         matched = _PLAIN_SEGMENT.match(segment) if segment else None
         if matched is None:
-            return None, [f"segment {index} does not match label-[x1,y1,x2,y2]"]
-        coords = tuple(map(float, matched.group("x1", "y1", "x2", "y2")))
-        entries.append((matched.group("label"), coords))
-    return entries, []
+            return None, [], [f"segment {index} does not match label-[x1,y1,x2,y2]"]
+        labels.append(matched.group("label"))
+        flat.extend(map(float, matched.group("x1", "y1", "x2", "y2")))
+    return labels, flat, []
 
 
 @dataclass(frozen=True)
@@ -207,13 +227,12 @@ def read_completions(texts: Sequence[str], fmt: FormatKind) -> ReadGroup:
     group = ReadGroup([], [], [], [], [])
     template_ok, entry_faults, labels, flat, sizes = group
     for text in texts:
-        entries, faults = read(text)
-        template_ok.append(entries is not None)
+        read_labels, read_flat, faults = read(text)
+        template_ok.append(read_labels is not None)
         entry_faults.append(faults)
-        for label, coords in entries or ():
-            labels.append(label)
-            flat.extend(coords)
-        sizes.append(len(entries or ()))
+        labels.extend(read_labels or ())
+        flat.extend(read_flat)
+        sizes.append(len(read_labels or ()))
     return group
 
 

@@ -35,6 +35,7 @@ from .matching import GroundTruthSet, MatchedPrediction, MatcherPolicy, assign_s
 from .matching import match  # looked up by perfbench/tracing.py
 from .parsing import FormatKind, ParsedGroup, ParseOutcome, ReadGroup, parse_block, read_completions
 from .parsing import parse_completion  # looked up by perfbench/tracing.py
+from .sums import left_sum
 
 # most cells (entries x most ground truths of a group) of one block's cost,
 # IoU and label matrices; a group over it is a block of its own
@@ -122,8 +123,8 @@ def _recall(n_valid: int, m: int, n_gt: int, t: ThresholdTriple) -> float:
 def _precision(valid_ious: list[float], m: int, n_gt: int, t: ThresholdTriple) -> float:
     if m == 0:
         return 1.0 if n_gt == 0 else 0.0
-    # a left-to-right sum in prediction order
-    return sum(differentiate(v, t.xi1, t.xi2) for v in valid_ious) / m
+    # in prediction order
+    return left_sum(differentiate(v, t.xi1, t.xi2) for v in valid_ious) / m
 
 
 def recall_reward(

@@ -126,6 +126,60 @@ class TestGroundTruthIndex:
         assert cached.label_keys is cached.label_keys
         assert cached == fresh and hash(cached) == hash(fresh) == before
 
+    def test_sets_are_immutable(self):
+        gt = GroundTruthSet.from_arrays(["cat"], [[0, 0, 1, 1]], pixel_space(64, 64))
+        with pytest.raises(AttributeError):
+            gt.labels = ("dog",)
+        with pytest.raises(ValueError):
+            gt.coords[0, 0] = 0.5
+        with pytest.raises(ValueError, match="2 labels for 1 boxes"):
+            GroundTruthSet.from_arrays(["cat", "dog"], [0, 0, 1, 1], pixel_space(64, 64))
+
+    # case and whitespace variants of two labels, which normalize_label makes one
+    LABEL_VARIANTS = st.sampled_from(["cat", "Cat", " CAT ", "traffic light", "Traffic  Light", "traffic\tlight\n"])
+    NUMBERS = st.integers(0, 70) | st.floats(0, 70, allow_nan=False)
+    # int and float corners, mostly of valid boxes
+    ROWS = st.lists(NUMBERS, min_size=4, max_size=4) | st.lists(NUMBERS, min_size=4, max_size=4).map(
+        lambda r: [min(r[0], r[2]) % 60, min(r[1], r[3]) % 60, min(r[0], r[2]) % 60 + 1, max(r[1], r[3]) % 3 + 61]
+    )
+
+    @given(st.lists(st.tuples(LABEL_VARIANTS, ROWS), max_size=6))
+    @settings(max_examples=300)
+    def test_array_constructor_equals_from_pairs(self, entries):
+        """``from_arrays`` on labels and rows against ``from_pairs`` on the same entries as boxes:
+        the same set, or the same first invalid box, named by its coordinates as floats;
+        ``from_pairs`` names it as its ``Box`` holds it."""
+        space = pixel_space(64, 64)
+        labels = [label for label, _ in entries]
+        rows = [row for _, row in entries]
+        outcomes = []
+        for make in (
+            lambda: GroundTruthSet.from_arrays(labels, rows, space),
+            lambda: GroundTruthSet.from_arrays(labels, [v for row in rows for v in row], space),
+            lambda: GroundTruthSet.from_pairs([(label, Box(*map(float, row))) for label, row in entries], space),
+            lambda: GroundTruthSet.from_pairs([(label, Box(*row)) for label, row in entries], space),
+        ):
+            try:
+                outcomes.append(make())
+            except SpaceMismatchError as exc:
+                outcomes.append(str(exc))
+        *floats, raw = outcomes
+        if isinstance(raw, str):
+            assert floats == [floats[-1]] * 3 and isinstance(floats[0], str)
+            invalid = validate_boxes(box_array(Box(*row) for row in rows), 64, 64)[1]
+            row = min(invalid)
+            assert floats[0] == f"ground-truth box {tuple(map(float, rows[row]))} invalid in its space: {invalid[row]}"
+            assert raw == f"ground-truth box {Box(*rows[row]).coords()} invalid in its space: {invalid[row]}"
+            return
+        for gt in floats:
+            assert gt.instances == raw.instances and gt.labels == raw.labels == tuple(labels)
+            assert gt.coords.dtype == np.float64 and gt.coords.shape == (len(entries), 4)
+            assert gt.coords.tobytes() == raw.coords.tobytes()
+            assert gt.label_keys == raw.label_keys and gt.by_label == raw.by_label
+            assert len(gt) == len(raw) == len(entries)
+            assert gt == raw and hash(gt) == hash(raw)
+            assert not gt.coords.flags.writeable
+
 
 class TestValidateBox:
     def test_valid(self):

@@ -42,6 +42,7 @@ from locscore.rewards import RewardRules, ThresholdTriple
 from conftest import LABELS, random_int_box
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+REMOVED = object()  # a field's change that takes the field out
 
 
 def make_request_dict(request_id="r1", completions=None, gt=None, **extra):
@@ -543,6 +544,42 @@ class TestService:
         assert responses[1]["ok"] is False
         assert responses[1]["error"]["kind"] == "malformed-request"
         assert detail in (None, responses[1]["error"]["detail"])
+
+    # a ground-truth entry's faults: the field, the entry's change, and the detail that names it
+    _GT_FAULTS = [
+        ("label", {"label": 7}, "field 'label' must be str"),
+        ("label", {"label": None}, "field 'label' must be str"),
+        ("label", {"label": REMOVED}, "missing field 'label'"),
+        ("bbox", {"bbox": [0, 0, "1", 1]}, "field 'bbox' must be an array of four finite numbers"),
+        ("bbox", {"bbox": [0, 0, 1]}, "field 'bbox' must be an array of four finite numbers"),
+        ("bbox", {"bbox": [0, 0, True, 1]}, "field 'bbox' must be an array of four finite numbers"),
+        ("bbox", {"bbox": [0, 0, 10**400, 1]}, "field 'bbox' must be an array of four finite numbers"),
+        ("bbox", {"bbox": REMOVED}, "missing field 'bbox'"),
+        # four numbers that are no box in the image: named only when no entry has a field fault
+        ("space", {"bbox": [0, 0, 900, 100]},
+         "ground-truth box (0.0, 0.0, 900.0, 100.0) invalid in its space: x2 = 900.0 exceeds extent 640.0"),
+        ("space", {"bbox": [50, 0, 10, 100]},
+         "ground-truth box (50.0, 0.0, 10.0, 100.0) invalid in its space: x2 <= x1 (non-positive width)"),
+    ]
+
+    @given(st.integers(1, 6), st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_GT_FAULTS)), min_size=1, max_size=2))
+    @settings(max_examples=200)
+    def test_first_bad_ground_truth_entry_is_named(self, size, faults):
+        """One or two faults at drawn positions of ``gt``: the detail names the first
+        entry with a field fault, its label before its box; with none, the first
+        box that is invalid in the image."""
+        gt = [{"label": "cat", "bbox": [10, 10, 20 + i, 30]} for i in range(size)]
+        label_faults, box_faults = {}, {}  # entry -> (kind, detail) of its label's and its box's last change
+        for position, (kind, change, detail) in faults:
+            index = position % size
+            gt[index].update(change)
+            gt[index] = {key: value for key, value in gt[index].items() if value is not REMOVED}
+            (label_faults if kind == "label" else box_faults)[index] = (kind, detail)
+        # on one entry the label's fault is named over the box's
+        field_faults = [fault for _, fault in sorted({**box_faults, **label_faults}.items()) if fault[0] != "space"]
+        _, expected = (field_faults or [fault for _, fault in sorted(box_faults.items())])[0]
+        reply = handle_request_line(json.dumps(make_request_dict(gt=gt)))
+        assert reply["error"] == {"kind": "malformed-request", "detail": expected}
 
     def test_a_sample_that_is_no_object_is_named_by_its_kind(self):
         reply = handle_request_line(json.dumps(make_request_dict(request_id="r", sample=[])))

@@ -233,8 +233,62 @@ def _label_blocks(draw):
     return groups
 
 
-@given(_label_blocks())
-@settings(max_examples=100)
+_COORDS = st.integers(0, 700) | st.floats(0, 700, allow_nan=False)
+_BAD_BOXES = st.one_of(
+    st.lists(st.sampled_from(["1", True, None, [1]]) | _COORDS, min_size=4, max_size=4).filter(
+        lambda box: not all(type(v) in (int, float) for v in box)
+    ),  # a value of the wrong kind
+    st.lists(_COORDS, max_size=6).filter(lambda box: len(box) != 4),  # the wrong arity
+    st.sampled_from([[0, 0, float("inf"), 1], [float("nan"), 0, 1, 1], [0, 0, 10**400, 1], "0,0,1,1", None]),
+)
+_ENTRIES = st.one_of(
+    st.fixed_dictionaries({"bbox_2d": st.lists(_COORDS, min_size=4, max_size=4), "label": _STRUCTURED_LABELS}),
+    st.fixed_dictionaries({"bbox_2d": _BAD_BOXES, "label": _STRUCTURED_LABELS}),
+    st.fixed_dictionaries({"bbox_2d": st.lists(_COORDS, min_size=4, max_size=4), "label": st.sampled_from(["", "  ", 7, None])}),
+    st.just({"label": "cat"}),
+)
+
+
+@st.composite
+def _structured_completions(draw):
+    """A structured completion mixing good and malformed entries, maybe fenced, maybe inside prose."""
+    text = json.dumps(draw(st.lists(_ENTRIES, max_size=5)))
+    wrap = draw(st.sampled_from(["none", "fence", "prose", "unbalanced"]))
+    return {
+        "none": text,
+        "fence": f"```json\n{text}\n```",
+        "prose": f"Here are the objects: {text}",
+        "unbalanced": f"```\n{text}",
+    }[wrap]
+
+
+@st.composite
+def _plain_completions(draw):
+    """Plain segments, some of them malformed, or prose."""
+    segments = draw(st.lists(
+        st.tuples(_PLAIN_LABELS, st.lists(st.integers(0, 1200), min_size=4, max_size=4)).map(
+            lambda entry: f"{entry[0]}-[{','.join(map(str, entry[1]))}]"
+        ) | st.sampled_from(["cat-[1,2,3]", "no box here", ""]),
+        max_size=4,
+    ))
+    return ";".join(segments)
+
+
+@st.composite
+def _mixed_blocks(draw):
+    """1-4 groups whose completions mix good entries, bad boxes, blank labels, prose, fences and plain segments."""
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        plain = draw(st.booleans())
+        fmt = PLAIN_FORMAT if plain else STRUCTURED_FORMAT
+        space = CoordinateSpace(fmt.space_kind, draw(st.sampled_from([640, 100])), 480)
+        texts = draw(st.lists(_plain_completions() if plain else _structured_completions(), min_size=1, max_size=3))
+        groups.append((texts, fmt, space))
+    return groups
+
+
+@given(_label_blocks() | _mixed_blocks())
+@settings(max_examples=300)
 def test_block_labels_equal_each_completion_alone(groups):
     parsed = parse_block([(read_completions(texts, fmt), space) for texts, fmt, space in groups])
     alone = [parse_completion(text, fmt, space) for texts, fmt, space in groups for text in texts]
