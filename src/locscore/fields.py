@@ -51,6 +51,24 @@ def _enum_values(kind: type[Enum]) -> frozenset[Any]:
     return frozenset(member.value for member in kind)
 
 
+def _finite_floats(values: list) -> list[float] | None:
+    """``values`` as floats when each is a number finite as a float64, else None.
+
+    A number is a JSON int or float, never a bool. The one rule behind
+    ``read_numbers`` and ``read_number_rows``.
+    """
+    types = set(map(type, values))
+    if not types <= _NUMBER_TYPES:
+        return None
+    try:
+        floats = list(map(float, values)) if int in types else values
+    except OverflowError:  # an integer beyond float64
+        return None
+    if math.isfinite(sum(floats)) or all(map(math.isfinite, floats)):  # a finite sum has finite terms
+        return floats
+    return None
+
+
 def read_numbers(
     data: Mapping[str, Any], key: str, length: int | None = None, default: Any = REQUIRED
 ) -> tuple[float, ...]:
@@ -58,16 +76,11 @@ def read_numbers(
     values = read_field(data, key, list, default)
     if values is default:
         return default
-    types = set(map(type, values))
-    if (length is None or len(values) == length) and types <= _NUMBER_TYPES:
-        try:
-            out = tuple(map(float, values)) if int in types else tuple(values)
-        except OverflowError:  # an integer beyond float64
-            out = (math.inf,)
-        if math.isfinite(sum(out)) or all(map(math.isfinite, out)):  # a finite sum has finite terms
-            return out
-    count = _COUNT_WORDS.get(length, "")
-    raise FieldError(f"field {key!r} must be an array of {count}finite numbers")
+    floats = _finite_floats(values) if length is None or len(values) == length else None
+    if floats is None:
+        count = _COUNT_WORDS.get(length, "")
+        raise FieldError(f"field {key!r} must be an array of {count}finite numbers")
+    return tuple(floats)
 
 
 def read_strings(data: Mapping[str, Any], key: str, default: Any = REQUIRED) -> tuple[str, ...]:
@@ -84,26 +97,12 @@ def read_number_rows(rows: Sequence[Mapping[str, Any]], key: str, length: int) -
     """``read_numbers(row, key, length)`` of every row, joined in row order into one flat list.
 
     None when some row fails: a caller that must name it reads the rows
-    again one by one. All rows are checked at once with builtins; only when
-    that check fails are they read one by one here, to tell a bad row from a
-    sum that overflows.
+    again one by one. All rows are checked at once, by ``read_numbers``'
+    own rule.
     """
     values = [row.get(key) for row in rows]
-    flat = [v for value in values if type(value) is list and len(value) == length for v in value]
-    if len(flat) == length * len(values) and set(map(type, flat)) <= _NUMBER_TYPES:
-        try:
-            floats = list(map(float, flat))
-        except OverflowError:  # an integer beyond float64
-            floats = [math.inf]
-        if math.isfinite(sum(floats)):  # a finite sum has finite terms
-            return floats
-    out: list[float] = []
-    for row in rows:
-        try:
-            out += read_numbers(row, key, length)
-        except FieldError:
-            return None
-    return out
+    flat = [v for value in values if isinstance(value, list) and len(value) == length for v in value]
+    return _finite_floats(flat) if len(flat) == length * len(values) else None
 
 
 def read_id(data: Mapping[str, Any], key: str) -> str:

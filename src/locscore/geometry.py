@@ -8,6 +8,10 @@ source of a conversion's factors per space pair, applied as ``coords *
 multiplier / divisor`` both by ``to_space_array`` and, each row by its own
 group's factors, by the group kernel (``rewards``).
 ``validate_box``, ``iou`` and ``to_space`` are one-row calls into them.
+
+A box has one form here: float64 rows, as ``box_array`` reads them. A
+``Box`` with integer coordinates becomes float64 on entry, as a JSON one
+does, and an error text spells a box by those float coordinates.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def validate_boxes(
     """
     x1, y1, x2, y2 = coords.T
     broken = [
-        ~np.isfinite(np.asarray(coords, dtype=float)).all(axis=1),
+        ~np.isfinite(coords).all(axis=1),
         (coords < 0).any(axis=1),
         x2 <= x1,
         y2 <= y1,
@@ -138,25 +142,9 @@ def validate_boxes(
     return valid, reasons
 
 
-def _checked_rows(
-    *boxes: Box, max_x: float = math.inf, max_y: float = math.inf
-) -> tuple[np.ndarray, dict[int, str]]:
-    """The boxes' own coordinates as rows, and ``validate_boxes`` of them.
-
-    The rows are float64 when every coordinate is a float, else the values
-    themselves as objects, so that the array kernels do Python's arithmetic
-    on a box with integer coordinates.
-    """
-    coords = [box.coords() for box in boxes]
-    floats = all(type(value) is float for row in coords for value in row)
-    rows = np.array(coords, dtype=float if floats else object)
-    with np.errstate(invalid="ignore"):  # comparing a NaN held as an object sets the invalid flag
-        return rows, validate_boxes(rows, max_x, max_y)[1]
-
-
 def validate_box(box: Box, space: CoordinateSpace) -> tuple[bool, str | None]:
     """``validate_boxes`` for one box: ``(True, None)`` or ``(False, reason)``."""
-    reason = _checked_rows(box, max_x=space.max_x, max_y=space.max_y)[1].get(0)
+    reason = validate_boxes(box_array((box,)), space.max_x, space.max_y)[1].get(0)
     return reason is None, reason
 
 
@@ -166,10 +154,11 @@ def iou(a: Box, b: Box) -> float:
     Raises ``InvalidBoxError`` for a box that breaks a space-independent
     invariant.
     """
-    rows, faults = _checked_rows(a, b)
+    rows = box_array((a, b))
+    faults = validate_boxes(rows, math.inf, math.inf)[1]
     if faults:
         row = min(faults)
-        raise InvalidBoxError(f"invalid box {(a, b)[row].coords()}: {faults[row]}")
+        raise InvalidBoxError(f"invalid box {tuple(rows[row].tolist())}: {faults[row]}")
     return float(iou_matrix(rows[:1], rows[1:])[0, 0])
 
 
@@ -223,9 +212,10 @@ def to_space(box: Box, src: CoordinateSpace, dst: CoordinateSpace) -> Box:
     Converting between identical kinds returns the box unchanged.
     """
     _require_same_image(src, dst)
-    rows, faults = _checked_rows(box, max_x=src.max_x, max_y=src.max_y)
-    if faults:
-        raise InvalidBoxError(f"box {box.coords()} invalid in source space: {faults[0]}")
+    rows = box_array((box,))
+    fault = validate_boxes(rows, src.max_x, src.max_y)[1].get(0)
+    if fault is not None:
+        raise InvalidBoxError(f"box {tuple(rows[0].tolist())} invalid in source space: {fault}")
     if src.kind == dst.kind:
         return box
     return Box(*to_space_array(rows, src, dst)[0].tolist())
@@ -240,26 +230,23 @@ def to_space_array(coords: np.ndarray, src: CoordinateSpace, dst: CoordinateSpac
     _require_same_image(src, dst)
     if src.kind == dst.kind:
         return coords
-    multiplier, divisor = conversion_factors(src, dst, coords.dtype)
+    multiplier, divisor = conversion_factors(src, dst)
     # multiply before dividing: integer-valued coordinates stay exact
     return coords * multiplier / divisor
 
 
-def conversion_factors(
-    src: CoordinateSpace, dst: CoordinateSpace, dtype: np.dtype | type = float
-) -> tuple[np.ndarray, np.ndarray]:
+def conversion_factors(src: CoordinateSpace, dst: CoordinateSpace) -> tuple[np.ndarray, np.ndarray]:
     """The (4,) multiplier and divisor of ``to_space_array``: ``coords * multiplier / divisor``.
 
     ``src`` and ``dst`` must describe one image, else ``SpaceMismatchError``;
     two spaces of one kind give ones, which leave every coordinate as it is.
-    In ``dtype``, so that an object row multiplies by the exact integer extent.
     """
     _require_same_image(src, dst)
     if src.kind is dst.kind:
-        one = np.ones(4, dtype=dtype)
+        one = np.ones(4)
         return one, one
-    extent = np.array([src.width, src.height] * 2, dtype=dtype)
-    scale = np.full(4, THOUSANDTHS_EXTENT, dtype=dtype)
+    extent = np.array([src.width, src.height] * 2, dtype=float)
+    scale = np.full(4, THOUSANDTHS_EXTENT)
     if src.kind is SpaceKind.THOUSANDTHS:
         return extent, scale
     return scale, extent

@@ -66,8 +66,8 @@ def error_outcome(exc: Exception) -> tuple[str, str]:
     return "internal-error", f"{type(exc).__name__}: {exc}"
 
 
-def request_group(req: ScoringRequest, config: EngineConfig) -> tuple[Group, str]:
-    """The per-request checks, then the request as the group kernel's input, and its phase's name.
+def request_group(req: ScoringRequest, config: EngineConfig) -> Group:
+    """The per-request checks, then the request as the group kernel's input.
 
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
@@ -79,26 +79,26 @@ def request_group(req: ScoringRequest, config: EngineConfig) -> tuple[Group, str
         raise MalformedRequestError("one log-prob record per completion is required")
 
     fmt = req.format or config.completion_format
-    phase = req.phase or config.phase
-    thresholds = phase_thresholds(phase, req.progress)  # one of phase's two distinct triples
     return Group(
         req.completions,
         fmt,
         replace(req.sample.gt.space, kind=fmt.space_kind),
         req.sample.gt,
         req.matcher or config.matcher,
-        thresholds,
-    ), "advanced" if thresholds is phase.advanced else "beginner"
+        phase_thresholds(req.phase or config.phase, req.progress),
+    )
 
 
 def group_response(
     req: ScoringRequest,
     config: EngineConfig,
     group: Group,
-    phase_name: str,
     breakdowns: tuple[RewardBreakdown, ...],
 ) -> ScoringResponse:
-    """The response to a request whose group the kernel scored: its advantages and objective."""
+    """The response to a request whose group the kernel scored: its advantages and objective.
+
+    The phase is named by which of its two distinct triples ``request_group`` picked.
+    """
     totals = [b.total for b in breakdowns]
     diagnostics: list[str] = []
     advantages = None
@@ -124,7 +124,7 @@ def group_response(
         objective=objective,
         kl_values=kl_values,
         thresholds=group.thresholds,
-        phase_name=phase_name,
+        phase_name="advanced" if group.thresholds is (req.phase or config.phase).advanced else "beginner",
         diagnostics=tuple(diagnostics),
     )
 
@@ -136,8 +136,8 @@ def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> Scor
     Raises ``MalformedRequestError`` for requests that violate the contract.
     """
     config = config or DEFAULT_CONFIG
-    group, phase_name = request_group(req, config)
-    return group_response(req, config, group, phase_name, score_groups([group], config.rules)[0])
+    group = request_group(req, config)
+    return group_response(req, config, group, score_groups([group], config.rules)[0])
 
 
 def score_requests(
@@ -148,7 +148,7 @@ def score_requests(
     A ``DecodeError`` among ``objects`` stands for a line that did not decode.
     """
     pending: list[tuple[ScoringRequest | None, Outcome | None]] = []  # None: waiting in `checked`
-    checked: list[tuple[Group, str]] = []
+    checked: list[Group] = []
     for data in objects:
         request = None
         try:
@@ -166,21 +166,21 @@ def score_requests(
     yield from _scored_block(pending, checked, config)
 
 
-def _scored_block(pending: list, checked: list[tuple[Group, str]], config: EngineConfig) -> Iterator[tuple]:
+def _scored_block(pending: list, checked: list[Group], config: EngineConfig) -> Iterator[tuple]:
     """``pending`` with every outcome, ``checked``'s groups scored in one kernel call; when that
     call raises, each group is scored alone instead, so that a fault lands on its own request."""
     try:
-        scored = score_groups([group for group, _ in checked], config.rules)
+        scored = score_groups(checked, config.rules)
     except Exception:
         scored = [None] * len(checked)
     waiting = zip(checked, scored)
     for request, outcome in pending:
         if outcome is None:
-            (group, phase_name), breakdowns = next(waiting)
+            group, breakdowns = next(waiting)
             try:
                 if breakdowns is None:
                     breakdowns = score_groups([group], config.rules)[0]
-                outcome = group_response(request, config, group, phase_name, breakdowns)
+                outcome = group_response(request, config, group, breakdowns)
             except Exception as exc:
                 outcome = error_outcome(exc)
         yield request, outcome

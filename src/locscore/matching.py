@@ -19,7 +19,10 @@ first optimum with graph searches only. IoUs come from
 ``cost_matrices`` builds the matrices of a block of groups' predictions at
 once, each row meeting only its own group's ground truths, and
 ``assign_slices`` matches each completion's slice of them on its own;
-``match`` is the two for one list of predictions.
+``match`` is the two for one list of predictions. Every box, a prediction's
+or a ground truth's, is one float64 row of ``geometry.box_array``, so
+``match`` and ``assignment_cost`` give one pair one IoU, and an invalid box
+is named by its float coordinates.
 
 The solver is scipy's compiled ``scipy.optimize._lsap``, loaded by itself so
 that a start does not pay for ``scipy.optimize``'s eager package import; it is
@@ -35,7 +38,7 @@ from enum import Enum
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,16 +104,15 @@ class GroundTruthSet:
     Held as each instance's label (``labels``) and one read-only (g, 4)
     float64 array of their corners (``coords``), checked against ``space``
     once, when the set is made. ``GroundTruthSet(instances, space)``,
-    ``from_pairs`` and ``from_arrays`` all make this one form; ``instances``
-    is built from it on first read when it was not given. Equality and hash
+    ``from_pairs`` and ``from_arrays`` all make this one form, and
+    ``instances`` is built from it on first read, so its boxes hold floats.
+    An invalid box is named by its coordinates as floats. Equality and hash
     are those of ``(instances, space)``, and the set is immutable.
     """
 
     def __init__(self, instances: Iterable[GroundTruthInstance], space: CoordinateSpace) -> None:
         instances = tuple(instances)
-        coords = box_array(inst.box for inst in instances)
-        self._hold([inst.label for inst in instances], coords, space, lambda row: instances[row].box.coords())
-        vars(self)["instances"] = instances  # kept as given: the cached property never rebuilds them
+        self._hold([inst.label for inst in instances], box_array(inst.box for inst in instances), space)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Box]], space: CoordinateSpace) -> "GroundTruthSet":
@@ -125,23 +127,22 @@ class GroundTruthSet:
     ) -> "GroundTruthSet":
         """The set of instance i with ``labels[i]`` and the box at row i of ``coords``, (g, 4) corners.
 
-        ``coords`` may also be flat, four numbers per instance. An invalid box
-        is named by its coordinates as floats.
+        ``coords`` may also be flat, four numbers per instance.
         """
         gt = cls.__new__(cls)
         rows = np.array(coords, dtype=float).reshape(-1, 4)
         labels = tuple(labels)
         if len(labels) != len(rows):
             raise ValueError(f"{len(labels)} labels for {len(rows)} boxes")
-        gt._hold(labels, rows, space, lambda row: tuple(rows[row].tolist()))
+        gt._hold(labels, rows, space)
         return gt
 
-    def _hold(
-        self, labels: Sequence[str], coords: np.ndarray, space: CoordinateSpace, box_text: Callable[[int], tuple]
-    ) -> None:
-        """Check ``coords`` against ``space`` and keep the three; ``box_text(row)`` names an invalid box."""
+    def _hold(self, labels: Sequence[str], coords: np.ndarray, space: CoordinateSpace) -> None:
+        """Check ``coords`` against ``space`` and keep the three."""
         for row, reason in validate_boxes(coords, space.max_x, space.max_y)[1].items():  # the first one
-            raise SpaceMismatchError(f"ground-truth box {box_text(row)} invalid in its space: {reason}")
+            raise SpaceMismatchError(
+                f"ground-truth box {tuple(coords[row].tolist())} invalid in its space: {reason}"
+            )
         coords.flags.writeable = False
         vars(self).update(labels=tuple(labels), coords=coords, space=space)
 
@@ -437,7 +438,7 @@ def match(
     boxes = box_array(box for _, box in predictions)
     for row, reason in validate_boxes(boxes, gt.space.max_x, gt.space.max_y)[1].items():  # the first one
         raise SpaceMismatchError(
-            f"prediction box {predictions[row][1].coords()} invalid in the ground-truth space: {reason}"
+            f"prediction box {tuple(boxes[row].tolist())} invalid in the ground-truth space: {reason}"
         )
     labels = [label for label, _ in predictions]
     costs = cost_matrices(boxes, labels, [gt], [policy], np.zeros(len(predictions), dtype=np.intp))

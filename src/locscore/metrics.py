@@ -14,16 +14,18 @@ ulps above the nominal values, so a detection whose IoU is exactly a nominal
 boundary such as 0.6 falls below that gridpoint; averages are reported over
 these grid floats as-is.
 
-``evaluate`` is one array pass over the whole dataset. Every detection of
-every image is one row of an (n, 4) array (``evaluate_objects`` takes the
-detections in that form, with no ``Box`` per detection), checked once
-against its own image's extent; each distinct label is normalized once. IoU is computed once
-per (detection, ground truth) pair of the same image and category that
-survives the 100-per-image-and-category cut, as one flat array of pairs. The
-greedy matcher then takes one detection rank per step, for every (image,
-category) block and every threshold at once. Memory grows with the number of
-detections, ground truths and such pairs; a block is never padded to the
-size of another, so one crowded image does not inflate the rest.
+``evaluate_objects`` is one array pass over the whole dataset, and
+``evaluate`` reads each image's ``Box``es as float64 rows and hands them to
+it. Every detection of every image is one row of an (n, 4) float64 array,
+checked once against its own image's extent and named by those float
+coordinates when invalid; each distinct label is normalized once. IoU is
+computed once per (detection, ground truth) pair of the same image and
+category that survives the 100-per-image-and-category cut, as one flat array
+of pairs. The greedy matcher then takes one detection rank per step, for
+every (image, category) block and every threshold at once. Memory grows with
+the number of detections, ground truths and such pairs; a block is never
+padded to the size of another, so one crowded image does not inflate the
+rest.
 ``tests/oracles.py`` keeps the per-image loop it replaced as the exact
 reference.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -197,9 +199,9 @@ def evaluate(
     ``InvalidBoxError`` naming the first invalid box in image order.
     """
     detections = [predictions.get(img.image_id, ()) for img in dataset.images]
-    boxes = [box for dets in detections for _, box in dets]
-    labels = [[label for label, _ in dets] for dets in detections]
-    return _evaluate(labels, box_array(boxes), dataset, lambda row: boxes[row].coords())
+    return evaluate_objects(
+        [([label for label, _ in dets], box_array(box for _, box in dets)) for dets in detections], dataset
+    )
 
 
 def evaluate_objects(
@@ -215,19 +217,6 @@ def evaluate_objects(
     if len(objects) != len(dataset.images):
         raise ValueError(f"{len(objects)} detection sets for {len(dataset.images)} images")
     coords = np.concatenate([box_array(()), *(boxes for _, boxes in objects)])
-    return _evaluate([labels for labels, _ in objects], coords, dataset, lambda row: tuple(coords[row].tolist()))
-
-
-def _evaluate(
-    labels_per_image: Sequence[Sequence[str]],
-    coords: np.ndarray,
-    dataset: EvalDataset,
-    box_text: Callable[[int], object],
-) -> EvalResult:
-    """The evaluation, over every image's rank-ordered labels and all their boxes as one (n, 4) array.
-
-    ``box_text(row)`` gives the coordinates an invalid box is named by.
-    """
     diagnostics: list[str] = []
     images = dataset.images
     known = set(dataset.category_keys)
@@ -236,12 +225,12 @@ def _evaluate(
     column = {category: index for index, category in enumerate(active)}
 
     # every detection of every image, in rank order: one row each
-    image_of = np.repeat(np.arange(len(images)), [len(names) for names in labels_per_image])
+    image_of = np.repeat(np.arange(len(images)), [len(names) for names, _ in objects])
     extents = np.array([(img.space.max_x, img.space.max_y) for img in images]).reshape(-1, 2)[image_of]
     for row, reason in validate_boxes(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
         image_id = images[image_of[row]].image_id
-        raise InvalidBoxError(f"prediction box {box_text(row)} invalid in image {image_id}: {reason}")
-    labels = [label for names in labels_per_image for label in names]
+        raise InvalidBoxError(f"prediction box {tuple(coords[row].tolist())} invalid in image {image_id}: {reason}")
+    labels = [label for names, _ in objects for label in names]
     keys = {label: normalize_label(label) for label in set(labels)}
     # -1: a known category without ground truth, -2: outside the category list
     codes = {label: column.get(key, -1 if key in known else -2) for label, key in keys.items()}

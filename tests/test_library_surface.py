@@ -105,3 +105,41 @@ def test_no_module_spells_an_enum_value():
                 if owners[node.value] != (path, where.get(id(node))):
                     spelled.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.value!r}")
     assert spelled == []
+
+
+def _object_dtype_lines(source):
+    """Line of each call in ``source`` that asks for an object-dtype array: a ``dtype`` keyword,
+    or the argument of ``astype`` or ``dtype``, naming ``object``, ``"O"`` or ``np.object_``,
+    also inside an expression such as ``float if exact else object``."""
+
+    def names_object(expr):
+        return any(
+            (isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Constant) and node.value in ("O", "object"))
+            or (isinstance(node, ast.Attribute) and node.attr == "object_")
+            for node in ast.walk(expr)
+        )
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        dtypes = [keyword.value for keyword in node.keywords if keyword.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("astype", "dtype"):
+            dtypes += node.args[:1]
+        if any(map(names_object, dtypes)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_object_dtype_array():
+    """Every box is a float64 row: no module of the package makes an array of
+    Python objects, so a second, object-dtype box arithmetic cannot come back."""
+    probe = "np.array(a, dtype=float if f else object)\nnp.zeros(3, dtype='O')\na.astype(np.object_)\nnp.ones(2)\n"
+    assert _object_dtype_lines(probe) == [1, 2, 3]
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src" / "locscore").rglob("*.py"))
+        for line in _object_dtype_lines(path.read_text())
+    ]
+    assert found == []

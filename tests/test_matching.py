@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locscore import (
@@ -16,11 +16,19 @@ from locscore import (
     MatcherPolicy,
     SpaceMismatchError,
     assignment_cost,
+    iou,
     match,
     pixel_space,
+    validate_box,
 )
 from locscore.geometry import box_array, iou_matrix
-from locscore.matching import _COST_TIE_ATOL, _canonical_pairs, _load_linear_sum_assignment, cost_matrices
+from locscore.matching import (
+    _COST_TIE_ATOL,
+    LABEL_MISMATCH_PENALTY,
+    _canonical_pairs,
+    _load_linear_sum_assignment,
+    cost_matrices,
+)
 
 from conftest import INT_BOXES, LABELS, box_strategy, random_box, random_gt, related_boxes
 from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
@@ -377,6 +385,56 @@ class TestCostMatrix:
                 gathered = cost_matrices(*args, [gt, gt], [policy, policy], np.full(len(preds), copy, dtype=np.intp))
                 for one, other in zip(broadcast, gathered):
                     assert (one.shape, one.dtype, one.tobytes()) == (other.shape, other.dtype, other.tobytes())
+
+
+# a space that holds coordinates on both sides of 2**53, where a float64 rounds an integer
+WIDE = pixel_space(2**53 + 8, 2**53 + 8)
+_WIDE_COORDS = st.one_of(
+    st.integers(0, 2000), st.integers(2**53 - 4, 2**53 + 4), st.floats(0, 2000), st.floats(2**53 - 4, 2**53 + 4)
+)
+
+
+@st.composite
+def wide_boxes(draw):
+    """Int and float boxes in ``WIDE``, valid once read as float64."""
+    (x1, x2), (y1, y2) = (sorted(draw(st.lists(_WIDE_COORDS, min_size=2, max_size=2))) for _ in "xy")
+    box = Box(x1, y1, x2, y2)
+    assume(validate_box(box, WIDE)[0])
+    return box
+
+
+def _hex(matrix):
+    return [[value.hex() for value in row] for row in matrix.tolist()]
+
+
+class TestScalarHelpersAgreeWithMatch:
+    """``iou`` and ``assignment_cost`` on a pair give what ``match`` and
+    ``cost_matrices`` give it, bit for bit, whatever form the boxes were given in."""
+
+    def test_integers_that_one_float_holds(self):
+        a, b = Box(0, 0, 2**53 + 1, 1), Box(0, 0, 2**53, 1)
+        [matched] = match([("cat", a)], GroundTruthSet.from_pairs([("cat", b)], WIDE))
+        assert iou(a, b) == matched.iou == 1.0
+        assert assignment_cost(("cat", a), ("cat", b)) == 0.0
+
+    @given(st.lists(st.tuples(st.sampled_from(LABELS[:2]), wide_boxes()), min_size=1, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_iou_and_cost_equal_the_matcher(self, preds, data):
+        gt_pairs = data.draw(st.lists(st.tuples(st.sampled_from(LABELS[:2]), wide_boxes()), min_size=1, max_size=4))
+        gt = GroundTruthSet.from_pairs(gt_pairs, WIDE)
+        for policy in MatcherPolicy:
+            cost, ious = engine_cost_matrix(preds, gt, policy)
+            assert _hex(cost) == [[assignment_cost(p, g, policy).hex() for g in gt_pairs] for p in preds]
+            assert _hex(ious) == [[iou(p_box, g_box).hex() for _, g_box in gt_pairs] for _, p_box in preds]
+            for (label, box), matched in zip(preds, match(preds, gt, policy)):
+                if matched.gt_index is None:
+                    continue
+                gt_label, gt_box = gt_pairs[matched.gt_index]
+                assert matched.iou.hex() == iou(box, gt_box).hex()
+                expected = 1.0 - matched.iou
+                if policy is MatcherPolicy.BOX_AND_LABEL and not matched.label_correct:
+                    expected += LABEL_MISMATCH_PENALTY
+                assert assignment_cost((label, box), (gt_label, gt_box), policy).hex() == expected.hex()
 
 
 def _fresh_interpreter(code):
