@@ -11,6 +11,8 @@ from enum import Enum
 from functools import cache
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import FieldError
 
 REQUIRED: Any = object()  # the default of a field that must be present
@@ -103,6 +105,34 @@ def read_number_rows(rows: Sequence[Mapping[str, Any]], key: str, length: int) -
     values = [row.get(key) for row in rows]
     flat = [v for value in values if isinstance(value, list) and len(value) == length for v in value]
     return _finite_floats(flat) if len(flat) == length * len(values) else None
+
+
+def read_number_table(data: Mapping[str, Any], keys: Sequence[str]) -> np.ndarray | None:
+    """``read_numbers(data, key)`` of every key, as the rows of one (len(keys), n) float64 array.
+
+    None when some key fails or the arrays differ in length: a caller that
+    must name the fault reads the keys again one by one. The arrays are
+    converted by one ``np.array`` call and checked at once, by
+    ``read_numbers``' own rule for the values JSON decoding gives: a float64
+    result holds only numbers and booleans (a string, a null or an integer
+    beyond float64 gives another dtype), and a boolean becomes 0.0 or 1.0,
+    so only the elements equal to those are looked at. (A numpy scalar, no
+    JSON value, is read here as its number.)
+    """
+    values = [data.get(key) for key in keys]
+    if not all(isinstance(value, list) for value in values):
+        return None
+    try:
+        table = np.array(values)
+    except ValueError:  # arrays of unequal length, or nested ones
+        return None
+    if table.dtype != np.float64 or table.ndim != 2 or not np.isfinite(table).all():
+        return None
+    n = table.shape[1]
+    for index in np.flatnonzero((table == 0) | (table == 1)).tolist():
+        if type(values[index // n][index % n]) is bool:
+            return None
+    return table
 
 
 def read_id(data: Mapping[str, Any], key: str) -> str:

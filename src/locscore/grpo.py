@@ -10,7 +10,7 @@ evaluates values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -29,32 +29,71 @@ class KlMode(str, Enum):
     SEQUENCE = "seq"  # literal sequence log ratio, sum(policy) - sum(ref)
 
 
-@dataclass(frozen=True)
 class LogProbRecord:
-    """Per-token log-probabilities of one completion under three models."""
+    """Per-token log-probabilities of one completion under three models.
 
-    policy: tuple[float, ...]
-    old: tuple[float, ...]
-    ref: tuple[float, ...]
+    ``policy``, ``old`` and ``ref`` are read-only float64 arrays of one
+    length n >= 1, the rows of one (3, n) array, and every value is finite
+    and <= 0. The record is checked as a whole, once, when it is made; a
+    fault names the first bad value, series by series. Equality, hash and
+    repr are those of the three series as tuples of floats, and the record
+    is immutable.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.policy)
-        if n < 1 or len(self.old) != n or len(self.ref) != n:
+    def __init__(self, policy: Sequence[float], old: Sequence[float], ref: Sequence[float]) -> None:
+        n = len(policy)
+        if n < 1 or len(old) != n or len(ref) != n:
             raise LengthMismatchError("policy/old/ref must have equal length >= 1")
-        for series in (self.policy, self.old, self.ref):
-            if math.isfinite(sum(series)) and max(series) <= 0:  # a finite sum has finite terms
-                continue
-            for value in series:  # name the first bad value
-                if not math.isfinite(value):
-                    raise NonFiniteInputError("log-probabilities must be finite")
-                if value > 0:
-                    raise ValueError(f"log-probabilities must be <= 0, got {value}")
+        self._hold(np.array((policy, old, ref), dtype=float))
 
     @classmethod
     def from_lists(
         cls, policy: Sequence[float], old: Sequence[float], ref: Sequence[float]
     ) -> "LogProbRecord":
-        return cls(tuple(map(float, policy)), tuple(map(float, old)), tuple(map(float, ref)))
+        return cls(policy, old, ref)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "LogProbRecord":
+        """The record whose policy, old and ref are the rows of the (3, n) array ``rows``.
+
+        A C-contiguous float64 array is held as it is, not copied, and made
+        read-only; any other is copied into one, so that each series is summed
+        as a contiguous row.
+        """
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or len(rows) != 3 or rows.shape[1] < 1:
+            raise LengthMismatchError("policy/old/ref must have equal length >= 1")
+        record = cls.__new__(cls)
+        record._hold(rows)
+        return record
+
+    def _hold(self, rows: np.ndarray) -> None:
+        """Check ``rows`` as a whole and keep it; only a failing check looks for the first bad value."""
+        if not (np.isfinite(rows).all() and rows.max() <= 0):
+            value = float(rows.flat[np.argmax(~(np.isfinite(rows) & (rows <= 0)))])
+            if not math.isfinite(value):
+                raise NonFiniteInputError("log-probabilities must be finite")
+            raise ValueError(f"log-probabilities must be <= 0, got {value}")
+        rows.flags.writeable = False
+        vars(self).update(_rows=rows, policy=rows[0], old=rows[1], ref=rows[2])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._rows, other._rows)
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self._rows.tolist())))
+
+    def __repr__(self) -> str:
+        policy, old, ref = map(tuple, self._rows.tolist())
+        return f"LogProbRecord(policy={policy!r}, old={old!r}, ref={ref!r})"
 
 
 def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON) -> list[float]:
@@ -79,18 +118,16 @@ def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON)
 
 def kl_estimate(record: LogProbRecord, mode: KlMode = KlMode.K3) -> float:
     """Per-completion KL estimate between the policy and reference model."""
-    policy = np.asarray(record.policy, dtype=float)
-    ref = np.asarray(record.ref, dtype=float)
     if mode is KlMode.SEQUENCE:
-        return float(policy.sum() - ref.sum())
-    diff = ref - policy
+        return float(record.policy.sum() - record.ref.sum())
+    diff = record.ref - record.policy
     # expm1 keeps exp(d) - d - 1 non-negative even for tiny |d|
-    return float(np.mean(np.expm1(diff) - diff))
+    return float((np.expm1(diff) - diff).mean())
 
 
 def sequence_log_ratio(record: LogProbRecord) -> tuple[float, bool]:
     """Summed policy/old log-prob difference, clamped against overflow."""
-    raw = float(np.sum(record.policy) - np.sum(record.old))
+    raw = float(record.policy.sum() - record.old.sum())
     if abs(raw) > LOG_RATIO_CLAMP:
         return math.copysign(LOG_RATIO_CLAMP, raw), True
     return raw, False

@@ -17,7 +17,9 @@ import numpy as np
 from ..config import phase_from_dict, phase_to_dict
 from ..curation import Sample, TaskKind
 from ..errors import FieldError, MalformedRequestError
-from ..fields import REQUIRED, read_field, read_id, read_number_rows, read_numbers, read_strings
+from ..fields import (
+    REQUIRED, read_field, read_id, read_number_rows, read_number_table, read_numbers, read_strings,
+)
 from ..geometry import CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
@@ -26,6 +28,7 @@ from ..parsing import FormatKind
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
 WIRE_VERSION = 1
+_LOGPROB_SERIES = ("policy", "old", "ref")
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,19 @@ def _parse_logprobs(data: Mapping[str, Any], n_completions: int) -> tuple[LogPro
     entries = object_array(data, "logprobs")
     if len(entries) != n_completions:
         raise MalformedRequestError("logprobs must be an array with one entry per completion")
-    return tuple(
-        LogProbRecord(*(read_numbers(e, k) for k in ("policy", "old", "ref"))) for e in entries
-    )
+    return tuple(map(_parse_record, entries))
+
+
+def _parse_record(entry: Mapping[str, Any]) -> LogProbRecord:
+    """One log-prob record, its three series converted and checked as a whole.
+
+    Only when that check fails are the series read one by one, so the error
+    names the same series and value as a series-by-series read would.
+    """
+    rows = read_number_table(entry, _LOGPROB_SERIES)
+    if rows is None:
+        return LogProbRecord(*(read_numbers(entry, key) for key in _LOGPROB_SERIES))
+    return LogProbRecord.from_rows(rows)
 
 
 def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
@@ -187,7 +200,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
         data["phase"] = phase_to_dict(req.phase)
     if req.logprobs is not None:
         data["logprobs"] = [
-            {"policy": list(r.policy), "old": list(r.old), "ref": list(r.ref)}
+            {"policy": r.policy.tolist(), "old": r.old.tolist(), "ref": r.ref.tolist()}
             for r in req.logprobs
         ]
     if req.final:

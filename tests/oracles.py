@@ -4,13 +4,17 @@ Assignment optima are found by exhaustive enumeration, the canonical
 tie-break by repeated sub-solves, statistics by compensated summation, and
 detection metrics by a direct transcription of the textbook procedure, and
 box validity, IoU and space conversion by scalar formulas; none of these
-imports engine internals beyond plain data. Two are exceptions.
+imports engine internals beyond plain data. Three are exceptions.
 ``reference_breakdowns`` is the per-completion, per-box scoring path composed
 from the engine's public single-completion functions and the scalar box
 formulas. ``sequential_evaluate`` is the per-image evaluation loop that
 ``metrics.evaluate``'s dataset-level array pass replaced; it uses the
 engine's box check and IoU kernel and is exact, where ``reference_evaluate``
-agrees within 1e-6.
+agrees within 1e-6. ``series_by_series_logprobs`` reads a log-prob record
+with the engine's ``read_numbers``, one series at a time, then checks it
+value by value, the way records were read before they became arrays;
+``tuple_kl`` and ``tuple_log_ratio`` are the KL and ratio formulas on such
+tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from locscore.errors import InvalidBoxError
+from locscore.errors import InvalidBoxError, LengthMismatchError, NonFiniteInputError
+from locscore.fields import read_numbers
 from locscore.geometry import THOUSANDTHS_EXTENT, Box, SpaceKind, box_array, iou_matrix, validate_boxes
 from locscore.matching import match
 from locscore.metrics import IOU_THRESHOLDS, MAX_DETECTIONS_PER_IMAGE, EvalResult
@@ -39,6 +44,39 @@ def mean_std(values):
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+def series_by_series_logprobs(entry) -> tuple[tuple[float, ...], ...]:
+    """A log-prob record's ``policy``, ``old`` and ``ref`` as tuples of floats; raises on a fault.
+
+    Each series is read by ``read_numbers`` in turn, then the lengths are
+    compared, then each value is checked, series by series.
+    """
+    series = tuple(read_numbers(entry, key) for key in ("policy", "old", "ref"))
+    n = len(series[0])
+    if n < 1 or any(len(values) != n for values in series):
+        raise LengthMismatchError("policy/old/ref must have equal length >= 1")
+    for value in itertools.chain(*series):
+        if not math.isfinite(value):
+            raise NonFiniteInputError("log-probabilities must be finite")
+        if value > 0:
+            raise ValueError(f"log-probabilities must be <= 0, got {value}")
+    return series
+
+
+def tuple_kl(policy, ref, sequence: bool) -> float:
+    """The KL estimate of ``grpo.kl_estimate`` on tuples of floats: k3, or the sequence log ratio."""
+    policy = np.asarray(policy, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    if sequence:
+        return float(policy.sum() - ref.sum())
+    diff = ref - policy
+    return float(np.mean(np.expm1(diff) - diff))
+
+
+def tuple_log_ratio(policy, old) -> float:
+    """``grpo.sequence_log_ratio``'s unclamped sum on tuples of floats."""
+    return float(np.sum(policy) - np.sum(old))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from locscore import (
 )
 from locscore.grpo import grpo_objective_detailed, sequence_log_ratio
 
-from oracles import mean_std
+from oracles import mean_std, tuple_kl, tuple_log_ratio
 
 
 def record(policy, old=None, ref=None):
@@ -130,6 +132,75 @@ class TestKlEstimate:
             LogProbRecord.from_lists([-math.inf], [-1.0], [-1.0])
         with pytest.raises(ValueError):
             LogProbRecord.from_lists([0.5], [-1.0], [-1.0])
+
+
+class TestLogProbRecord:
+    SERIES = ((-1.0, -2.0), (-1.0, -2.5), (-0.0, -3.0))
+
+    def test_equality_hash_and_repr_are_those_of_the_tuples(self):
+        rec = LogProbRecord(*self.SERIES)
+        assert repr(rec) == "LogProbRecord(policy=(-1.0, -2.0), old=(-1.0, -2.5), ref=(-0.0, -3.0))"
+        assert hash(rec) == hash(self.SERIES)
+        assert rec == LogProbRecord.from_lists([-1, -2], [-1, -2.5], [0, -3])  # -0.0 == 0.0, as in tuples
+        assert hash(rec) == hash(LogProbRecord.from_lists([-1, -2], [-1, -2.5], [0, -3]))
+        assert rec != LogProbRecord.from_lists([-1.0], [-1.0], [-0.0])
+        assert rec != LogProbRecord.from_lists([-1.0, -2.0], [-1.0, -2.5], [-0.5, -3.0])
+        assert rec != self.SERIES
+        assert len({rec, LogProbRecord(*self.SERIES)}) == 1
+
+    def test_immutable(self):
+        rec = LogProbRecord(*self.SERIES)
+        with pytest.raises(FrozenInstanceError):
+            rec.policy = np.zeros(2)
+        with pytest.raises(FrozenInstanceError):
+            del rec.ref
+        for series in (rec.policy, rec.old, rec.ref):
+            assert series.dtype == np.float64 and not series.flags.writeable
+            with pytest.raises(ValueError):
+                series[0] = -5.0
+            with pytest.raises(ValueError):
+                series.flags.writeable = True
+
+    def test_rows_are_held_as_given(self):
+        rows = np.array(self.SERIES)
+        rec = LogProbRecord.from_rows(rows)
+        assert rec == LogProbRecord(*self.SERIES)
+        assert np.shares_memory(rec.policy, rows) and not rows.flags.writeable
+        for shape in [(2, 2), (3, 0), (4, 1), (3,), (3, 1, 1)]:
+            with pytest.raises(LengthMismatchError):
+                LogProbRecord.from_rows(np.full(shape, -1.0))
+
+    @pytest.mark.parametrize(
+        "series, error, text",
+        [
+            (([-1.0, 0.25], [0.5], [math.nan]), LengthMismatchError, "policy/old/ref must have equal length >= 1"),
+            (([-1.0, 0.25], [0.5, -1.0], [math.nan, -1.0]), ValueError, "log-probabilities must be <= 0, got 0.25"),
+            (([-1.0, -1.0], [0.5, math.inf], [-1.0, -1.0]), ValueError, "log-probabilities must be <= 0, got 0.5"),
+            (([-1.0, -1.0], [-math.inf, 0.5], [-1.0, -1.0]), NonFiniteInputError, "log-probabilities must be finite"),
+            (([-1.0], [-1.0], [5e-324]), ValueError, "log-probabilities must be <= 0, got 5e-324"),
+        ],
+        ids=["lengths-first", "policy-first", "old-in-order", "old-non-finite-first", "subnormal"],
+    )
+    def test_first_bad_value_is_named_series_by_series(self, series, error, text):
+        with pytest.raises(error) as raised:
+            LogProbRecord(*series)
+        assert type(raised.value) is error and str(raised.value) == text
+
+    def test_an_overflowing_sum_of_finite_values_is_accepted(self):
+        rec = LogProbRecord.from_lists([-1e308, -1e308], [-1e308, -1e308], [-1.0, -1.0])
+        assert rec.policy.tolist() == [-1e308, -1e308]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_kl_and_log_ratio_equal_the_tuple_formulas(self, data):
+        n = data.draw(st.integers(1, 40))
+        series = [data.draw(st.lists(st.floats(-60, 0), min_size=n, max_size=n)) for _ in range(3)]
+        policy, old, ref = map(tuple, series)
+        rec = LogProbRecord(policy, old, ref)
+        for mode, sequence in [(KlMode.K3, False), (KlMode.SEQUENCE, True)]:
+            assert kl_estimate(rec, mode).hex() == tuple_kl(policy, ref, sequence).hex()
+        raw = tuple_log_ratio(policy, old)
+        assert sequence_log_ratio(rec)[0].hex() == (raw if abs(raw) <= 50 else math.copysign(50.0, raw)).hex()
 
 
 class TestObjective:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,13 +34,15 @@ from locscore.harness import (
 from locscore.harness.annotations import load_corpus, write_annotations, write_corpus
 from locscore.harness.cli import _build_config, build_parser
 from locscore.harness.cli import main as cli_main
-from locscore.harness.wire import dump_line, request_to_dict
+from locscore.harness.wire import _parse_record, dump_line, request_to_dict
 from locscore.grpo import KlMode
 from locscore.matching import MatcherPolicy
 from locscore.parsing import FormatKind, emit_structured
 from locscore.rewards import RewardRules, ThresholdTriple
 
 from conftest import LABELS, random_int_box
+from oracles import series_by_series_logprobs
+from test_fields import logprob_entries
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 REMOVED = object()  # a field's change that takes the field out
@@ -201,6 +204,20 @@ class TestWire:
         req = parse_request(data)
         again = parse_request(request_to_dict(req))
         assert again == req
+
+    def test_logprobs_are_written_as_read(self):
+        """Read-only float64 arrays in, the same JSON out: Python floats, -0.0 and 5e-324 kept."""
+        logprobs = [
+            {"policy": [-1.0, -0.0], "old": [-5e-324, -2.5], "ref": [-1e308, 0.0]},
+            {"policy": [-3, -0.25], "old": [-3.0, 0], "ref": [-3.0, -0.125]},
+        ]
+        req = parse_request(make_request_dict(logprobs=logprobs))
+        record = req.logprobs[0]
+        assert record.policy.dtype == np.float64 and not record.policy.flags.writeable
+        written = request_to_dict(req)["logprobs"]
+        assert all(type(value) is float for entry in written for series in entry.values() for value in series)
+        as_floats = [{key: [float(v) for v in values] for key, values in entry.items()} for entry in logprobs]
+        assert dump_line({"logprobs": written}) == dump_line({"logprobs": as_floats})
 
     def test_round_trip_of_a_final_entry(self):
         req = parse_request(make_request_dict(final=True))
@@ -503,6 +520,15 @@ class TestService:
              "field 'bbox' must be an array of four finite numbers"),
             # checked on both paths, acted on only by batch scoring
             (make_request_dict(request_id="bad", final="yes"), "field 'final' must be bool"),
+            # a log-prob record is read series by series when its check as a whole fails
+            (make_request_dict(request_id="bad", logprobs=[
+                {"policy": [0.0, False, 0.0], "old": [0.0] * 3, "ref": [0.0] * 3}] * 2),
+             "field 'policy' must be an array of finite numbers"),
+            (make_request_dict(request_id="bad", logprobs=_logprobs_with([[-1.0]])),
+             "field 'policy' must be an array of finite numbers"),
+            (make_request_dict(request_id="bad", logprobs=[
+                {"policy": [-1.0, -2.0], "old": [-1.0], "ref": [-1.0, -2.0]}] * 2),
+             "policy/old/ref must have equal length >= 1"),
         ],
         ids=[
             "step-fraction-null",
@@ -530,6 +556,9 @@ class TestService:
             "gt-bad-label-then-bad-bbox",
             "gt-bad-bbox-then-bad-label",
             "final-string",
+            "logprob-false-among-zeros",
+            "logprob-nested",
+            "logprob-unequal-lengths",
         ],
     )
     def test_malformed_request_between_good_ones(self, bad, detail):
@@ -598,6 +627,34 @@ class TestService:
         del corpus_line["task"]  # optional in a request, required in a corpus line
         with pytest.raises(ValueError, match="^missing field 'task'$"):
             sample_from_dict(corpus_line)
+
+    def test_logprob_corners_that_decode(self):
+        """-0.0 is a log-prob; so is -2**64, whose KL against -0.5 then overflows."""
+        zeros = [{"policy": [-0.0], "old": [-0.0], "ref": [-0.0]}] * 2
+        reply = handle_request_line(json.dumps(make_request_dict(request_id="r", logprobs=zeros)))
+        assert reply["ok"] and reply["kl"] == [0.0, 0.0] and reply["objective"] == 0.0
+        huge = _logprobs_with([-18446744073709551616])
+        reply = handle_request_line(json.dumps(make_request_dict(request_id="r", logprobs=huge)))
+        assert reply["error"] == {"kind": "scoring-error", "detail": "KL estimate or objective overflows float64"}
+
+    @given(logprob_entries())
+    @settings(max_examples=1000)
+    def test_logprob_record_reads_as_series_by_series(self, entry):
+        """Bit-identical series, or the same error kind and malformed-request text."""
+        data = make_request_dict(logprobs=[entry, {"policy": [-1.0], "old": [-1.0], "ref": [-1.0]}])
+        try:
+            expected = series_by_series_logprobs(entry)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                _parse_record(entry)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            with pytest.raises(MalformedRequestError) as raised:
+                parse_request(data)
+            assert str(raised.value) == str(exc)
+        else:
+            record = parse_request(data).logprobs[0]
+            got = [series.tobytes() for series in (record.policy, record.old, record.ref)]
+            assert got == [np.array(series, dtype=float).tobytes() for series in expected]
 
     def test_kl_overflow_is_scoring_error(self):
         overflowing = {"policy": [-1000.0], "old": [-1000.0], "ref": [0.0]}
