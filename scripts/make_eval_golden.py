@@ -38,7 +38,7 @@ def load_case(case):
     for image in case["images"]:
         space = CoordinateSpace(SpaceKind(image["coord_space"]), image["width"], image["height"])
         gt = GroundTruthSet.from_pairs([(label, Box(*box)) for label, box in image["gt"]], space)
-        images.append(EvalImage(image["image_id"], space, gt))
+        images.append(EvalImage(image["image_id"], gt))
     dataset = EvalDataset(tuple(images), tuple(case["categories"]))
     predictions = {
         image_id: [(label, Box(*box)) for label, box in detections]

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from locscore import Box, GroundTruthSet, pixel_space, score_completion
-from locscore.parsing import STRUCTURED_FORMAT, emit_structured
+from locscore.parsing import FormatKind, emit_structured
 from locscore.rewards import RewardRules
 
 SPACE = pixel_space(640, 480)
@@ -63,7 +63,7 @@ def main() -> int:
         print(f"\n{mode_name}")
         scores = {}
         for name, text in candidates.items():
-            b = score_completion(text, STRUCTURED_FORMAT, SPACE, gt, rules=rules)
+            b = score_completion(text, FormatKind.STRUCTURED, SPACE, gt, rules=rules)
             scores[name] = b.total
             print(
                 f"  {name:12s} dual={b.dual_format:.0f} recall={b.recall:.3f} "

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from locscore import Box, GroundTruthSet, PhaseConfig, pixel_space, score_completion
-from locscore.parsing import STRUCTURED_FORMAT, emit_structured
+from locscore.parsing import FormatKind, emit_structured
 from locscore.rewards import phase_thresholds
 
 SPACE = pixel_space(640, 480)
@@ -53,7 +53,7 @@ def main() -> int:
             progress = k / args.steps
             thresholds = phase_thresholds(cfg, progress)
             b = score_completion(
-                probe, STRUCTURED_FORMAT, SPACE, gt, cfg=cfg, progress=progress
+                probe, FormatKind.STRUCTURED, SPACE, gt, cfg=cfg, progress=progress
             )
             print(
                 f"{progress:9.3f} {thresholds.xi0:5.2f} {thresholds.xi1:5.2f} "

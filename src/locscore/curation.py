@@ -43,11 +43,10 @@ class Sample:
     image_id: str
     gt: GroundTruthSet
     query: tuple[str, ...] | str
-    is_negative: bool
 
-    def __post_init__(self) -> None:
-        if self.is_negative != (len(self.gt) == 0):
-            raise ValueError("is_negative must mirror an empty ground-truth set")
+    @property
+    def is_negative(self) -> bool:
+        return len(self.gt) == 0
 
     def query_categories(self) -> int:
         return len(self.query) if isinstance(self.query, tuple) else 1
@@ -115,7 +114,6 @@ def synthesize_negative(
         image_id=base.image_id,
         gt=GroundTruthSet((), base.gt.space),
         query=query,
-        is_negative=True,
     )
 
 

@@ -5,8 +5,8 @@ Each box rule is written once, as a kernel over (n, 4) corner arrays:
 formula behind ``iou_matrix`` (every pair of two sets) and ``iou_pairs``
 (box against box at the same position), and ``conversion_factors``, the one
 source of a conversion's factors per space pair, applied as ``coords *
-multiplier / divisor`` both by ``to_space_array`` and, each row by its own
-group's factors, by the group kernel (``rewards``).
+multiplier / divisor`` both by ``to_space`` and, each row by its own group's
+factors, by the group kernel (``rewards``).
 ``validate_box``, ``iou`` and ``to_space`` are one-row calls into them.
 
 A box has one form here: float64 rows, as ``box_array`` reads them. A
@@ -198,50 +198,33 @@ def _iou(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
 
 
-def _require_same_image(src: CoordinateSpace, dst: CoordinateSpace) -> None:
-    if (src.width, src.height) != (dst.width, dst.height):
-        raise SpaceMismatchError(
-            f"cannot convert between images {src.width}x{src.height} "
-            f"and {dst.width}x{dst.height}"
-        )
-
-
 def to_space(box: Box, src: CoordinateSpace, dst: CoordinateSpace) -> Box:
-    """``to_space_array`` for one box, which must be valid in ``src``.
+    """One box, which must be valid in ``src``, rescaled by ``conversion_factors`` to ``dst``.
 
     Converting between identical kinds returns the box unchanged.
     """
-    _require_same_image(src, dst)
+    multiplier, divisor = conversion_factors(src, dst)
     rows = box_array((box,))
     fault = validate_boxes(rows, src.max_x, src.max_y)[1].get(0)
     if fault is not None:
         raise InvalidBoxError(f"box {tuple(rows[0].tolist())} invalid in source space: {fault}")
     if src.kind == dst.kind:
         return box
-    return Box(*to_space_array(rows, src, dst)[0].tolist())
-
-
-def to_space_array(coords: np.ndarray, src: CoordinateSpace, dst: CoordinateSpace) -> np.ndarray:
-    """Linearly rescale (n, 4) boxes between the pixel and thousandths conventions.
-
-    Both spaces must describe the same image. The rows must be valid in
-    ``src``; they are not checked here. Identical kinds return ``coords``.
-    """
-    _require_same_image(src, dst)
-    if src.kind == dst.kind:
-        return coords
-    multiplier, divisor = conversion_factors(src, dst)
     # multiply before dividing: integer-valued coordinates stay exact
-    return coords * multiplier / divisor
+    return Box(*(rows[0] * multiplier / divisor).tolist())
 
 
 def conversion_factors(src: CoordinateSpace, dst: CoordinateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The (4,) multiplier and divisor of ``to_space_array``: ``coords * multiplier / divisor``.
+    """The (4,) multiplier and divisor of a conversion from ``src`` to ``dst``: ``coords * multiplier / divisor``.
 
     ``src`` and ``dst`` must describe one image, else ``SpaceMismatchError``;
     two spaces of one kind give ones, which leave every coordinate as it is.
     """
-    _require_same_image(src, dst)
+    if (src.width, src.height) != (dst.width, dst.height):
+        raise SpaceMismatchError(
+            f"cannot convert between images {src.width}x{src.height} "
+            f"and {dst.width}x{dst.height}"
+        )
     if src.kind is dst.kind:
         one = np.ones(4)
         return one, one

@@ -47,12 +47,6 @@ class LogProbRecord:
         self._hold(np.array((policy, old, ref), dtype=float))
 
     @classmethod
-    def from_lists(
-        cls, policy: Sequence[float], old: Sequence[float], ref: Sequence[float]
-    ) -> "LogProbRecord":
-        return cls(policy, old, ref)
-
-    @classmethod
     def from_rows(cls, rows: np.ndarray) -> "LogProbRecord":
         """The record whose policy, old and ref are the rows of the (3, n) array ``rows``.
 

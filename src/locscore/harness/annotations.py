@@ -60,7 +60,7 @@ def _image(
     """An annotated image, which must be in pixels; its ground truth is built, and checked against it, once."""
     if space.kind is not SpaceKind.PIXELS:
         raise ValueError(f"coord_space must be 'pixels' in an annotation, got {space.kind.value!r}")
-    return EvalImage(image_id, space, GroundTruthSet.from_arrays(labels, coords, space))
+    return EvalImage(image_id, GroundTruthSet.from_arrays(labels, coords, space))
 
 
 def _image_from_dict(data: Mapping[str, Any]) -> EvalImage:
@@ -73,7 +73,7 @@ def load_annotations(path: str | Path) -> list[EvalImage]:
 
 def write_annotations(images: Sequence[EvalImage], path: str | Path) -> None:
     entries = (
-        {"image_id": image.image_id, "width": image.space.width, "height": image.space.height,
+        {"image_id": image.image_id, "width": image.gt.space.width, "height": image.gt.space.height,
          "instances": wire.objects_to_list(image.gt.instances)}
         for image in images
     )
@@ -133,7 +133,7 @@ def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
 def sample_to_dict(sample: Sample) -> dict[str, Any]:
     """A corpus line: the wire sample plus ``query`` and ``is_negative``."""
     return {
-        **wire.sample_to_dict(sample),
+        **wire.sample_to_dict(sample, sample.task),
         "query": list(sample.query) if isinstance(sample.query, tuple) else sample.query,
         "is_negative": sample.is_negative,
     }
@@ -141,14 +141,15 @@ def sample_to_dict(sample: Sample) -> dict[str, Any]:
 
 def sample_from_dict(data: Mapping[str, Any]) -> Sample:
     """A corpus line: a wire sample plus ``task``, ``query`` and ``is_negative``."""
-    spec = wire.parse_sample(data)
+    image, task = wire.parse_sample(data)
     query = read_field(data, "query", (str, list))
     if isinstance(query, list):
         query = read_strings(data, "query")
     if "task" not in data:  # a request may leave it out, a corpus line may not
         raise FieldError("missing field 'task'")
-    is_negative = read_field(data, "is_negative", bool)
-    return Sample(spec.task, spec.image_id, spec.gt, query, is_negative=is_negative)
+    if read_field(data, "is_negative", bool) != (len(image.gt) == 0):
+        raise ValueError("is_negative must mirror an empty ground-truth set")
+    return Sample(task, image.image_id, image.gt, query)
 
 
 def load_corpus(path: str | Path) -> list[Sample]:
@@ -175,9 +176,9 @@ def corpus_from_annotations(images: Sequence[EvalImage]) -> list[Sample]:
             for indices in gt.by_label.values()
         ]
         labels = [members.instances[0].label for members in groups]
-        corpus.append(Sample(TaskKind.DETECTION, image_id, gt, tuple(labels), is_negative=not gt.instances))
+        corpus.append(Sample(TaskKind.DETECTION, image_id, gt, tuple(labels)))
         for label, members in zip(labels, groups):
-            corpus.append(Sample(TaskKind.GROUNDING, image_id, members, label, is_negative=False))
+            corpus.append(Sample(TaskKind.GROUNDING, image_id, members, label))
             if len(members) == 1:
-                corpus.append(Sample(TaskKind.REC, image_id, members, f"the {label}", is_negative=False))
+                corpus.append(Sample(TaskKind.REC, image_id, members, f"the {label}"))
     return corpus

@@ -92,7 +92,7 @@ def run_batch(
         if sample.image_id in final_objects:
             errors.append({"line": lineno, "error": f"duplicate final entry for image {sample.image_id}"})
             continue
-        eval_images.append(EvalImage(sample.image_id, sample.gt.space, sample.gt))
+        eval_images.append(sample)
         final_objects[sample.image_id] = outcome.rewards[0].objects
 
     totals = [b.total for b in breakdowns]

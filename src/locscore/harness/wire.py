@@ -23,7 +23,7 @@ from ..fields import (
 from ..geometry import CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
 from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
-from ..metrics import EvalResult
+from ..metrics import EvalImage, EvalResult
 from ..parsing import FormatKind
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
 
@@ -32,18 +32,9 @@ _LOGPROB_SERIES = ("policy", "old", "ref")
 
 
 @dataclass(frozen=True)
-class SampleSpec:
-    """The query side of a scoring request: image, ground truth (which holds its space), task."""
-
-    image_id: str
-    gt: GroundTruthSet
-    task: TaskKind = TaskKind.DETECTION
-
-
-@dataclass(frozen=True)
 class ScoringRequest:
     request_id: str
-    sample: SampleSpec
+    sample: EvalImage  # the wire's ``sample`` object, less its ``task``
     completions: tuple[str, ...]
     logprobs: tuple[LogProbRecord, ...] | None = None
     progress: float = 0.0
@@ -52,6 +43,7 @@ class ScoringRequest:
     phase: PhaseConfig | None = None
     want_advantages: bool = True
     final: bool = False  # acted on only by batch scoring
+    task: TaskKind = TaskKind.DETECTION  # on the wire, ``sample.task``
 
 
 @dataclass(frozen=True)
@@ -106,22 +98,23 @@ def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, 
     return [{"label": inst.label, "bbox": list(inst.box.coords())} for inst in instances]
 
 
-def parse_sample(data: Mapping[str, Any]) -> SampleSpec:
+def parse_sample(data: Mapping[str, Any]) -> tuple[EvalImage, TaskKind]:
+    """A ``sample`` object: its image with ground truth, and its ``task``."""
     image_id = read_id(data, "image_id")
     space = parse_space(data)
     gt = GroundTruthSet.from_arrays(*parse_objects(data, "gt"), space)
-    return SampleSpec(image_id, gt, read_field(data, "task", TaskKind, TaskKind.DETECTION))
+    return EvalImage(image_id, gt), read_field(data, "task", TaskKind, TaskKind.DETECTION)
 
 
-def sample_to_dict(sample: SampleSpec | Sample) -> dict[str, Any]:
-    """The object ``parse_sample`` reads back as ``sample``."""
+def sample_to_dict(sample: EvalImage | Sample, task: TaskKind) -> dict[str, Any]:
+    """The object ``parse_sample`` reads back as ``sample`` and ``task``."""
     space = sample.gt.space
     return {
         "image_id": sample.image_id,
         "width": space.width,
         "height": space.height,
         "coord_space": space.kind.value,
-        "task": sample.task.value,
+        "task": task.value,
         "gt": objects_to_list(sample.gt.instances),
     }
 
@@ -160,7 +153,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
     if version != WIRE_VERSION:
         raise MalformedRequestError(f"unsupported wire version {version!r}")
     request_id = read_id(data, "request_id")
-    sample = parse_sample(read_field(data, "sample", Mapping))
+    sample, task = parse_sample(read_field(data, "sample", Mapping))
     completions = read_strings(data, "completions")
     if not completions:
         raise MalformedRequestError("completions must be a non-empty array of strings")
@@ -180,6 +173,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
         phase=None if phase is None else phase_from_dict(phase),
         want_advantages=read_field(data, "advantages", bool, True),
         final=read_field(data, "final", bool, False),
+        task=task,
     )
 
 
@@ -187,7 +181,7 @@ def request_to_dict(req: ScoringRequest) -> dict[str, Any]:
     data: dict[str, Any] = {
         "v": WIRE_VERSION,
         "request_id": req.request_id,
-        "sample": sample_to_dict(req.sample),
+        "sample": sample_to_dict(req.sample, req.task),
         "completions": list(req.completions),
         "progress": req.progress,
         "advantages": req.want_advantages,

@@ -38,8 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidBoxError, SpaceMismatchError
-from .geometry import Box, CoordinateSpace, box_array, iou_pairs, validate_boxes
+from .errors import InvalidBoxError
+from .geometry import Box, box_array, iou_pairs, validate_boxes
 from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
 from .parsing import normalize_label
@@ -62,14 +62,10 @@ _RECALL_GRID = np.array([i / 100 for i in range(101)])
 
 @dataclass(frozen=True)
 class EvalImage:
-    image_id: str
-    space: CoordinateSpace  # predictions are checked against it: the ground truth's own space
-    gt: GroundTruthSet
+    """An image and its ground truth; predictions are checked against ``gt.space``."""
 
-    def __post_init__(self) -> None:
-        if self.space != self.gt.space:
-            space, gt_space = (f"{s.kind.value} {s.width}x{s.height}" for s in (self.space, self.gt.space))
-            raise SpaceMismatchError(f"image {self.image_id!r}: space {space} is not its ground truth's {gt_space}")
+    image_id: str
+    gt: GroundTruthSet
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def evaluate_objects(
 
     # every detection of every image, in rank order: one row each
     image_of = np.repeat(np.arange(len(images)), [len(names) for names, _ in objects])
-    extents = np.array([(img.space.max_x, img.space.max_y) for img in images]).reshape(-1, 2)[image_of]
+    extents = np.array([(img.gt.space.max_x, img.gt.space.max_y) for img in images]).reshape(-1, 2)[image_of]
     for row, reason in validate_boxes(coords, extents[:, 0], extents[:, 1])[1].items():  # the first one
         image_id = images[image_of[row]].image_id
         raise InvalidBoxError(f"prediction box {tuple(coords[row].tolist())} invalid in image {image_id}: {reason}")

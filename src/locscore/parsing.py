@@ -70,10 +70,6 @@ class FormatKind(str, Enum):
         return SpaceKind.PIXELS if self is FormatKind.STRUCTURED else SpaceKind.THOUSANDTHS
 
 
-STRUCTURED_FORMAT = FormatKind.STRUCTURED
-PLAIN_FORMAT = FormatKind.PLAIN
-
-
 @dataclass(frozen=True)
 class RawPrediction:
     """One structurally well-formed prediction extracted from a completion."""

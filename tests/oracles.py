@@ -203,7 +203,8 @@ def iou_xyxy(a, b) -> float:
 def to_space_xyxy(box, src, dst):
     """A valid (x1, y1, x2, y2) box rescaled from space ``src`` to ``dst`` of
     the same image, multiplying before dividing: the scalar reference for
-    ``geometry.to_space_array``."""
+    ``geometry.to_space`` and for ``geometry.conversion_factors`` as the group
+    kernel applies them."""
     if src.kind == dst.kind:
         return tuple(box)
     extent = (src.width, src.height, src.width, src.height)
@@ -383,7 +384,7 @@ def sequential_evaluate(predictions, dataset):
     for img in dataset.images:
         detections = predictions.get(img.image_id, ())
         coords = box_array(box for _, box in detections)
-        for row, reason in validate_boxes(coords, img.space.max_x, img.space.max_y)[1].items():  # the first one
+        for row, reason in validate_boxes(coords, img.gt.space.max_x, img.gt.space.max_y)[1].items():  # the first one
             raise InvalidBoxError(
                 f"prediction box {detections[row][1].coords()} invalid in image {img.image_id}: {reason}"
             )

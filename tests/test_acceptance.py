@@ -40,8 +40,7 @@ from locscore.harness.cli import main as cli_main
 from locscore.matching import MatchedPrediction
 from locscore.metrics import IOU_THRESHOLDS, EvalDataset, EvalImage
 from locscore.parsing import (
-    PLAIN_FORMAT,
-    STRUCTURED_FORMAT,
+    FormatKind,
     emit_plain,
     emit_structured,
     extract_objects,
@@ -118,7 +117,7 @@ def test_02_iou_kernel():
 def _fuzz_completion(rng: random.Random) -> tuple[str, object]:
     """A random completion in a random format, from helpful to hostile."""
     structured = rng.random() < 0.5
-    fmt = STRUCTURED_FORMAT if structured else PLAIN_FORMAT
+    fmt = FormatKind.STRUCTURED if structured else FormatKind.PLAIN
     kind = rng.randrange(8)
     if kind == 0:
         return rng.choice(
@@ -155,13 +154,13 @@ def test_03_reward_formula_fidelity():
         [("cat", Box(1, 1, 10, 10)), ("dog", Box(19, 19, 31, 31))], SPACE
     )
     text = emit_structured([("cat", Box(0, 0, 10, 10)), ("dog", Box(20, 20, 30, 30))])
-    breakdown = score_completion(text, STRUCTURED_FORMAT, SPACE, gt)
+    breakdown = score_completion(text, FormatKind.STRUCTURED, SPACE, gt)
     assert abs(breakdown.total - 2.8472) < 1e-4
 
     rng = random.Random(1003)
     for _ in range(10_000):
         text, fmt = _fuzz_completion(rng)
-        space = SPACE if fmt is STRUCTURED_FORMAT else thousandths_space(640, 480)
+        space = SPACE if fmt is FormatKind.STRUCTURED else thousandths_space(640, 480)
         gt = random_gt(rng, rng.randrange(0, 5))
         progress = rng.random()
         b = score_completion(text, fmt, space, gt, progress=progress)
@@ -251,11 +250,11 @@ def test_07_objective():
         n = rng.randrange(1, 12)
         pol = [rng.uniform(-20, 0) for _ in range(n)]
         ref = [rng.uniform(-20, 0) for _ in range(n)]
-        rec = LogProbRecord.from_lists(pol, pol, ref)
+        rec = LogProbRecord(pol, pol, ref)
         assert kl_estimate(rec, KlMode.K3) >= 0.0
 
     records = [
-        LogProbRecord.from_lists(
+        LogProbRecord(
             [rng.uniform(-5, 0) for _ in range(6)],
             [rng.uniform(-5, 0) for _ in range(6)],
             [rng.uniform(-5, 0) for _ in range(6)],
@@ -268,14 +267,14 @@ def test_07_objective():
     jmid = grpo_objective(records, advantages, beta=0.5)
     assert abs(jmid - (j0 + j1) / 2) < 1e-9
 
-    neutral = [LogProbRecord.from_lists([-1.0, -2.0], [-1.0, -2.0], [-1.0, -2.0])] * 3
+    neutral = [LogProbRecord([-1.0, -2.0], [-1.0, -2.0], [-1.0, -2.0])] * 3
     assert grpo_objective(neutral, [0.0, 0.0, 0.0], beta=0.2) == 0.0
     _passline(7, "objective (k3 >= 0 on 10000, affine in beta, neutral = 0)")
 
 
 def test_08_metrics_oracle():
     dataset = EvalDataset(
-        (EvalImage("img0", SPACE, GroundTruthSet.from_pairs([("cat", Box(0, 0, 10, 10))], SPACE)),),
+        (EvalImage("img0", GroundTruthSet.from_pairs([("cat", Box(0, 0, 10, 10))], SPACE)),),
         ("cat",),
     )
     result = evaluate({"img0": [("cat", Box(0, 0, 10, 6))]}, dataset)
@@ -326,7 +325,7 @@ def test_08_metrics_oracle():
         scenes_checked += 1
         dataset = EvalDataset(
             tuple(
-                EvalImage(image_id, SPACE, GroundTruthSet.from_pairs(gts, SPACE))
+                EvalImage(image_id, GroundTruthSet.from_pairs(gts, SPACE))
                 for image_id, gts in scenes
             ),
             tuple(sorted({label for _, gts in scenes for label, _ in gts})),
@@ -369,11 +368,11 @@ def test_09_parser_golden_and_round_trip():
         if trial % 2 == 0:
             objects = [(label, random_box(rng)) for label in labels]
             text = emit_structured(objects)
-            outcome = parse_completion(text, STRUCTURED_FORMAT, SPACE)
+            outcome = parse_completion(text, FormatKind.STRUCTURED, SPACE)
         else:
             objects = [(label, random_int_box(rng, 1000, 1000)) for label in labels]
             text = emit_plain(objects)
-            outcome = parse_completion(text, PLAIN_FORMAT, thousandths_space(640, 480))
+            outcome = parse_completion(text, FormatKind.PLAIN, thousandths_space(640, 480))
         assert outcome.template_ok and outcome.content_ok
         assert extract_objects(outcome) == objects
     _passline(9, f"parser ({structured}+{plain} golden cases, 1000 round trips)")
@@ -393,14 +392,14 @@ def test_10_reward_shaping_directional():
         return emit_structured([(label, box) for label, box in gt_pairs[:k]])
 
     beginner = BEGINNER_THRESHOLDS
-    rec2 = recall_reward(match(extract_objects(parse_completion(completion_covering(2), STRUCTURED_FORMAT, SPACE)), gt), 4, beginner)
-    rec3 = recall_reward(match(extract_objects(parse_completion(completion_covering(3), STRUCTURED_FORMAT, SPACE)), gt), 4, beginner)
+    rec2 = recall_reward(match(extract_objects(parse_completion(completion_covering(2), FormatKind.STRUCTURED, SPACE)), gt), 4, beginner)
+    rec3 = recall_reward(match(extract_objects(parse_completion(completion_covering(3), FormatKind.STRUCTURED, SPACE)), gt), 4, beginner)
     assert rec3 > rec2
 
     # (b) all-IoU-0.7 boxes score strictly lower under the advanced phase
     moderate = emit_structured([(label, overlap_box(box, 0.7)) for label, box in gt_pairs])
-    early = score_completion(moderate, STRUCTURED_FORMAT, SPACE, gt, progress=0.0)
-    late = score_completion(moderate, STRUCTURED_FORMAT, SPACE, gt, progress=1.0)
+    early = score_completion(moderate, FormatKind.STRUCTURED, SPACE, gt, progress=0.0)
+    late = score_completion(moderate, FormatKind.STRUCTURED, SPACE, gt, progress=1.0)
     assert late.total < early.total
     assert late.recall == 0.0 and early.recall == 1.0
 
@@ -414,7 +413,7 @@ def test_10_reward_shaping_directional():
     def best(rules: RewardRules) -> str:
         scores = {
             name: score_completion(
-                text, STRUCTURED_FORMAT, SPACE, gt, progress=0.0, rules=rules
+                text, FormatKind.STRUCTURED, SPACE, gt, progress=0.0, rules=rules
             ).total
             for name, text in candidates.items()
         }

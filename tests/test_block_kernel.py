@@ -15,7 +15,7 @@ import locscore.rewards as rewards_module
 from locscore.geometry import Box, CoordinateSpace, SpaceKind, pixel_space
 from locscore.harness.batch import run_batch
 from locscore.matching import GroundTruthSet, MatcherPolicy
-from locscore.parsing import PLAIN_FORMAT, STRUCTURED_FORMAT
+from locscore.parsing import FormatKind
 from locscore.rewards import (
     ADVANCED_THRESHOLDS,
     BEGINNER_THRESHOLDS,
@@ -35,7 +35,7 @@ THRESHOLDS = [BEGINNER_THRESHOLDS, ADVANCED_THRESHOLDS, ThresholdTriple(0.3, 0.2
 def grid_groups(draw):
     """A group on a small integer grid, where equal IoUs and cost ties are common."""
     side = draw(st.sampled_from([4, 8, 10]))
-    fmt = draw(st.sampled_from([STRUCTURED_FORMAT, PLAIN_FORMAT]))
+    fmt = draw(st.sampled_from([FormatKind.STRUCTURED, FormatKind.PLAIN]))
     space = CoordinateSpace(fmt.space_kind, side, side)
     gt_space = CoordinateSpace(draw(st.sampled_from(list(SpaceKind))), side, side)
 
@@ -55,7 +55,7 @@ def grid_groups(draw):
     for _ in range(draw(st.integers(1, 6))):
         entries = [(draw(st.sampled_from(KERNEL_LABELS)), draw(st.sampled_from(pool)))
                    for _ in range(draw(st.integers(0, 8)))]
-        if fmt is PLAIN_FORMAT:
+        if fmt is FormatKind.PLAIN:
             texts.append(";".join(f"{label.strip()}-[{','.join(map(str, box))}]" for label, box in entries))
         else:
             texts.append(json.dumps([{"bbox_2d": box, "label": label} for label, box in entries]))
@@ -104,7 +104,7 @@ def test_each_row_keeps_its_own_groups_policy():
     gt = GroundTruthSet.from_pairs([("cat", Box(0.0, 0.0, 10.0, 10.0)), ("dog", Box(0.0, 0.0, 10.0, 12.0))], space)
     text = json.dumps([{"bbox_2d": [0, 0, 10, 10], "label": "dog"}])
     box_only, box_label = (
-        Group([text], STRUCTURED_FORMAT, space, gt, policy, BEGINNER_THRESHOLDS) for policy in MatcherPolicy
+        Group([text], FormatKind.STRUCTURED, space, gt, policy, BEGINNER_THRESHOLDS) for policy in MatcherPolicy
     )
     for block in ([box_only, box_label], [box_label, box_only]):
         scored = {group.policy: breakdowns[0].n_valid for group, breakdowns in zip(block, score_groups(block))}
@@ -116,7 +116,7 @@ def _group(entries, n_gt, completions=2):
     space = pixel_space(64, 64)
     gt = GroundTruthSet.from_pairs([("cat", Box(float(i), 0.0, i + 8.0, 8.0)) for i in range(n_gt)], space)
     text = json.dumps([{"bbox_2d": [i, 0, i + 8, 8], "label": "cat"} for i in range(entries)])
-    return Group([text] * completions, STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER_THRESHOLDS)
+    return Group([text] * completions, FormatKind.STRUCTURED, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER_THRESHOLDS)
 
 
 def test_blocks_close_at_the_cell_budget(monkeypatch):
@@ -203,7 +203,7 @@ def test_block_memory_stays_within_the_cell_budget():
         gt = GroundTruthSet.from_pairs([("cat", Box(*map(float, box()))) for _ in range(64)], space)
         gt.coords, gt.label_keys  # cached before tracing, as a parsed request holds them
         texts = [json.dumps([{"bbox_2d": box(), "label": "cat"} for _ in range(96)]) for _ in range(8)]
-        groups.append(Group(texts, STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER_THRESHOLDS))
+        groups.append(Group(texts, FormatKind.STRUCTURED, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER_THRESHOLDS))
     tracemalloc.start()
     try:
         scored = score_groups(groups)

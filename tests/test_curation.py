@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from locscore import (
     render_prompt,
     sample_mixture,
 )
+from locscore.harness.annotations import sample_to_dict
+from locscore.harness.cli import main as cli_main
 from locscore.matching import label_spellings
 
 from conftest import LABELS, random_box
@@ -30,7 +33,6 @@ def detection_sample(rng, image_id, n_instances, n_categories=None):
         image_id=image_id,
         gt=GroundTruthSet.from_pairs(pairs, SPACE),
         query=tuple(cats),
-        is_negative=n_instances == 0,
     )
 
 
@@ -41,7 +43,6 @@ def grounding_sample(rng, image_id, n_instances, label="cat"):
         image_id=image_id,
         gt=GroundTruthSet.from_pairs(pairs, SPACE),
         query=label,
-        is_negative=n_instances == 0,
     )
 
 
@@ -52,7 +53,6 @@ def rec_sample(rng, image_id, n_instances=1):
         image_id=image_id,
         gt=GroundTruthSet.from_pairs(pairs, SPACE),
         query="the dog by the bench",
-        is_negative=n_instances == 0,
     )
 
 
@@ -171,7 +171,7 @@ class TestSampleMixture:
         def detection(image_id, labels):
             pairs = [(label, random_box(rng)) for label in labels]
             gt = GroundTruthSet.from_pairs(pairs, SPACE)
-            return Sample(TaskKind.DETECTION, image_id, gt, tuple(labels), False)
+            return Sample(TaskKind.DETECTION, image_id, gt, tuple(labels))
 
         corpus = [
             detection("spaced", ["traffic  light"]),
@@ -250,7 +250,7 @@ class TestRenderPrompt:
     def test_every_prompt_exactly(self, style, task, prompt):
         query = {TaskKind.DETECTION: ("cat", "dog", "person"), TaskKind.GROUNDING: "cat",
                  TaskKind.REC: "the dog by the bench"}[task]
-        sample = Sample(task, "a", GroundTruthSet((), SPACE), query, True)
+        sample = Sample(task, "a", GroundTruthSet((), SPACE), query)
         assert render_prompt(sample, style) == prompt
         assert render_prompt(sample, style.value) == prompt
 
@@ -271,13 +271,17 @@ class TestRenderPrompt:
             render_prompt(rec_sample(rng, "a"), "not-a-style")
 
 
-def test_sample_invariant_enforced():
+def test_sample_invariant_enforced(tmp_path, capsys):
+    """A sample is negative exactly when its ground truth is empty; a corpus line
+    whose ``is_negative`` says otherwise is refused, naming its file and line."""
     rng = random.Random(0)
-    with pytest.raises(ValueError):
-        Sample(
-            task=TaskKind.GROUNDING,
-            image_id="x",
-            gt=GroundTruthSet.from_pairs([("cat", random_box(rng))], SPACE),
-            query="cat",
-            is_negative=True,
-        )
+    positive = grounding_sample(rng, "x", 1)
+    assert not positive.is_negative and grounding_sample(rng, "y", 0).is_negative
+    line = sample_to_dict(positive)
+    for bad in ({**line, "is_negative": True}, {**line, "gt": [], "is_negative": False}):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(line) + "\n" + json.dumps(bad) + "\n")
+        assert cli_main(["curate", "--corpus", str(path), "--out", str(tmp_path / "out.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"locscore curate: {path}:2: is_negative must mirror an empty ground-truth set\n"
+        assert captured.out == ""

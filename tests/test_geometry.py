@@ -20,9 +20,9 @@ from locscore.geometry import (
     CoordinateSpace,
     SpaceKind,
     box_array,
+    conversion_factors,
     iou_matrix,
     iou_pairs,
-    to_space_array,
     validate_boxes,
 )
 from locscore.parsing import normalize_label
@@ -362,26 +362,31 @@ class TestArrayForms:
     @given(data=st.data())
     @settings(max_examples=300)
     def test_array_conversion_equals_to_space(self, data):
+        """``to_space``, and ``conversion_factors`` applied to a whole array as the group
+        kernel applies them, give each box the reference's coordinates bit for bit."""
         width, height = data.draw(st.integers(1, 5000)), data.draw(st.integers(1, 5000))
         src_kind, dst_kind = data.draw(st.sampled_from(list(SpaceKind))), data.draw(st.sampled_from(list(SpaceKind)))
         src, dst = CoordinateSpace(src_kind, width, height), CoordinateSpace(dst_kind, width, height)
         boxes = data.draw(st.lists(valid_boxes_in(src), max_size=10))
-        moved = to_space_array(box_array(boxes), src, dst)
+        multiplier, divisor = conversion_factors(src, dst)
+        moved = box_array(boxes) * multiplier / divisor
         scalar = [to_space_xyxy(box.coords(), src, dst) for box in boxes]
         assert [_bits(row) for row in moved.tolist()] == [_bits(box) for box in scalar]
+        assert [_bits(to_space(box, src, dst).coords()) for box in boxes] == [_bits(box) for box in scalar]
         # a box that collapses on conversion is dropped, and only such a box
         kept, _ = validate_boxes(moved, dst.max_x, dst.max_y)
         assert kept.tolist() == [box_fault_xyxy(box, dst.max_x, dst.max_y) is None for box in scalar]
 
     def test_collapsing_speck_is_dropped(self):
         src, dst = thousandths_space(1, 1), pixel_space(1, 1)
-        moved = to_space_array(np.array([[0.0, 0.0, 5e-324, 5e-324], [0.0, 0.0, 500.0, 1000.0]]), src, dst)
-        assert validate_boxes(moved, dst.max_x, dst.max_y)[0].tolist() == [False, True]
-        assert moved[1].tolist() == [0.0, 0.0, 0.5, 1.0]
+        moved = [to_space(box, src, dst) for box in (Box(0.0, 0.0, 5e-324, 5e-324), Box(0.0, 0.0, 500.0, 1000.0))]
+        assert [validate_box(box, dst)[0] for box in moved] == [False, True]
+        assert moved[1] == Box(0.0, 0.0, 0.5, 1.0)
 
     def test_array_conversion_rejects_another_image(self):
-        with pytest.raises(SpaceMismatchError):
-            to_space_array(np.zeros((0, 4)), pixel_space(640, 480), thousandths_space(480, 640))
+        for kind in SpaceKind:
+            with pytest.raises(SpaceMismatchError):
+                conversion_factors(pixel_space(640, 480), CoordinateSpace(kind, 480, 640))
 
 
 # integers on both sides of 2**53, where a float64 would round them

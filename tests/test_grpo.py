@@ -25,7 +25,7 @@ from oracles import mean_std, tuple_kl, tuple_log_ratio
 def record(policy, old=None, ref=None):
     old = policy if old is None else old
     ref = policy if ref is None else ref
-    return LogProbRecord.from_lists(policy, old, ref)
+    return LogProbRecord(policy, old, ref)
 
 
 def _logprob_lists(rng, n_tokens):
@@ -127,11 +127,11 @@ class TestKlEstimate:
 
     def test_record_validation(self):
         with pytest.raises(LengthMismatchError):
-            LogProbRecord.from_lists([-1.0], [-1.0, -2.0], [-1.0])
+            LogProbRecord([-1.0], [-1.0, -2.0], [-1.0])
         with pytest.raises(NonFiniteInputError):
-            LogProbRecord.from_lists([-math.inf], [-1.0], [-1.0])
+            LogProbRecord([-math.inf], [-1.0], [-1.0])
         with pytest.raises(ValueError):
-            LogProbRecord.from_lists([0.5], [-1.0], [-1.0])
+            LogProbRecord([0.5], [-1.0], [-1.0])
 
 
 class TestLogProbRecord:
@@ -141,10 +141,10 @@ class TestLogProbRecord:
         rec = LogProbRecord(*self.SERIES)
         assert repr(rec) == "LogProbRecord(policy=(-1.0, -2.0), old=(-1.0, -2.5), ref=(-0.0, -3.0))"
         assert hash(rec) == hash(self.SERIES)
-        assert rec == LogProbRecord.from_lists([-1, -2], [-1, -2.5], [0, -3])  # -0.0 == 0.0, as in tuples
-        assert hash(rec) == hash(LogProbRecord.from_lists([-1, -2], [-1, -2.5], [0, -3]))
-        assert rec != LogProbRecord.from_lists([-1.0], [-1.0], [-0.0])
-        assert rec != LogProbRecord.from_lists([-1.0, -2.0], [-1.0, -2.5], [-0.5, -3.0])
+        assert rec == LogProbRecord([-1, -2], [-1, -2.5], [0, -3])  # -0.0 == 0.0, as in tuples
+        assert hash(rec) == hash(LogProbRecord([-1, -2], [-1, -2.5], [0, -3]))
+        assert rec != LogProbRecord([-1.0], [-1.0], [-0.0])
+        assert rec != LogProbRecord([-1.0, -2.0], [-1.0, -2.5], [-0.5, -3.0])
         assert rec != self.SERIES
         assert len({rec, LogProbRecord(*self.SERIES)}) == 1
 
@@ -187,7 +187,7 @@ class TestLogProbRecord:
         assert type(raised.value) is error and str(raised.value) == text
 
     def test_an_overflowing_sum_of_finite_values_is_accepted(self):
-        rec = LogProbRecord.from_lists([-1e308, -1e308], [-1e308, -1e308], [-1.0, -1.0])
+        rec = LogProbRecord([-1e308, -1e308], [-1e308, -1e308], [-1.0, -1.0])
         assert rec.policy.tolist() == [-1e308, -1e308]
 
     @given(st.data())
@@ -214,7 +214,7 @@ class TestObjective:
 
     def test_ratio_weighting(self):
         # policy twice as likely as old on completion 0
-        rec0 = LogProbRecord.from_lists([-1.0], [-1.0 - math.log(2)], [-1.0])
+        rec0 = LogProbRecord([-1.0], [-1.0 - math.log(2)], [-1.0])
         rec1 = record([-1.0])
         value = grpo_objective([rec0, rec1], [1.0, 1.0], beta=0.0)
         assert value == pytest.approx((2.0 * 1.0 + 1.0) / 2)
@@ -240,7 +240,7 @@ class TestObjective:
         assert abs(jmid - (j0 + j1) / 2) < 1e-9
 
     def test_clip_option(self):
-        rec_hot = LogProbRecord.from_lists([-0.5], [-3.0], [-0.5])  # ratio e^2.5
+        rec_hot = LogProbRecord([-0.5], [-3.0], [-0.5])  # ratio e^2.5
         rec_cold = record([-1.0])
         unclipped = grpo_objective([rec_hot, rec_cold], [1.0, -1.0], beta=0.0)
         clipped = grpo_objective([rec_hot, rec_cold], [1.0, -1.0], beta=0.0, clip_range=0.2)
@@ -248,7 +248,7 @@ class TestObjective:
         assert clipped == pytest.approx((1.2 - 1.0) / 2)
 
     def test_log_ratio_clamped(self):
-        rec = LogProbRecord.from_lists([-1.0] * 80, [-2.0] * 80, [-1.0] * 80)
+        rec = LogProbRecord([-1.0] * 80, [-2.0] * 80, [-1.0] * 80)
         log_ratio, clamped = sequence_log_ratio(rec)
         assert clamped and log_ratio == 50.0
         detailed = grpo_objective_detailed([rec, rec], [1.0, -1.0])

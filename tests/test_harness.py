@@ -81,7 +81,7 @@ def make_request_dict(request_id="r1", completions=None, gt=None, **extra):
 def _image(image_id, pairs, width=640, height=480):
     """An annotated image in pixel space, as ``load_annotations`` returns it."""
     space = pixel_space(width, height)
-    return EvalImage(image_id, space, GroundTruthSet.from_pairs(pairs, space))
+    return EvalImage(image_id, GroundTruthSet.from_pairs(pairs, space))
 
 
 def _with_sample(**fields):
@@ -204,6 +204,16 @@ class TestWire:
         req = parse_request(data)
         again = parse_request(request_to_dict(req))
         assert again == req
+
+    def test_task_is_written_in_the_sample(self):
+        """The request holds the task beside its sample; the wire keeps it inside, in its place."""
+        data = make_request_dict()
+        data["sample"]["task"] = "rec"
+        req = parse_request(data)
+        assert req.task is TaskKind.REC
+        sample = request_to_dict(req)["sample"]
+        assert list(sample) == ["image_id", "width", "height", "coord_space", "task", "gt"]
+        assert sample["task"] == "rec" and parse_request(request_to_dict(req)) == req
 
     def test_logprobs_are_written_as_read(self):
         """Read-only float64 arrays in, the same JSON out: Python floats, -0.0 and 5e-324 kept."""
@@ -621,7 +631,7 @@ class TestService:
         reply = handle_request_line(json.dumps(_with_sample(task="segmentation")))
         assert reply["error"] == {"kind": "malformed-request", "detail": "unknown task 'segmentation'"}
         sample = make_request_dict()["sample"]
-        assert parse_request(make_request_dict()).sample.task is TaskKind.DETECTION
+        assert parse_request(make_request_dict()).task is TaskKind.DETECTION
         corpus_line = {**sample, "task": "rec", "query": "the cat", "is_negative": False}
         assert sample_from_dict(corpus_line).task is TaskKind.REC
         del corpus_line["task"]  # optional in a request, required in a corpus line
@@ -1161,7 +1171,7 @@ class TestAnnotations:
         samples += [synthesize_negative(s, TaskKind.GROUNDING, "zebra") for s in detections[:3]]
         samples += [synthesize_negative(s, TaskKind.REC, "kite") for s in detections[3:5]]
         gt = GroundTruthSet.from_pairs([("cat", Box(0.5, 1.25, 999.5, 1000))], thousandths_space(640, 480))
-        samples.append(Sample(TaskKind.REC, "img-thousandths", gt, "the cat", is_negative=False))
+        samples.append(Sample(TaskKind.REC, "img-thousandths", gt, "the cat"))
         path = tmp_path / "corpus.jsonl"
         write_corpus(samples, path)
         assert load_corpus(path) == samples
@@ -1356,7 +1366,6 @@ class TestCli:
             image_id="img0",
             gt=GroundTruthSet.from_pairs([("cat", Box(0, 0, 10, 10))], pixel_space(640, 480)),
             query="cat",
-            is_negative=False,
         )
         corpus_path = tmp_path / "corpus.jsonl"
         write_corpus([sample], corpus_path)

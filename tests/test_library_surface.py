@@ -143,3 +143,38 @@ def test_no_object_dtype_array():
         for line in _object_dtype_lines(path.read_text())
     ]
     assert found == []
+
+
+def _alias_lines(source):
+    """Line and name of each public module-level name in ``source`` bound to a bare
+    name or an attribute, such as ``X = FormatKind.STRUCTURED``: a second name for
+    one thing. A call, a union or a subscript makes something new and is not one."""
+    aliases = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if not isinstance(node.value, (ast.Name, ast.Attribute)):
+            continue
+        names = [target.id for target in targets if isinstance(target, ast.Name)]
+        aliases += [(node.lineno, name) for name in names if not name.startswith("_")]
+    return aliases
+
+
+def test_no_module_level_alias():
+    """Each thing the package defines has one public name: no module binds
+    another public name to it at module level."""
+    probe = (
+        "A = FormatKind.STRUCTURED\nB: type = Box\n_C = Box\nD = Box | None\n"
+        "E = tuple[int, ...]\nF = make()\nG = H = np.inf\n"
+    )
+    assert _alias_lines(probe) == [(1, "A"), (2, "B"), (7, "G"), (7, "H")]
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "locscore").rglob("*.py"))
+        for line, name in _alias_lines(path.read_text())
+    ]
+    assert found == []

@@ -13,7 +13,6 @@ from locscore import (
     GroundTruthSet,
     InvalidBoxError,
     SpaceKind,
-    SpaceMismatchError,
     evaluate,
     pixel_space,
 )
@@ -31,7 +30,7 @@ def make_dataset(scenes):
     categories = []
     for image_id, gts in scenes:
         images.append(
-            EvalImage(image_id, SPACE, GroundTruthSet.from_pairs(gts, SPACE))
+            EvalImage(image_id, GroundTruthSet.from_pairs(gts, SPACE))
         )
         for label, _ in gts:
             if label not in categories:
@@ -102,15 +101,6 @@ class TestEvalDataset:
         with pytest.raises(ValueError) as raised:
             EvalDataset(images, ("dog",))
         assert str(raised.value) == "ground-truth label 'cat' missing from the category list"
-
-    @pytest.mark.parametrize("space", [CoordinateSpace(SpaceKind.THOUSANDTHS, 640, 480), pixel_space(320, 240)])
-    def test_space_other_than_the_ground_truths_rejected(self, space):
-        # a prediction would be checked against ``space``, the ground truth against its own
-        gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 320, 240))], SPACE)
-        with pytest.raises(SpaceMismatchError) as raised:
-            EvalImage("img0", space, gt)
-        described = f"{space.kind.value} {space.width}x{space.height}"
-        assert str(raised.value) == f"image 'img0': space {described} is not its ground truth's pixels 640x480"
 
 
 class TestEvaluateExamples:
@@ -307,7 +297,7 @@ def grid_datasets(draw):
         ))
         if gts:
             detections += draw(st.lists(st.sampled_from(gts), max_size=3))  # exact copies
-        images.append(EvalImage(f"img{index}", space, GroundTruthSet.from_pairs(gts, space)))
+        images.append(EvalImage(f"img{index}", GroundTruthSet.from_pairs(gts, space)))
         if draw(st.booleans()) or not detections:
             predictions[f"img{index}"] = draw(st.permutations(detections))
     predictions["elsewhere"] = [("cat", Box(0.0, 0.0, 99.0, 99.0))]
@@ -337,11 +327,11 @@ class TestExactDifferential:
             return Box(float(x), float(y), float(x + rng.randrange(2, 40)), float(y + rng.randrange(2, 40)))
 
         crowd = [("cat", box()) for _ in range(2000)]
-        images = [EvalImage("crowd", SPACE, GroundTruthSet.from_pairs(crowd, SPACE))]
+        images = [EvalImage("crowd", GroundTruthSet.from_pairs(crowd, SPACE))]
         predictions = {"crowd": crowd[:100]}
         for index in range(499):
             gts = [(rng.choice(labels), box()) for _ in range(rng.randrange(1, 8))]
-            images.append(EvalImage(f"img{index}", SPACE, GroundTruthSet.from_pairs(gts, SPACE)))
+            images.append(EvalImage(f"img{index}", GroundTruthSet.from_pairs(gts, SPACE)))
             predictions[f"img{index}"] = [pair for pair in gts if rng.random() < 0.8] + [
                 (rng.choice(labels), box()) for _ in range(2)
             ]

@@ -18,8 +18,6 @@ from locscore import (
     thousandths_space,
 )
 from locscore.parsing import (
-    PLAIN_FORMAT,
-    STRUCTURED_FORMAT,
     FormatKind,
     emit_plain,
     emit_structured,
@@ -90,7 +88,7 @@ def test_extract_objects_filters_and_preserves_order():
         ' {"bbox_2d": [0, 0, 700, 50], "label": "dog"},'
         ' {"bbox_2d": [5, 5, 25, 25], "label": "person"}]'
     )
-    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion(text, FormatKind.STRUCTURED, pixel_space(640, 480))
     assert len(outcome.predictions) == 3
     objects = extract_objects(outcome)
     assert [label for label, _ in objects] == ["cat", "person"]
@@ -98,13 +96,13 @@ def test_extract_objects_filters_and_preserves_order():
 
 
 def test_extract_objects_empty_on_template_failure():
-    outcome = parse_completion("no boxes here", STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion("no boxes here", FormatKind.STRUCTURED, pixel_space(640, 480))
     assert extract_objects(outcome) == []
 
 
 def test_deep_nesting_is_template_failure():
     # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
-    outcome = parse_completion("[" * 100000, STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion("[" * 100000, FormatKind.STRUCTURED, pixel_space(640, 480))
     assert not outcome.template_ok and not outcome.content_ok
     assert outcome.predictions == ()
     assert outcome.diagnostics == ("not valid JSON: nesting too deep",)
@@ -113,14 +111,14 @@ def test_deep_nesting_is_template_failure():
 def test_overlong_integer_is_template_failure():
     # json.loads raises a plain ValueError past the interpreter's digit limit
     text = '[{"bbox_2d": [0, 0, 1' + "0" * 5000 + ', 10], "label": "cat"}]'
-    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion(text, FormatKind.STRUCTURED, pixel_space(640, 480))
     assert not outcome.template_ok and not outcome.content_ok
     assert outcome.diagnostics == ("not valid JSON: number too long",)
 
 
 def test_integer_beyond_float_range_is_content_failure():
     text = '[{"bbox_2d": [0, 0, 1' + "0" * 400 + ', 10], "label": "cat"}]'
-    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion(text, FormatKind.STRUCTURED, pixel_space(640, 480))
     assert outcome.template_ok and not outcome.content_ok
     assert outcome.predictions == ()
 
@@ -163,7 +161,7 @@ def _float_box_strategy():
 @settings(max_examples=200)
 def test_structured_round_trip(objects):
     text = emit_structured(objects)
-    outcome = parse_completion(text, STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion(text, FormatKind.STRUCTURED, pixel_space(640, 480))
     assert outcome.template_ok and outcome.content_ok
     assert extract_objects(outcome) == list(objects)
 
@@ -172,7 +170,7 @@ def test_structured_round_trip(objects):
 @settings(max_examples=200)
 def test_plain_round_trip(objects):
     text = emit_plain(objects)
-    outcome = parse_completion(text, PLAIN_FORMAT, thousandths_space(640, 480))
+    outcome = parse_completion(text, FormatKind.PLAIN, thousandths_space(640, 480))
     assert outcome.template_ok and outcome.content_ok
     assert extract_objects(outcome) == list(objects)
 
@@ -197,7 +195,7 @@ def _plain_text(raw_labels):
 @given(st.lists(_STRUCTURED_LABELS, min_size=1, max_size=5))
 @settings(max_examples=200)
 def test_structured_unicode_whitespace_labels(raw_labels):
-    outcome = parse_completion(_structured_text(raw_labels), STRUCTURED_FORMAT, pixel_space(640, 480))
+    outcome = parse_completion(_structured_text(raw_labels), FormatKind.STRUCTURED, pixel_space(640, 480))
     assert outcome.template_ok
     assert [p.label for p in outcome.predictions] == [" ".join(raw.split()) for raw in raw_labels if raw.split()]
     assert outcome.diagnostics == tuple(
@@ -209,7 +207,7 @@ def test_structured_unicode_whitespace_labels(raw_labels):
 @given(st.lists(_PLAIN_LABELS, min_size=1, max_size=5))
 @settings(max_examples=200)
 def test_plain_unicode_whitespace_labels(raw_labels):
-    outcome = parse_completion(_plain_text(raw_labels), PLAIN_FORMAT, thousandths_space(640, 480))
+    outcome = parse_completion(_plain_text(raw_labels), FormatKind.PLAIN, thousandths_space(640, 480))
     blank = [index for index, raw in enumerate(raw_labels) if not raw.split()]
     if blank:  # an all-whitespace label fails the segment match
         assert not outcome.template_ok and outcome.predictions == ()
@@ -226,7 +224,7 @@ def _label_blocks(draw):
     groups = []
     for _ in range(draw(st.integers(2, 4))):
         plain = draw(st.booleans())
-        fmt, space = (PLAIN_FORMAT, thousandths_space(640, 480)) if plain else (STRUCTURED_FORMAT, pixel_space(640, 480))
+        fmt, space = (FormatKind.PLAIN, thousandths_space(640, 480)) if plain else (FormatKind.STRUCTURED, pixel_space(640, 480))
         emit = _plain_text if plain else _structured_text
         texts = [emit(draw(st.lists(st.sampled_from(pool), max_size=4))) for _ in range(draw(st.integers(1, 3)))]
         groups.append((texts, fmt, space))
@@ -280,7 +278,7 @@ def _mixed_blocks(draw):
     groups = []
     for _ in range(draw(st.integers(1, 4))):
         plain = draw(st.booleans())
-        fmt = PLAIN_FORMAT if plain else STRUCTURED_FORMAT
+        fmt = FormatKind.PLAIN if plain else FormatKind.STRUCTURED
         space = CoordinateSpace(fmt.space_kind, draw(st.sampled_from([640, 100])), 480)
         texts = draw(st.lists(_plain_completions() if plain else _structured_completions(), min_size=1, max_size=3))
         groups.append((texts, fmt, space))
@@ -304,11 +302,11 @@ def test_one_group_is_a_block_of_one():
         "no objects here",
         "[]",
     ]
-    other = (["cat-[1,2,30,40];dog-[5,5,990,1200]", "", "cat-[bad]"], PLAIN_FORMAT, thousandths_space(640, 480))
+    other = (["cat-[1,2,30,40];dog-[5,5,990,1200]", "", "cat-[bad]"], FormatKind.PLAIN, thousandths_space(640, 480))
     for space in (pixel_space(640, 480), pixel_space(100, 100)):
-        alone = parse_block([(read_completions(texts, STRUCTURED_FORMAT), space)])
+        alone = parse_block([(read_completions(texts, FormatKind.STRUCTURED), space)])
         assert alone.group.dtype.kind == "i" and alone.group.tolist() == [0] * len(alone.labels)
-        group = (texts, STRUCTURED_FORMAT, space)
+        group = (texts, FormatKind.STRUCTURED, space)
         for place, block_groups in enumerate(([group, other], [other, group])):
             block = parse_block([(read_completions(t, fmt), s) for t, fmt, s in block_groups])
             first = 0 if place == 0 else len(other[0])
@@ -342,18 +340,18 @@ def test_normalize_label():
 def test_spec_examples():
     space = pixel_space(640, 480)
     ok = parse_completion(
-        '[{"bbox_2d": [10, 20, 110, 220], "label": "cat"}]', STRUCTURED_FORMAT, space
+        '[{"bbox_2d": [10, 20, 110, 220], "label": "cat"}]', FormatKind.STRUCTURED, space
     )
     assert ok.template_ok and ok.content_ok
     assert [(p.label, list(p.coords)) for p in ok.predictions] == [
         ("cat", [10.0, 20.0, 110.0, 220.0])
     ]
 
-    prose = parse_completion("I cannot find any objects.", STRUCTURED_FORMAT, space)
+    prose = parse_completion("I cannot find any objects.", FormatKind.STRUCTURED, space)
     assert (prose.template_ok, prose.content_ok, len(prose.predictions)) == (False, False, 0)
 
     oob = parse_completion(
-        '[{"bbox_2d": [10, 20, 110, 900], "label": "cat"}]', STRUCTURED_FORMAT, space
+        '[{"bbox_2d": [10, 20, 110, 900], "label": "cat"}]', FormatKind.STRUCTURED, space
     )
     assert oob.template_ok and not oob.content_ok
     assert extract_objects(oob) == []

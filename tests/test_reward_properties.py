@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from locscore.geometry import Box, CoordinateSpace, iou, pixel_space
 from locscore.harness.engine import score_group
-from locscore.harness.wire import SampleSpec, ScoringRequest
+from locscore.harness.wire import ScoringRequest
 from locscore.matching import GroundTruthSet, MatcherPolicy
-from locscore.parsing import PLAIN_FORMAT, STRUCTURED_FORMAT, emit_plain, emit_structured
+from locscore.metrics import EvalImage
+from locscore.parsing import FormatKind, emit_plain, emit_structured
 from locscore.rewards import ADVANCED_THRESHOLDS, BEGINNER_THRESHOLDS, Group, score_groups
 
 SIDE = 1000
@@ -52,8 +53,8 @@ def scenes(draw, side=SIDE):
     return gt, completions
 
 
-def _texts(completions, fmt=STRUCTURED_FORMAT, order=None):
-    emit = emit_plain if fmt is PLAIN_FORMAT else emit_structured
+def _texts(completions, fmt=FormatKind.STRUCTURED, order=None):
+    emit = emit_plain if fmt is FormatKind.PLAIN else emit_structured
     texts = [emit([(label, Box(*map(float, box))) for label, box in boxes]) for boxes in completions]
     return texts if order is None else [texts[index] for index in order]
 
@@ -62,7 +63,7 @@ def _truth(gt, side=SIDE):
     return GroundTruthSet.from_pairs([(label, Box(*map(float, box))) for label, box in gt], pixel_space(side, side))
 
 
-def score(scene, policy, fmt=STRUCTURED_FORMAT, thresholds=BEGINNER_THRESHOLDS, order=None, side=SIDE):
+def score(scene, policy, fmt=FormatKind.STRUCTURED, thresholds=BEGINNER_THRESHOLDS, order=None, side=SIDE):
     """The breakdowns of the scene's completions, in ``order`` if given, as one group."""
     gt, completions = scene
     space = CoordinateSpace(fmt.space_kind, side, side)
@@ -70,7 +71,7 @@ def score(scene, policy, fmt=STRUCTURED_FORMAT, thresholds=BEGINNER_THRESHOLDS, 
 
 
 @POLICIES
-@given(scenes(), st.sampled_from([STRUCTURED_FORMAT, PLAIN_FORMAT]), st.sampled_from([BEGINNER_THRESHOLDS, ADVANCED_THRESHOLDS]))
+@given(scenes(), st.sampled_from([FormatKind.STRUCTURED, FormatKind.PLAIN]), st.sampled_from([BEGINNER_THRESHOLDS, ADVANCED_THRESHOLDS]))
 @settings(max_examples=150, deadline=None)
 def test_components_lie_in_unit_interval_and_sum_to_the_total(policy, scene, fmt, thresholds):
     for b in score(scene, policy, fmt, thresholds):
@@ -92,11 +93,11 @@ def test_permuting_completions_permutes_breakdowns(policy, data):
 @given(scenes())
 @settings(max_examples=150, deadline=None)
 def test_plain_and_structured_forms_agree(policy, scene):
-    assert score(scene, policy, PLAIN_FORMAT) == score(scene, policy, STRUCTURED_FORMAT)
+    assert score(scene, policy, FormatKind.PLAIN) == score(scene, policy, FormatKind.STRUCTURED)
 
 
 @POLICIES
-@given(scenes(), st.sampled_from([STRUCTURED_FORMAT, PLAIN_FORMAT]))
+@given(scenes(), st.sampled_from([FormatKind.STRUCTURED, FormatKind.PLAIN]))
 @settings(max_examples=150, deadline=None)
 def test_advanced_thresholds_never_reward_more(policy, scene, fmt):
     beginner = score(scene, policy, fmt, BEGINNER_THRESHOLDS)
@@ -177,7 +178,7 @@ def test_permuting_completions_permutes_advantages(policy, data):
 
     def advantages(order=None):
         request = ScoringRequest(
-            "r", SampleSpec("img", _truth(gt)), tuple(_texts(completions, order=order)), matcher=policy
+            "r", EvalImage("img", _truth(gt)), tuple(_texts(completions, order=order)), matcher=policy
         )
         return score_group(request).advantages
 

@@ -24,7 +24,7 @@ from locscore import (
 )
 from locscore.geometry import CoordinateSpace, SpaceKind, to_space
 from locscore.matching import MatchedPrediction, MatcherPolicy
-from locscore.parsing import PLAIN_FORMAT, STRUCTURED_FORMAT, emit_structured
+from locscore.parsing import FormatKind, emit_structured
 from locscore.rewards import (
     ADVANCED_THRESHOLDS,
     BEGINNER_THRESHOLDS,
@@ -108,7 +108,7 @@ def completion_objects(text, space, gt_space):
     """One structured completion scored alone: its breakdown and its objects in
     the ground-truth space, as (label, Box) pairs."""
     gt = GroundTruthSet((), gt_space)
-    breakdown, = score_groups([Group([text], STRUCTURED_FORMAT, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER)])[0]
+    breakdown, = score_groups([Group([text], FormatKind.STRUCTURED, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER)])[0]
     labels, boxes = breakdown.objects
     return breakdown, [(label, Box(*row)) for label, row in zip(labels, boxes.tolist())]
 
@@ -132,7 +132,7 @@ class TestCompletionObjects:
             ' {"bbox_2d": [0, 0, 500, 1000], "label": "cat"}]'
         )
         breakdown, objects = completion_objects(text, thousandths_space(1, 1), pixel_space(1, 1))
-        assert parse_completion(text, STRUCTURED_FORMAT, thousandths_space(1, 1)).content_ok
+        assert parse_completion(text, FormatKind.STRUCTURED, thousandths_space(1, 1)).content_ok
         assert breakdown.dual_format == 1.0 and breakdown.m_predictions == 1
         assert objects == [("cat", Box(0.0, 0.0, 0.5, 1.0))]
 
@@ -171,7 +171,7 @@ class TestEmissionOrder:
 
     def test_score_completion(self):
         for text, expected in self.EXPECTED.items():
-            assert self._numbers(score_completion(text, STRUCTURED_FORMAT, self.SCENE, self.GT)) == expected
+            assert self._numbers(score_completion(text, FormatKind.STRUCTURED, self.SCENE, self.GT)) == expected
 
     def test_two_group_block(self, monkeypatch):
         import locscore.rewards as rewards_module
@@ -183,7 +183,7 @@ class TestEmissionOrder:
         )
         orders = [[self.FIRST, self.SWAPPED], [self.SWAPPED, self.FIRST]]
         groups = [
-            Group(texts, STRUCTURED_FORMAT, self.SCENE, self.GT, MatcherPolicy.BOX_ONLY, BEGINNER)
+            Group(texts, FormatKind.STRUCTURED, self.SCENE, self.GT, MatcherPolicy.BOX_ONLY, BEGINNER)
             for texts in orders
         ]
         scored = score_groups(groups)
@@ -196,12 +196,12 @@ class TestEmissionOrder:
 class TestDualFormat:
     def test_both_flags_required(self):
         gt = GroundTruthSet((), SPACE)
-        good = score_completion("[]", STRUCTURED_FORMAT, SPACE, gt)
+        good = score_completion("[]", FormatKind.STRUCTURED, SPACE, gt)
         assert good.dual_format == 1.0
         bad_content = '[{"bbox_2d": [0, 0, 700, 100], "label": "cat"}]'
-        assert parse_completion(bad_content, STRUCTURED_FORMAT, SPACE).template_ok
-        assert score_completion(bad_content, STRUCTURED_FORMAT, SPACE, gt).dual_format == 0.0
-        assert score_completion("nope", STRUCTURED_FORMAT, SPACE, gt).dual_format == 0.0
+        assert parse_completion(bad_content, FormatKind.STRUCTURED, SPACE).template_ok
+        assert score_completion(bad_content, FormatKind.STRUCTURED, SPACE, gt).dual_format == 0.0
+        assert score_completion("nope", FormatKind.STRUCTURED, SPACE, gt).dual_format == 0.0
 
 
 class TestRecallReward:
@@ -248,13 +248,13 @@ class TestScoreCompletion:
     def test_perfect_completion_totals_three(self):
         gt = random_gt(random.Random(3), 4)
         text = emit_structured([(i.label, i.box) for i in gt.instances])
-        breakdown = score_completion(text, STRUCTURED_FORMAT, SPACE, gt)
+        breakdown = score_completion(text, FormatKind.STRUCTURED, SPACE, gt)
         assert breakdown.total == 3.0
         assert breakdown.n_valid == 4
 
     def test_unparseable_completion_totals_zero(self):
         gt = random_gt(random.Random(4), 3)
-        breakdown = score_completion("garbage", STRUCTURED_FORMAT, SPACE, gt)
+        breakdown = score_completion("garbage", FormatKind.STRUCTURED, SPACE, gt)
         assert breakdown.total == 0.0
         assert breakdown.m_predictions == 0
 
@@ -263,7 +263,7 @@ class TestScoreCompletion:
             [("cat", Box(1, 1, 10, 10)), ("dog", Box(19, 19, 31, 31))], SPACE
         )
         text = emit_structured([("cat", Box(0, 0, 10, 10)), ("dog", Box(20, 20, 30, 30))])
-        breakdown = score_completion(text, STRUCTURED_FORMAT, SPACE, gt)
+        breakdown = score_completion(text, FormatKind.STRUCTURED, SPACE, gt)
         assert breakdown.dual_format == 1.0
         assert breakdown.recall == 1.0
         assert breakdown.precision == pytest.approx((1 + 100 / 144) / 2, abs=1e-12)
@@ -272,12 +272,12 @@ class TestScoreCompletion:
     def test_components_always_sum_exactly(self):
         gt = random_gt(random.Random(5), 3)
         for text in ("[]", "junk", emit_structured([(i.label, i.box) for i in gt.instances])):
-            b = score_completion(text, STRUCTURED_FORMAT, SPACE, gt)
+            b = score_completion(text, FormatKind.STRUCTURED, SPACE, gt)
             assert b.total == b.dual_format + b.recall + b.precision
 
     def test_abstention_on_negative_sample(self):
         gt = GroundTruthSet((), SPACE)
-        assert score_completion("[]", STRUCTURED_FORMAT, SPACE, gt).total == 3.0
+        assert score_completion("[]", FormatKind.STRUCTURED, SPACE, gt).total == 3.0
 
     def test_lenient_retention_scores_well_formed_entries(self):
         gt = GroundTruthSet.from_pairs([("dog", Box(10, 10, 20, 20))], SPACE)
@@ -285,7 +285,7 @@ class TestScoreCompletion:
             '[{"bbox_2d": [1, 2, 3], "label": "cat"},'
             ' {"bbox_2d": [10, 10, 20, 20], "label": "dog"}]'
         )
-        b = score_completion(text, STRUCTURED_FORMAT, SPACE, gt)
+        b = score_completion(text, FormatKind.STRUCTURED, SPACE, gt)
         assert b.dual_format == 0.0
         assert b.recall == 1.0
         assert b.precision == 1.0
@@ -293,11 +293,10 @@ class TestScoreCompletion:
 
     def test_thousandths_completion_matched_against_pixel_gt(self):
         gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 320, 240))], SPACE)
-        from locscore.parsing import PLAIN_FORMAT
         from locscore import thousandths_space
 
         b = score_completion(
-            "cat-[0,0,500,500]", PLAIN_FORMAT, thousandths_space(640, 480), gt
+            "cat-[0,0,500,500]", FormatKind.PLAIN, thousandths_space(640, 480), gt
         )
         assert b.total == 3.0
 
@@ -305,14 +304,14 @@ class TestScoreCompletion:
         gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 100, 100))], SPACE)
         text = '[{"bbox_2d": [700, 0, 800, 100], "label": "cat"}]'
         with pytest.raises(SpaceMismatchError) as raised:
-            score_completion(text, STRUCTURED_FORMAT, pixel_space(1000, 1000), gt)
+            score_completion(text, FormatKind.STRUCTURED, pixel_space(1000, 1000), gt)
         assert str(raised.value) == "cannot convert between images 1000x1000 and 640x480"
 
     def test_rules_disable_components(self):
         gt = random_gt(random.Random(6), 2)
         text = emit_structured([(i.label, i.box) for i in gt.instances])
         b = score_completion(
-            text, STRUCTURED_FORMAT, SPACE, gt, rules=RewardRules(use_recall=False)
+            text, FormatKind.STRUCTURED, SPACE, gt, rules=RewardRules(use_recall=False)
         )
         assert b.recall == 0.0
         assert b.total == 2.0
@@ -382,8 +381,8 @@ class TestProperties:
         rng = random.Random(9)
         gt = random_gt(rng, 3)
         text = emit_structured([("cat", random_box(rng)) for _ in range(3)])
-        first = score_completion(text, STRUCTURED_FORMAT, SPACE, gt, progress=0.4)
-        second = score_completion(text, STRUCTURED_FORMAT, SPACE, gt, progress=0.4)
+        first = score_completion(text, FormatKind.STRUCTURED, SPACE, gt, progress=0.4)
+        second = score_completion(text, FormatKind.STRUCTURED, SPACE, gt, progress=0.4)
         assert first == second
 
     @given(st.integers(0, 2**30), st.integers(0, 6), st.integers(0, 6), st.floats(0, 1))
@@ -394,7 +393,7 @@ class TestProperties:
         text = emit_structured(
             [(rng.choice(("person", "car", "dog")), random_box(rng)) for _ in range(n_pred)]
         )
-        b = score_completion(text, STRUCTURED_FORMAT, SPACE, gt, progress=progress)
+        b = score_completion(text, FormatKind.STRUCTURED, SPACE, gt, progress=progress)
         assert b.m_predictions == n_pred
         assert b.n_gt == n_gt
         assert 0 <= b.n_valid <= min(b.m_predictions, b.n_gt)
@@ -428,7 +427,7 @@ def _any_box(draw, space):
 
 
 def _render(entries, fmt, draw):
-    if fmt is PLAIN_FORMAT:
+    if fmt is FormatKind.PLAIN:
         digits = draw(st.integers(0, 4))
 
         def number(v):
@@ -445,7 +444,7 @@ def _render(entries, fmt, draw):
 def scoring_groups(draw):
     """A group of completions with its ground truth, matcher, thresholds and rules."""
     width, height = draw(st.sampled_from([(1, 1), (37, 5), (640, 480)]))
-    fmt = draw(st.sampled_from([STRUCTURED_FORMAT, PLAIN_FORMAT]))
+    fmt = draw(st.sampled_from([FormatKind.STRUCTURED, FormatKind.PLAIN]))
     space = CoordinateSpace(fmt.space_kind, width, height)
     gt_space = CoordinateSpace(draw(st.sampled_from(list(SpaceKind))), width, height)
     gt_boxes = []
@@ -531,9 +530,9 @@ class TestGroupKernel:
     def test_completion_space_of_another_image_rejected_in_a_block(self):
         gt = GroundTruthSet.from_pairs([("cat", Box(0, 0, 100, 100))], SPACE)
         text = '[{"bbox_2d": [700, 0, 800, 100], "label": "cat"}]'
-        good = Group([text], STRUCTURED_FORMAT, pixel_space(1000, 1000), GroundTruthSet((), pixel_space(1000, 1000)),
+        good = Group([text], FormatKind.STRUCTURED, pixel_space(1000, 1000), GroundTruthSet((), pixel_space(1000, 1000)),
                      MatcherPolicy.BOX_ONLY, BEGINNER)
-        bad = Group([text], STRUCTURED_FORMAT, pixel_space(1000, 1000), gt, MatcherPolicy.BOX_ONLY, BEGINNER)
+        bad = Group([text], FormatKind.STRUCTURED, pixel_space(1000, 1000), gt, MatcherPolicy.BOX_ONLY, BEGINNER)
         assert len(score_groups([good, good])) == 2  # one block of two groups
         with pytest.raises(SpaceMismatchError) as raised:
             score_groups([good, bad])
@@ -543,5 +542,5 @@ class TestGroupKernel:
         gt = GroundTruthSet((), SPACE)
         with pytest.raises(InvalidConfigError):
             score_groups(
-                [Group(["[]"], STRUCTURED_FORMAT, SPACE, gt, MatcherPolicy.BOX_ONLY, ThresholdTriple(0.0, 0.5, 0.75))]
+                [Group(["[]"], FormatKind.STRUCTURED, SPACE, gt, MatcherPolicy.BOX_ONLY, ThresholdTriple(0.0, 0.5, 0.75))]
             )
