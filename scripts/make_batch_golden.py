@@ -3,14 +3,14 @@
 
 Each line of ``tests/data/batch_golden.jsonl`` holds one manifest (its exact
 text) and the exact text of the ``responses.jsonl`` and ``report.json`` that
-``run_batch`` writes for it. The outputs were recorded while ``run_batch``
-still scored one manifest line at a time, so the file pins every response,
-error entry and report number byte for byte; ``tests/test_batch_golden.py``
-replays it. Regenerate it only for a deliberate, documented behaviour change:
+``run_batch`` writes for it. The manifests are hand-made faults among
+requests drawn by ``scenes.py``, which calls no libm, so they are the same
+bytes on every machine; the outputs pin every response, error entry and
+report number ``run_batch`` gives for them, across blocks of 64, byte for
+byte. ``tests/test_batch_golden.py`` replays the file. Regenerate it only for
+a deliberate, documented behaviour change:
 
     PYTHONPATH=src python scripts/make_batch_golden.py [--out PATH]
-
-The requests come from ``make_score_golden.py``'s seeded generator.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import make_score_golden as score  # noqa: E402  (the seeded request generator)
-
-from locscore.harness.batch import run_batch  # noqa: E402
+import scenes
+from locscore.harness.batch import run_batch
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "batch_golden.jsonl"
 SEED = 20261019
@@ -47,29 +43,32 @@ def outcome(manifest: str) -> dict[str, str]:
         }
 
 
-def ordinary(rng, rid, **overrides):
-    """One seeded request of the score golden's mix; ``final`` on about half."""
-    options = dict(
-        size=rng.choice((1, 2, 4, 8)), g=rng.randint(0, 12), plain=rng.random() < 0.35,
-        matcher=rng.choice(("box", "box-label")),
-        gt_space=rng.choice(("pixels", "pixels", "thousandths")),
-        progress=rng.choice((None, 0.0, 0.5, 0.75, 1.0)),
-        phase=rng.choice((None, {"step_fraction": 0.3}, {"step_fraction": 1.0},
-                          {"beginner": [0.3, 0.4, 0.8], "advanced": [0.6, 0.7, 0.95]})),
-        logprobs=rng.random() < 0.3,
-    )
-    options.update(overrides)
-    data = score.request(rng, rid, **options)
-    if options["size"] < 2 or rng.random() < 0.3:
+def ordinary(rng, rid, *, sizes=(1, 2, 4, 8), most=12, final=False, negative=False, logprobs=False, **overrides):
+    """One drawn request of the score golden's mix, with no ground truth when ``negative``."""
+    size = rng.choice(sizes)
+    options = {**scenes.options(rng), **overrides}
+    data = scenes.request(rng, rid, size=size, g=0 if negative else rng.randint(1, most), logprobs=logprobs, **options)
+    if size < 2 or rng.random() < 0.3:
         data["advantages"] = False
-    if rng.random() < 0.5:
+    if final:
         data["final"] = True
     return data
 
 
-def faults(rng, rid):
+def dealt(index, n, k):
+    """Whether ``index`` is one of ``k`` among ``n`` spread evenly: a count fixed by construction."""
+    return index * k % n < k
+
+
+def group(rng, prefix, n, *, final, negative, logprobs=0, **options):
+    """``n`` ordinary requests, exactly ``final``, ``negative`` and ``logprobs`` of which are of each kind."""
+    return [ordinary(rng, f"{prefix}{i}", final=dealt(i, n, final), negative=dealt(i, n, negative),
+                     logprobs=dealt(i, n, logprobs), **options) for i in range(n)]
+
+
+def faults(rng, rid, negative):
     """Manifest lines that each fail on their own line, and the batch goes on."""
-    base = ordinary(rng, rid, size=2)
+    base = ordinary(rng, rid, sizes=(2,), final=True, negative=negative)
     sample = base["sample"]
     return [
         '{"v": 1, "request_id": ',  # bad JSON
@@ -98,10 +97,9 @@ def manifest(lines, rng, blanks=True):
     return "\n".join(out) + "\n"
 
 
-def with_duplicate_final(rng, requests):
-    """A second ``final`` entry for an image that already has one."""
-    finals = [data for data in requests if data.get("final")]
-    twin = {**rng.choice(finals), "request_id": "duplicate"}
+def with_duplicate_final(requests):
+    """A second ``final`` entry for the image of the last one."""
+    twin = {**[data for data in requests if data.get("final")][-1], "request_id": "duplicate"}
     return requests + [twin]
 
 
@@ -109,47 +107,44 @@ def manifests():
     rng = random.Random(SEED)
     cases = []
 
-    mixed = [ordinary(rng, f"m{index}") for index in range(40)]
-    mixed += [score.request(rng, f"flood{index}", size=4, g=rng.randint(20, 60), plain=index == 1,
-                            matcher=("box", "box-label")[index], kind="flood") for index in range(2)]
-    mixed += [score.request(rng, f"tie{index}", size=8, g=rng.randint(4, 24), plain=index == 1,
-                            matcher=("box", "box-label")[index], kind="tie") for index in range(2)]
-    mixed.append(score.request(rng, "wide", size=64, g=4, plain=False, matcher="box-label", logprobs=True))
+    mixed = group(rng, "m", 40, final=19, negative=3, logprobs=9)
+    # floods of 60 ground truths: the block's matrices pass rewards.BLOCK_CELLS and are built in two parts
+    mixed += [scenes.request(rng, f"flood{index}", size=4, g=60, plain=index == 1,
+                             matcher=("box", "box-label")[index], kind="flood") for index in range(2)]
+    mixed += [scenes.request(rng, f"tie{index}", size=8, g=rng.randint(4, 24), plain=index == 1,
+                             matcher=("box", "box-label")[index], kind="tie") for index in range(2)]
+    mixed.append(scenes.request(rng, "wide", size=64, g=4, plain=False, matcher="box-label", logprobs=True))
     rng.shuffle(mixed)
     cases.append(("mixed", [json.dumps(data) for data in mixed]))
 
-    advantages = [ordinary(rng, f"a{index}", size=rng.choice((2, 4, 8)), logprobs=True) for index in range(12)]
+    advantages = group(rng, "a", 12, final=9, negative=2, logprobs=12, sizes=(2, 4, 8))
     for data in advantages:
         data["advantages"] = True
-    overflow = ordinary(rng, "kl-overflow", size=2, logprobs=False)
+    overflow = ordinary(rng, "kl-overflow", sizes=(2,))
     overflow.update(advantages=True, logprobs=[OVERFLOW, OVERFLOW], final=True)
-    single = ordinary(rng, "single", size=1, logprobs=False)
+    single = ordinary(rng, "single", sizes=(1,))
     single.update(advantages=True, final=True)
-    mismatch = ordinary(rng, "mismatch", size=3, logprobs=True)
+    mismatch = ordinary(rng, "mismatch", sizes=(3,), final=True, logprobs=True)
     mismatch["logprobs"] = mismatch["logprobs"][:2]
     lines = advantages[:6] + [overflow, single, mismatch] + advantages[6:]
     cases.append(("advantages", [json.dumps(data) for data in lines]))
 
-    samples = []
-    for index in range(16):
-        data = ordinary(rng, f"n{index}", g=0 if index % 2 == 0 else rng.randint(1, 8),
-                        gt_space="thousandths" if index % 4 < 2 else "pixels")
-        data["final"] = True
-        samples.append(data)
+    samples = [ordinary(rng, f"n{index}", most=8, final=True, negative=index % 2 == 0, logprobs=index % 8 < 4,
+                        gt_space="thousandths" if index % 4 < 2 else "pixels") for index in range(16)]
+    for entry in samples[1]["sample"]["gt"]:
+        entry["label"] = "zebra"  # a category with ground truth that no final answer names
     cases.append(("negatives-and-thousandths", [json.dumps(data) for data in samples]))
 
-    lines = [json.dumps(data) for data in with_duplicate_final(rng, [ordinary(rng, f"w{i}") for i in range(6)])]
-    lines[3:3] = faults(rng, "w-fault")
+    requests = group(rng, "w", 6, final=3, negative=0, logprobs=4)
+    lines = [json.dumps(data) for data in with_duplicate_final(requests)]
+    lines[3:3] = faults(rng, "w-fault", negative=False)
     cases.append(("wire-faults", lines))
 
-    for name, count, sizes in (("three-blocks", 140, (1, 1, 2, 3)), ("four-blocks-final", 200, (1,))):
-        requests = [ordinary(rng, f"{name}-{index}", size=rng.choice(sizes), g=rng.randint(0, 8),
-                             logprobs=False) for index in range(count)]
-        if name.endswith("final"):
-            for data in requests:
-                data["final"] = True
-        lines = [json.dumps(data) for data in with_duplicate_final(rng, requests)]
-        bad = faults(rng, name + "-fault")
+    for name, count, sizes, final, negative in (("three-blocks", 140, (1, 1, 2, 3), 67, 17),
+                                                ("four-blocks-final", 200, (1,), 200, 18)):
+        requests = group(rng, f"{name}-", count, final=final, negative=negative, sizes=sizes, most=8)
+        lines = [json.dumps(data) for data in with_duplicate_final(requests)]
+        bad = faults(rng, name + "-fault", negative=True)
         for position in sorted(rng.sample(range(len(lines)), len(bad)), reverse=True):
             lines.insert(position, bad.pop())
         cases.append((name, lines))

@@ -5,10 +5,11 @@ Each line of ``tests/data/eval_golden.jsonl`` holds one dataset (its category
 list and images, each with a coordinate space and ground truth), the
 predictions given to ``metrics.evaluate``, and either the exact text of
 ``dump_line(eval_to_dict(result))`` or the exact error ``evaluate`` raised.
-The results were recorded from the per-image evaluation, before it became one
-dataset-level array pass, so the file pins every metric bit for bit;
-``tests/test_eval_golden.py`` replays it. Regenerate it only for a
-deliberate, documented behaviour change:
+The datasets are hand-made edge cases, exact IoU ties and batch-like scenes
+drawn by ``scenes.py``, which calls no libm, so they are the same bytes on
+every machine; the results pin every metric ``evaluate`` gives for them, bit
+for bit. ``tests/test_eval_golden.py`` replays the file. Regenerate it only
+for a deliberate, documented behaviour change:
 
     PYTHONPATH=src python scripts/make_eval_golden.py [--out PATH]
 """
@@ -18,18 +19,20 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import sys
 from pathlib import Path
 
-from locscore.errors import InvalidBoxError
-from locscore.geometry import Box, CoordinateSpace, SpaceKind
-from locscore.harness.wire import dump_line, eval_to_dict
-from locscore.matching import GroundTruthSet
-from locscore.metrics import EvalDataset, EvalImage, evaluate
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # scenes, also when a test loads this file
+
+import scenes  # noqa: E402
+from locscore.errors import InvalidBoxError  # noqa: E402
+from locscore.geometry import Box, CoordinateSpace, SpaceKind  # noqa: E402
+from locscore.harness.wire import dump_line, eval_to_dict  # noqa: E402
+from locscore.matching import GroundTruthSet  # noqa: E402
+from locscore.metrics import EvalDataset, EvalImage, evaluate  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "eval_golden.jsonl"
 SEED = 20251018
-
-LABELS = ("person", "car", "dog", "cat", "traffic light", "bench", "bird", "cup", "sheep", "kite")
 
 
 def load_case(case):
@@ -64,45 +67,17 @@ def case(name, categories, images, predictions):
     return {"name": name, "categories": categories, "images": images, "predictions": predictions}
 
 
-def rand_box(rng, w, h, lo=0.03, hi=0.4):
-    bw = max(2, int(w * rng.uniform(lo, hi)))
-    bh = max(2, int(h * rng.uniform(lo, hi)))
-    x1 = rng.randint(0, w - bw)
-    y1 = rng.randint(0, h - bh)
-    return [x1, y1, x1 + bw, y1 + bh]
-
-
-def jitter(rng, box, w, h):
-    x1, y1, x2, y2 = box
-    s = rng.uniform(0.0, 0.25)
-    sx, sy = s * (x2 - x1), s * (y2 - y1)
-    nx1 = min(max(x1 + rng.gauss(0, sx), 0.0), w - 1.0)
-    ny1 = min(max(y1 + rng.gauss(0, sy), 0.0), h - 1.0)
-    nx2 = min(max(x2 + rng.gauss(0, sx), nx1 + 0.5), float(w))
-    ny2 = min(max(y2 + rng.gauss(0, sy), ny1 + 0.5), float(h))
-    box = [nx1, ny1, nx2, ny2]
-    return [round(v) for v in box] if rng.random() < 0.5 and round(nx2) > round(nx1) and round(ny2) > round(ny1) else box
-
-
-def spelling(rng, label):
-    roll = rng.random()
-    if roll < 0.1:
-        return label.upper()
-    if roll < 0.2:
-        return " " + label.replace(" ", "  ") + "\t"
-    return label
-
-
 def random_case(rng, name, n_images, n_categories):
     """A batch-like dataset: mixed spaces, jittered hits, relabels, duplicates and misses."""
-    categories = list(LABELS[:n_categories])
+    categories = list(scenes.LABELS[:n_categories])
     images, predictions = [], {}
     for index in range(n_images):
         image_id = f"{name}-{index}"
         thousandths = rng.random() < 0.3
         w, h = rng.choice((320, 640, 800)), rng.choice((240, 480, 600))
         ew, eh = (1000, 1000) if thousandths else (w, h)
-        gt = [[spelling(rng, rng.choice(categories)), rand_box(rng, ew, eh)] for _ in range(rng.randint(0, 12))]
+        gt = [[scenes.spelling(rng, rng.choice(categories)), scenes.rand_box(rng, ew, eh)]
+              for _ in range(rng.randint(0, 12))]
         images.append(image(image_id, gt, "thousandths" if thousandths else "pixels", w, h))
         if rng.random() < 0.1:
             continue  # an image without predictions
@@ -111,13 +86,14 @@ def random_case(rng, name, n_images, n_categories):
             roll = rng.random()
             if roll < 0.2:
                 continue
-            label = rng.choice(categories) if rng.random() < 0.1 else spelling(rng, label)
-            detections.append([label, box if roll < 0.4 else jitter(rng, box, ew, eh)])
+            label = scenes.relabel(rng, label, categories, 0.1)
+            # a jittered box: whole numbers half the time, else floats
+            detections.append([label, box if roll < 0.4 else scenes.jitter(rng, box, ew, eh, 0.25, rng.random() < 0.5)])
             if rng.random() < 0.1:
-                detections.append([label, jitter(rng, box, ew, eh)])  # a duplicate
+                detections.append([label, scenes.jitter(rng, box, ew, eh, 0.25, rng.random() < 0.5)])  # a duplicate
         for _ in range(rng.randint(0, 4)):
             label = rng.choice(categories) if rng.random() < 0.8 else rng.choice(("unicorn", "Zebra "))
-            detections.insert(rng.randint(0, len(detections)), [label, rand_box(rng, ew, eh)])
+            detections.insert(rng.randint(0, len(detections)), [label, scenes.rand_box(rng, ew, eh)])
         predictions[image_id] = detections
     predictions[f"{name}-elsewhere"] = [["cat", [1, 1, 5, 5]]]  # an id not in the dataset
     return case(name, categories, images, predictions)

@@ -152,6 +152,13 @@ def test_a_fault_leaves_the_table_unread(entry):
     assert read_number_table(entry, LOGPROB_SERIES) is None
 
 
+def test_float_field_takes_the_largest_finite_floats():
+    for value in (sys.float_info.max, -sys.float_info.max):
+        assert read_field({"x": value}, "x", float) == value
+    with pytest.raises(FieldError, match="must be a finite number"):
+        read_field({"x": 10**309}, "x", float)
+
+
 def test_enum_field_reads_member_values_only():
     assert read_field({"coord_space": "thousandths"}, "coord_space", SpaceKind) is SpaceKind.THOUSANDTHS
     assert read_field({}, "coord_space", SpaceKind, SpaceKind.PIXELS) is SpaceKind.PIXELS

@@ -135,6 +135,16 @@ class TestGroundTruthIndex:
         with pytest.raises(ValueError, match="2 labels for 1 boxes"):
             GroundTruthSet.from_arrays(["cat", "dog"], [0, 0, 1, 1], pixel_space(64, 64))
 
+    def test_deletion_foreign_equality_and_repr(self):
+        gt = GroundTruthSet.from_arrays(["cat"], [[0, 0, 1, 2]], pixel_space(64, 48))
+        with pytest.raises(AttributeError, match="cannot delete field 'labels'"):
+            del gt.labels
+        assert gt.__eq__(object()) is NotImplemented and gt != object()
+        assert repr(gt) == (
+            "GroundTruthSet(instances=(GroundTruthInstance(label='cat', box=Box(x1=0.0, y1=0.0, x2=1.0, y2=2.0)),), "
+            "space=CoordinateSpace(kind=<SpaceKind.PIXELS: 'pixels'>, width=64, height=48))"
+        )
+
     # case and whitespace variants of two labels, which normalize_label makes one
     LABEL_VARIANTS = st.sampled_from(["cat", "Cat", " CAT ", "traffic light", "Traffic  Light", "traffic\tlight\n"])
     NUMBERS = st.integers(0, 70) | st.floats(0, 70, allow_nan=False)

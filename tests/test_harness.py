@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -45,6 +46,10 @@ from oracles import series_by_series_logprobs
 from test_fields import logprob_entries
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# a bare environment for the CLI subprocesses; a request not to write bytecode caches passes through
+SUBPROCESS_ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+if "PYTHONDONTWRITEBYTECODE" in os.environ:
+    SUBPROCESS_ENV["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 REMOVED = object()  # a field's change that takes the field out
 
 
@@ -539,6 +544,9 @@ class TestService:
             (make_request_dict(request_id="bad", logprobs=[
                 {"policy": [-1.0, -2.0], "old": [-1.0], "ref": [-1.0, -2.0]}] * 2),
              "policy/old/ref must have equal length >= 1"),
+            # the largest finite float is a number, out of range
+            (make_request_dict(request_id="bad", progress=1.7976931348623157e308),
+             "progress must lie in [0, 1], got 1.7976931348623157e+308"),
         ],
         ids=[
             "step-fraction-null",
@@ -569,6 +577,7 @@ class TestService:
             "logprob-false-among-zeros",
             "logprob-nested",
             "logprob-unequal-lengths",
+            "progress-float-max",
         ],
     )
     def test_malformed_request_between_good_ones(self, bad, detail):
@@ -1224,7 +1233,6 @@ class TestCli:
         from locscore.harness.cli import LOG_ENV_VAR, _configure_logging
 
         assert LOG_ENV_VAR == "LOCSCORE_LOG"
-        import os
         from unittest import mock
 
         with mock.patch.dict(os.environ, {LOG_ENV_VAR: "debug"}):
@@ -1281,7 +1289,7 @@ class TestCli:
             input=lines + "\n",
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=SUBPROCESS_ENV,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -1420,7 +1428,7 @@ class TestCli:
             ],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=SUBPROCESS_ENV,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

@@ -108,6 +108,12 @@ def test_deep_nesting_is_template_failure():
     assert outcome.diagnostics == ("not valid JSON: nesting too deep",)
 
 
+def test_fence_without_body_is_empty_not_unbalanced():
+    outcome = parse_completion("```json\n```", FormatKind.STRUCTURED, pixel_space(640, 480))
+    assert not outcome.template_ok and outcome.predictions == ()
+    assert outcome.diagnostics == ("empty completion (structured format requires a JSON array)",)
+
+
 def test_overlong_integer_is_template_failure():
     # json.loads raises a plain ValueError past the interpreter's digit limit
     text = '[{"bbox_2d": [0, 0, 1' + "0" * 5000 + ', 10], "label": "cat"}]'
