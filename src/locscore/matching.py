@@ -13,16 +13,24 @@ reduced cost is at most ``_COST_TIE_ATOL`` form the tight subgraph, whose
 perfect matchings are exactly the optimal assignments. Walking predictions in
 order, each is rotated along an alternating path of tight edges to the
 lowest-indexed ground truth it can reach, which yields the lexicographically
-first optimum with graph searches only. IoUs come from
-``geometry.iou_matrix``, the one place IoU is computed.
+first optimum with graph searches only. A pair changes only along an
+alternating cycle of tight edges (Tassa 2012), so the rotation runs only
+where some prediction has a tight ground truth below its own that a later
+row holds (``_can_move``). IoUs come from ``geometry.iou_matrix``, the one
+place IoU is computed.
 
 ``cost_matrices`` builds the matrices of a block of groups' predictions at
 once, each row meeting only its own group's ground truths, and
-``assign_slices`` matches each completion's slice of them on its own;
-``match`` is the two for one list of predictions. Every box, a prediction's
-or a ground truth's, is one float64 row of ``geometry.box_array``, so
-``match`` and ``assignment_cost`` give one pair one IoU, and an invalid box
-is named by its float coordinates.
+``assign_slices`` matches each completion's slice of them on its own. The
+slices of at most ``STACK_LIMIT`` rows and columns are solved one by one,
+but their dual potentials, tight subgraphs and ``_can_move`` come from one
+``(k, N, N)`` stack of their squares, each padded with ``+inf`` off the
+diagonal and 0 on it: padding that leaves every square's Bellman-Ford rounds
+and reduced costs bit for bit those of the square alone. ``match`` is
+``cost_matrices`` and ``assign_slices`` for one list of predictions. Every
+box, a prediction's or a ground truth's, is one float64 row of
+``geometry.box_array``, so ``match`` and ``assignment_cost`` give one pair
+one IoU, and an invalid box is named by its float coordinates.
 
 The solver is scipy's compiled ``scipy.optimize._lsap``, loaded by itself so
 that a start does not pay for ``scipy.optimize``'s eager package import; it is
@@ -52,6 +60,18 @@ LABEL_MISMATCH_PENALTY = 1.0
 # tight, i.e. as part of some optimal assignment; well above float rounding
 # noise (~1e-15 for these sizes) and far below any meaningful cost difference
 _COST_TIE_ATOL = 1e-9
+
+# most rows or columns of a slice that ``assign_slices`` matches on one stack
+# with the block's other small slices; a larger slice is matched alone, since
+# padding the stack to its size costs more than the per-slice numpy calls the
+# stack saves. Measured on 8 equal squares: the stack takes 0.6-0.9 of the
+# one-by-one time up to 32 rows and 1.07 at 48; on the benchmark's captured
+# blocks, where a stack pads to its largest square, limits of 12 to 32 differ
+# by less than the noise, and 16 keeps the stacks small (STACK_SQUARES)
+STACK_LIMIT = 16
+# most squares in one stack: 64 squares of STACK_LIMIT rows are 16,384 cells,
+# so a stack's arrays peak near 1.2 MiB however many small slices a block holds
+STACK_SQUARES = 64
 
 _LSAP = "scipy.optimize._lsap"
 
@@ -245,6 +265,34 @@ def _reduced_costs(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return reduced
 
 
+def _stacked_reduced_costs(slack: np.ndarray, cols: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_reduced_costs`` of every square of a ``(k, N, N)`` stack at once.
+
+    Square ``s`` holds its slice's zero-padded ``sizes[s] x sizes[s]`` cost
+    in its top-left corner and, beyond it, ``+inf`` off the diagonal and 0
+    on it; ``cols[s]`` is its perfect matching, the identity beyond
+    ``sizes[s]``. The padding is inert: its rows meet no real column and its
+    columns no real row, so every square takes the same Bellman-Ford rounds
+    as alone (at most ``sizes[s]``, stopping when its potentials are still)
+    and its corner's reduced costs are bit for bit those of
+    ``_reduced_costs``; the padding's own are ``+inf`` and 0.
+    """
+    k, size, _ = slack.shape
+    slack = slack - np.take_along_axis(slack, cols[:, :, None], axis=2)
+    flat = cols + size * np.arange(k)[:, None]  # v[s, cols[s]], read from the flat v
+    v = np.zeros((k, size))
+    reduced = slack.copy()  # slack + v_cols[i], kept in step with v
+    for round_ in range(size):
+        relaxed = reduced.min(axis=1)
+        live = (relaxed < v).any(axis=1) & (round_ < sizes)
+        if not live.any():
+            break
+        np.minimum(v, relaxed, out=v, where=live[:, None])
+        np.add(slack, v.take(flat)[:, :, None], out=reduced)
+    reduced -= v[:, None, :]
+    return reduced
+
+
 def _rotation_path(
     start: int,
     goal: int,
@@ -281,6 +329,47 @@ def _rotation_path(
     return None
 
 
+def _solver_cols(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``linear_sum_assignment`` on ``cost``, and its optimum completed to a
+    perfect matching ``i -> cols[i]`` of the zero-padded ``n x n`` square.
+
+    The rectangular solve is several times faster than the padded one and has
+    the same optimum; rows it leaves out take the spare columns, both in
+    ascending order.
+    """
+    rows, real_cols = linear_sum_assignment(cost)
+    cols = np.full(max(cost.shape), -1)
+    cols[rows] = real_cols
+    spare = np.ones(len(cols), dtype=bool)
+    spare[real_cols] = False
+    cols[cols < 0] = np.flatnonzero(spare)
+    return rows, real_cols, cols
+
+
+def _can_move(rows: np.ndarray, columns: np.ndarray, cols: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The rows at which ``_lexicographic_rotation`` can move a pair, given
+    the tight edges ``(rows[e], columns[e])`` of a square with the perfect
+    matching ``i -> cols[i]``: each real row ``i`` (``real[i]``), once per
+    tight column ``j < cols[i]`` that a later row holds, real or padded.
+
+    Without one, nothing moves, by induction over the rows: rows are fixed
+    in order, and a row moves only to an unfixed tight column below its own;
+    while nothing has moved, each tight column below row ``i``'s own belongs
+    to an earlier row, which is fixed. A stack of squares is one
+    block-diagonal square here.
+    """
+    owner = np.empty_like(cols)
+    owner[cols] = np.arange(len(cols))
+    return rows[(columns < cols[rows]) & (owner[columns] > rows) & real[rows]]
+
+
+def _tight_lists(rows: np.ndarray, columns: np.ndarray, n: int) -> list[list[int]]:
+    """Each row's tight columns, ascending, from the tight edges of an ``n x n`` square in row-major order."""
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    flat = columns.tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-cost maximal assignment, canonical among cost ties.
 
@@ -294,19 +383,16 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     each row then rotates the matching along an alternating path in that
     subgraph to its lowest reachable column. Dummy columns (index >= g) sort
     after every real one, so being assigned is preferred over being left out.
+
+    The rotation runs only where ``_can_move`` finds a pair that can move,
+    and that test only after the cheaper one it implies: some real row's
+    lowest tight column is below its own. ``assign_slices`` reaches the same
+    pairs on a stack of small matrices at once.
     """
     m, g = cost.shape
     if min(m, g) == 0:
         return []
-    n = max(m, g)
-    # the rectangular solve is several times faster than the padded one and
-    # has the same optimum; rows it leaves out take the spare columns
-    rows, real_cols = linear_sum_assignment(cost)
-    cols = np.full(n, -1)
-    cols[rows] = real_cols
-    spare = np.ones(n, dtype=bool)
-    spare[real_cols] = False
-    cols[cols < 0] = np.flatnonzero(spare)
+    rows, real_cols, cols = _solver_cols(cost)
     reduced = _reduced_costs(cost, cols)
     if reduced.min() < -_COST_TIE_ATOL:
         # numeric safety net (unreachable in practice): infeasible duals mean
@@ -314,15 +400,10 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in zip(rows, real_cols)]
     is_tight = reduced <= _COST_TIE_ATOL
     assigned = cols.tolist()
-    # a row only ever moves to a tight column below its own, and rows are
-    # fixed in order: unless a real row's lowest tight column is below its
-    # own, nothing moves (the padded dummies' ties alone start nothing)
     if (is_tight[:m].argmax(axis=1) < cols[:m]).any():
         tight_rows, tight_cols = np.nonzero(is_tight)
-        ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
-        flat = tight_cols.tolist()
-        tight = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        _lexicographic_rotation(tight, assigned, m)
+        if _can_move(tight_rows, tight_cols, cols, np.arange(len(cols)) < m).size:
+            _lexicographic_rotation(_tight_lists(tight_rows, tight_cols, len(cols)), assigned, m)
     return [(i, j) for i, j in enumerate(assigned[:m]) if j < g]
 
 
@@ -407,15 +488,94 @@ def cost_matrices(
     return cost, ious, same
 
 
+def _square_stack(
+    cost: np.ndarray, spans: Sequence[tuple[int, int, int]]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    """Each slice ``cost[lo:hi, :g]`` of ``spans`` (none empty) solved, and the stack of their squares.
+
+    Returns the solver's (rows, columns) of each slice, the ``(k, N, N)``
+    stack laid out as ``_stacked_reduced_costs`` reads it, each square's
+    perfect matching (the solver's optimum completed as ``_solver_cols``
+    completes it, the identity beyond the square) and each square's size.
+    """
+    lo, hi, g = np.array(spans).T
+    m = hi - lo
+    sizes = np.maximum(m, g)
+    k, size = len(spans), int(sizes.max())
+    solved = [linear_sum_assignment(cost[a:b, :w]) for a, b, w in spans]
+    index = np.arange(size)
+    inside = index < sizes[:, None]
+    which = np.repeat(np.arange(k), [len(rows) for rows, _ in solved])
+    real_cols = np.concatenate([real for _, real in solved])
+    cols = np.where(inside, -1, index)
+    cols[which, np.concatenate([rows for rows, _ in solved])] = real_cols
+    spare = inside.copy()
+    spare[which, real_cols] = False
+    cols[cols < 0] = np.nonzero(spare)[1]  # both row-major: each square's in ascending order
+    real = (index < m[:, None])[:, :, None] & (index < g[:, None, None])
+    square = (inside[:, :, None] & inside[:, None, :]) | np.eye(size, dtype=bool)
+    cells = cost[np.minimum(lo[:, None] + index, len(cost) - 1)[:, :, None], np.minimum(index, cost.shape[1] - 1)]
+    return solved, np.where(real, cells, np.where(square, 0.0, np.inf)), cols, sizes
+
+
+def _stacked_pairs(cost: np.ndarray, spans: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int]]]:
+    """``_canonical_pairs`` of each slice ``cost[lo:hi, :g]`` of ``spans``, none of them empty.
+
+    Each slice is solved on its own; their dual potentials, tight subgraphs,
+    safety net and ``_can_move`` are computed at once, on one stack of their
+    padded squares (``_square_stack``). Only the slices in which a pair can
+    move build tight lists and rotate, on the stack's own tight subgraph.
+    """
+    solved, slack, cols, sizes = _square_stack(cost, spans)
+    heights = [hi - lo for lo, hi, _ in spans]
+    reduced = _stacked_reduced_costs(slack, cols, sizes)
+    # the numeric safety net of _canonical_pairs, square by square
+    unproven = (reduced.min(axis=(1, 2)) < -_COST_TIE_ATOL).tolist()
+    squares, rows, columns = np.nonzero(reduced <= _COST_TIE_ATOL)
+    k, size = cols.shape
+    shift = squares * size  # the stack as one block-diagonal square
+    movable = _can_move(
+        shift + rows, shift + columns, (cols + size * np.arange(k)[:, None]).ravel(),
+        (np.arange(size) < np.array(heights)[:, None]).ravel(),
+    )
+    moves = np.bincount(movable // size, minlength=k).tolist()
+    ends = np.searchsorted(squares, range(k + 1)).tolist()
+    out = []
+    for s, (solver_rows, solver_cols), matched, n, m, (_, _, g) in zip(
+        range(k), solved, cols.tolist(), sizes.tolist(), heights, spans
+    ):
+        if unproven[s]:
+            out.append(list(zip(solver_rows.tolist(), solver_cols.tolist())))
+            continue
+        assigned = matched[:n]
+        if moves[s]:
+            # the square's own edges, without the size - n of its padding's diagonal after them
+            first, end = ends[s], ends[s + 1] - (size - n)
+            _lexicographic_rotation(_tight_lists(rows[first:end], columns[first:end], n), assigned, m)
+        out.append([(i, j) for i, j in enumerate(assigned[:m]) if j < g])
+    return out
+
+
 def assign_slices(
     cost: np.ndarray, ious: np.ndarray, same: np.ndarray, bounds: Sequence[int], widths: Sequence[int]
 ) -> list[list[tuple[int, int, float, bool]]]:
     """Match each slice ``bounds[i]:bounds[i + 1]`` of rows, over its first ``widths[i]`` columns, on its own.
 
     Per slice, its canonical pairs as (row within the slice, ground-truth
-    index, IoU, labels agree), in row order.
+    index, IoU, labels agree), in row order. When two or more slices have
+    at most ``STACK_LIMIT`` rows and columns, they are matched together, in
+    stacks of at most ``STACK_SQUARES`` (``_stacked_pairs``); every other
+    slice is matched alone (``_canonical_pairs``). Both give the same pairs.
     """
-    slices = [_canonical_pairs(cost[lo:hi, :width]) for lo, hi, width in zip(bounds, bounds[1:], widths)]
+    spans = list(zip(bounds, bounds[1:], widths))
+    small = [i for i, (lo, hi, g) in enumerate(spans) if 0 < min(hi - lo, g) and max(hi - lo, g) <= STACK_LIMIT]
+    if len(small) < 2:  # a stack of one costs more than the slice alone
+        small = []
+    stacked: dict[int, list[tuple[int, int]]] = {}
+    for start in range(0, len(small), STACK_SQUARES):
+        part = small[start : start + STACK_SQUARES]
+        stacked.update(zip(part, _stacked_pairs(cost, [spans[i] for i in part])))
+    slices = [stacked[i] if i in stacked else _canonical_pairs(cost[lo:hi, :g]) for i, (lo, hi, g) in enumerate(spans)]
     rows = [lo + i for lo, pairs in zip(bounds, slices) for i, _ in pairs]
     cols = [j for pairs in slices for _, j in pairs]
     found = iter(zip(ious[rows, cols].tolist(), same[rows, cols].tolist()))

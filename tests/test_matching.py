@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,18 @@ from locscore import (
     validate_box,
 )
 from locscore.geometry import box_array, iou_matrix
+import locscore.matching as matching
 from locscore.matching import (
     _COST_TIE_ATOL,
     LABEL_MISMATCH_PENALTY,
+    STACK_LIMIT,
     _canonical_pairs,
     _load_linear_sum_assignment,
+    _reduced_costs,
+    _solver_cols,
+    _square_stack,
+    _stacked_reduced_costs,
+    assign_slices,
     cost_matrices,
 )
 
@@ -54,6 +62,33 @@ def _cost_matrix(preds, gt, policy):
 
 def _matched_pairs(result):
     return [(i, m.gt_index) for i, m in enumerate(result) if m.gt_index is not None]
+
+
+def _block(costs, pad=-7.0):
+    """The slices ``costs`` one above the other in one block matrix, each row
+    padded on the right with ``pad`` (which no slice may read); with the
+    slices' row bounds and widths, as ``assign_slices`` takes them."""
+    bounds = [0]
+    for cost in costs:
+        bounds.append(bounds[-1] + len(cost))
+    block = np.full((bounds[-1], max(cost.shape[1] for cost in costs)), pad)
+    for lo, cost in zip(bounds, costs):
+        block[lo : lo + len(cost), : cost.shape[1]] = cost
+    return block, bounds, [cost.shape[1] for cost in costs]
+
+
+def block_pairs(costs):
+    """Each slice's (row, ground truth) pairs from ``assign_slices`` on one block of ``costs``."""
+    block, bounds, widths = _block(costs)
+    return [[(i, j) for i, j, _, _ in pairs] for pairs in assign_slices(block, block, block, bounds, widths)]
+
+
+def both_paths(cost):
+    """``_canonical_pairs`` of ``cost``, checked equal to ``assign_slices``' on a block of two copies of
+    it, which goes through the stack when ``cost`` is small enough."""
+    pairs = _canonical_pairs(cost)
+    assert block_pairs([cost, cost]) == [pairs, pairs]
+    return pairs
 
 
 class TestAssignmentCost:
@@ -199,8 +234,6 @@ class TestCanonicalTieBreak:
         assert _canonical_pairs(cost) == [(1, 0)]
 
     def test_rotation_only_when_a_real_row_can_move(self, monkeypatch):
-        import locscore.matching as matching
-
         moved = []
         real = matching._lexicographic_rotation
 
@@ -210,13 +243,40 @@ class TestCanonicalTieBreak:
             moved.append(assigned != before)
 
         monkeypatch.setattr(matching, "_lexicographic_rotation", spy)
+        # every case goes through the one-matrix path and the stack (both_paths)
         # a unique best column: only the two padded dummy rows tie, on every column
         for cost in (np.array([[0.2, 0.5, 0.9]]), np.array([[0.2, 0.5, 0.9], [0.7, 0.1, 0.9]])):
-            assert _canonical_pairs(cost) == reference_canonical_pairs(cost)
+            assert both_paths(cost) == reference_canonical_pairs(cost)
+        assert moved == []
+        # row 1's lowest tight column is below its own, but row 0 owns it and
+        # is fixed first, so no pair can move and the rotation does not run
+        cost = np.array([[0.0, 0.5], [0.0, 0.5]])
+        cols = _solver_cols(cost)[2]
+        assert cols.tolist() == [0, 1]
+        assert ((_reduced_costs(cost, cols) <= _COST_TIE_ATOL).argmax(axis=1) < cols).any()
+        assert both_paths(cost) == [(0, 0), (1, 1)]
         assert moved == []
         # a real tie that the solver breaks the other way does rotate
-        assert _canonical_pairs(np.array([[0.5, 0.0], [0.5, 0.0]])) == [(0, 0), (1, 1)]
-        assert moved == [True]
+        assert both_paths(np.array([[0.5, 0.0], [0.5, 0.0]])) == [(0, 0), (1, 1)]
+        assert moved == [True, True, True]
+
+    def test_numeric_safety_net_keeps_the_solvers_pairs(self, monkeypatch):
+        real = matching.linear_sum_assignment
+
+        def solver(cost):
+            if cost.shape in ((2, 2), (20, 20)):
+                # not optimal on 1 - eye(n): every row takes its neighbour's column
+                return np.arange(len(cost)), np.roll(np.arange(len(cost)), 1)
+            return real(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", solver)
+        small, large = 1.0 - np.eye(2), 1.0 - np.eye(20)
+        assert 20 > STACK_LIMIT >= 3
+        expected = [list(zip(range(n), np.roll(np.arange(n), 1).tolist())) for n in (2, 20)]
+        assert [_canonical_pairs(small), _canonical_pairs(large)] == expected
+        # on the stack, the small slice's fault leaves its neighbour's pairs alone
+        fine = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]])
+        assert block_pairs([small, fine, large]) == [expected[0], [(0, 1), (2, 0)], expected[1]]
 
 
 class TestOptimality:
@@ -321,7 +381,11 @@ def tie_cost_matrices(draw, shape):
 
 @st.composite
 def box_cost_matrices(draw, shape):
-    m, g = _orient(draw(st.integers(1, 9)), draw(st.integers(1, 9)), shape)
+    return draw(box_costs(*_orient(draw(st.integers(1, 9)), draw(st.integers(1, 9)), shape)))
+
+
+@st.composite
+def box_costs(draw, m, g):
     labels = st.sampled_from(LABELS[:3])
     gt = [(draw(labels), draw(INT_BOXES)) for _ in range(g)]
     # about half the predictions duplicate a ground-truth box, so ties abound
@@ -331,9 +395,65 @@ def box_cost_matrices(draw, shape):
     return engine_cost_matrix(preds, GroundTruthSet.from_pairs(gt, pixel_space(64, 64)), policy)[0]
 
 
+# Near ties: one offset below TIE_ATOL goes on one cell only, since several
+# add up to the band the two tie rules read differently; offsets above it
+# are whole multiples of one value, so an alternative is off by 0 or by more
+# than TIE_ATOL, on each edge and in total.
+NEAR_TIES = (5e-10, 2e-9, 1e-8)
+
+
+@st.composite
+def tie_heavy_costs(draw, m, g):
+    """An m x g cost rich in exact and near ties, or a box cost under either policy."""
+    kind = draw(st.sampled_from(["quarters", "equal-rows", "equal-columns", "continuous", "boxes"]))
+    if min(m, g) == 0:
+        return np.zeros((m, g))
+    if kind == "boxes":
+        return draw(box_costs(m, g))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "continuous":
+        return rng.uniform(0.0, 2.0, size=(m, g))
+    cost = rng.choice(SMALL_VALUES["quarters"], size=(m, g))
+    if kind == "equal-rows":
+        cost[:] = cost[0]
+    elif kind == "equal-columns":
+        cost[:] = cost[:, :1]
+    near = draw(st.sampled_from((None,) + NEAR_TIES))
+    if near is not None and near <= TIE_ATOL:
+        cost[rng.integers(m), rng.integers(g)] += rng.choice([-near, near])
+    elif near is not None:
+        cost += rng.integers(-1, 2, size=(m, g)) * near
+    return cost
+
+
+@st.composite
+def slice_blocks(draw):
+    """1-12 slices of 0-20 rows and columns, on both sides of ``STACK_LIMIT``."""
+    side = st.integers(0, 20)
+    return [draw(tie_heavy_costs(draw(side), draw(side))) for _ in range(draw(st.integers(1, 12)))]
+
+
 class TestCanonicalPairsDifferential:
     def test_tolerance(self):
         assert _COST_TIE_ATOL == TIE_ATOL
+
+    @pytest.mark.parametrize("shape", [(40, 3), (3, 40)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_unbalanced_shapes(self, shape, data):
+        cost = data.draw(tie_heavy_costs(*shape))
+        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (3, 40), (6, 6)])
+    @given(box=INT_BOXES, data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_reference_on_identical_boxes(self, shape, box, data):
+        labels = st.lists(st.sampled_from(LABELS[:2]), min_size=shape[0] + shape[1], max_size=shape[0] + shape[1])
+        drawn = data.draw(labels)
+        gt = GroundTruthSet.from_pairs([(label, box) for label in drawn[shape[0] :]], pixel_space(64, 64))
+        for policy in MatcherPolicy:
+            cost = engine_cost_matrix([(label, box) for label in drawn[: shape[0]]], gt, policy)[0]
+            assert both_paths(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
     @pytest.mark.parametrize("shape", ["wide", "tall"])
     @given(data=st.data())
@@ -348,6 +468,60 @@ class TestCanonicalPairsDifferential:
     def test_matches_reference_on_box_matrices(self, shape, data):
         cost = data.draw(box_cost_matrices(shape))
         assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+
+class TestStackedSlices:
+    """``assign_slices`` matches the slices of at most ``STACK_LIMIT`` rows and
+    columns on one stack, the others one by one."""
+
+    @given(slice_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_each_slice_matches_the_reference(self, costs):
+        for cost, pairs in zip(costs, block_pairs(costs)):
+            assert pairs == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+    @staticmethod
+    def assert_inert(costs):
+        """Each square of the stack of ``costs`` (none empty) holds, bit for
+        bit, the reduced costs of its slice alone, and its padding is +inf off
+        the diagonal and 0 on it."""
+        block, bounds, widths = _block(costs)
+        _, slack, cols, sizes = _square_stack(block, list(zip(bounds, bounds[1:], widths)))
+        reduced = _stacked_reduced_costs(slack, cols, sizes)
+        for square, matched, cost, n in zip(reduced, cols, costs, sizes.tolist()):
+            alone = _solver_cols(cost)[2]
+            assert matched[:n].tolist() == alone.tolist()
+            expected = np.where(np.eye(len(square), dtype=bool), 0.0, np.inf)
+            expected[:n, :n] = _reduced_costs(cost, alone)
+            assert square.tobytes() == expected.tobytes()
+
+    def test_padding_is_inert_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        # m > g, m < g and m = g in one stack; continuous costs take many rounds
+        costs = [rng.uniform(0.0, 2.0, size=shape) for shape in [(5, 3), (2, 7), (4, 4), (1, 1), (16, 2), (9, 9)]]
+        costs.append(np.full((3, 5), 0.5))
+        self.assert_inert(costs)
+
+    @given(slice_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_padding_is_inert_on_drawn_blocks(self, costs):
+        costs = [cost for cost in costs if min(cost.shape) > 0]
+        assume(costs)
+        self.assert_inert(costs)
+
+    def test_many_small_slices_keep_memory_bounded(self):
+        """4096 slices of 16 predictions against one ground truth: padded to
+        16 x 16 in one stack they would take 8 MiB per array (a 74 MiB peak);
+        in stacks of ``STACK_SQUARES`` the peak is 2.3 MiB, against 1.7 MiB
+        for the same slices matched one by one."""
+        cost = np.random.default_rng(3).random((4096 * 16, 1))
+        tracemalloc.start()
+        try:
+            assign_slices(cost, cost, cost, list(range(0, len(cost) + 1, 16)), [1] * 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
 
 class TestCostMatrix:
