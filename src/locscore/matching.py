@@ -64,10 +64,14 @@ _COST_TIE_ATOL = 1e-9
 # most rows or columns of a slice that ``assign_slices`` matches on one stack
 # with the block's other small slices; a larger slice is matched alone, since
 # padding the stack to its size costs more than the per-slice numpy calls the
-# stack saves. Measured on 8 equal squares: the stack takes 0.6-0.9 of the
-# one-by-one time up to 32 rows and 1.07 at 48; on the benchmark's captured
-# blocks, where a stack pads to its largest square, limits of 12 to 32 differ
-# by less than the noise, and 16 keeps the stacks small (STACK_SQUARES)
+# stack saves. Measured on 8 equal squares of uniform costs: the stack takes
+# 0.65-0.87 of the one-by-one time up to 32 rows, 1.01-1.03 at 48 and 1.10
+# at 64. On stream-dense's 2,314 slices above this limit (300 requests, seed
+# 3), Bellman-Ford on one-square stacks took 127-139 ms against 85-108 ms
+# alone, and sending every slice through the stack made its matcher 18-27%
+# slower. On the benchmark's captured blocks, where a stack pads to its
+# largest square, limits of 12 to 32 differ by less than the noise, and 16
+# keeps the stacks small (STACK_SQUARES)
 STACK_LIMIT = 16
 # most squares in one stack: 64 squares of STACK_LIMIT rows are 16,384 cells,
 # so a stack's arrays peak near 1.2 MiB however many small slices a block holds
@@ -276,6 +280,13 @@ def _stacked_reduced_costs(slack: np.ndarray, cols: np.ndarray, sizes: np.ndarra
     as alone (at most ``sizes[s]``, stopping when its potentials are still)
     and its corner's reduced costs are bit for bit those of
     ``_reduced_costs``; the padding's own are ``+inf`` and 0.
+
+    Each square stops at its own ``sizes[s]`` rounds, not the stack's
+    ``N``, because a square need not settle within them: near ties can
+    leave the solver's float optimum with a tiny negative cycle, along which
+    the potentials keep falling by rounding-sized steps (about 1e-18) after
+    ``sizes[s]`` rounds. Run on to ``N``, such a square would leave the bits
+    of its ``_reduced_costs``.
     """
     k, size, _ = slack.shape
     slack = slack - np.take_along_axis(slack, cols[:, :, None], axis=2)
@@ -384,10 +395,9 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     subgraph to its lowest reachable column. Dummy columns (index >= g) sort
     after every real one, so being assigned is preferred over being left out.
 
-    The rotation runs only where ``_can_move`` finds a pair that can move,
-    and that test only after the cheaper one it implies: some real row's
-    lowest tight column is below its own. ``assign_slices`` reaches the same
-    pairs on a stack of small matrices at once.
+    The rotation runs only where ``_can_move`` finds a pair that can move.
+    ``assign_slices`` reaches the same pairs on a stack of small matrices at
+    once.
     """
     m, g = cost.shape
     if min(m, g) == 0:
@@ -398,12 +408,10 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
         # numeric safety net (unreachable in practice): infeasible duals mean
         # the solver's matching is not provably optimal; accept it as is
         return [(int(i), int(j)) for i, j in zip(rows, real_cols)]
-    is_tight = reduced <= _COST_TIE_ATOL
     assigned = cols.tolist()
-    if (is_tight[:m].argmax(axis=1) < cols[:m]).any():
-        tight_rows, tight_cols = np.nonzero(is_tight)
-        if _can_move(tight_rows, tight_cols, cols, np.arange(len(cols)) < m).size:
-            _lexicographic_rotation(_tight_lists(tight_rows, tight_cols, len(cols)), assigned, m)
+    tight_rows, tight_cols = np.nonzero(reduced <= _COST_TIE_ATOL)
+    if _can_move(tight_rows, tight_cols, cols, np.arange(len(cols)) < m).size:
+        _lexicographic_rotation(_tight_lists(tight_rows, tight_cols, len(cols)), assigned, m)
     return [(i, j) for i, j in enumerate(assigned[:m]) if j < g]
 
 
@@ -498,11 +506,9 @@ def _square_stack(
     perfect matching (the solver's optimum completed as ``_solver_cols``
     completes it, the identity beyond the square) and each square's size.
     """
-    lo, hi, g = np.array(spans).T
-    m = hi - lo
-    sizes = np.maximum(m, g)
+    solved = [linear_sum_assignment(cost[lo:hi, :g]) for lo, hi, g in spans]
+    sizes = np.array([max(hi - lo, g) for lo, hi, g in spans])
     k, size = len(spans), int(sizes.max())
-    solved = [linear_sum_assignment(cost[a:b, :w]) for a, b, w in spans]
     index = np.arange(size)
     inside = index < sizes[:, None]
     which = np.repeat(np.arange(k), [len(rows) for rows, _ in solved])
@@ -512,10 +518,10 @@ def _square_stack(
     spare = inside.copy()
     spare[which, real_cols] = False
     cols[cols < 0] = np.nonzero(spare)[1]  # both row-major: each square's in ascending order
-    real = (index < m[:, None])[:, :, None] & (index < g[:, None, None])
-    square = (inside[:, :, None] & inside[:, None, :]) | np.eye(size, dtype=bool)
-    cells = cost[np.minimum(lo[:, None] + index, len(cost) - 1)[:, :, None], np.minimum(index, cost.shape[1] - 1)]
-    return solved, np.where(real, cells, np.where(square, 0.0, np.inf)), cols, sizes
+    stack = np.where((inside[:, :, None] & inside[:, None, :]) | np.eye(size, dtype=bool), 0.0, np.inf)
+    for square, (lo, hi, g) in zip(stack, spans):
+        square[: hi - lo, :g] = cost[lo:hi, :g]
+    return solved, stack, cols, sizes
 
 
 def _stacked_pairs(cost: np.ndarray, spans: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int]]]:
@@ -569,7 +575,7 @@ def assign_slices(
     """
     spans = list(zip(bounds, bounds[1:], widths))
     small = [i for i, (lo, hi, g) in enumerate(spans) if 0 < min(hi - lo, g) and max(hi - lo, g) <= STACK_LIMIT]
-    if len(small) < 2:  # a stack of one costs more than the slice alone
+    if len(small) < 2:  # a stack of one takes 2.1-2.7 times the slice alone (3x3 to 16x16)
         small = []
     stacked: dict[int, list[tuple[int, int]]] = {}
     for start in range(0, len(small), STACK_SQUARES):

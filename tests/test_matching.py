@@ -200,38 +200,29 @@ class TestMatch:
 
 
 class TestCanonicalTieBreak:
-    # exercises the solver's documented tie order on exact-tie cost matrices
+    # exercises the solver's documented tie order on exact-tie cost matrices,
+    # on the one-matrix path and the stack (both_paths)
     def test_exact_cost_tie_prefers_low_gt_for_low_pred(self):
-        from locscore.matching import _canonical_pairs
-
         # both assignments total exactly 1.0 (binary-exact values)
         cost = np.array([[0.25, 0.5], [0.5, 0.75]])
-        assert _canonical_pairs(cost) == [(0, 0), (1, 1)]
+        assert both_paths(cost) == [(0, 0), (1, 1)]
 
     def test_all_equal_matrix(self):
-        from locscore.matching import _canonical_pairs
-
         cost = np.ones((3, 3))
-        assert _canonical_pairs(cost) == [(0, 0), (1, 1), (2, 2)]
+        assert both_paths(cost) == [(0, 0), (1, 1), (2, 2)]
 
     def test_surplus_predictions_prefer_low_index_assignment(self):
-        from locscore.matching import _canonical_pairs
-
         cost = np.ones((3, 1))
-        assert _canonical_pairs(cost) == [(0, 0)]
+        assert both_paths(cost) == [(0, 0)]
 
     def test_rectangular_tie(self):
-        from locscore.matching import _canonical_pairs
-
         cost = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
-        assert _canonical_pairs(cost) == [(0, 0), (1, 1)]
+        assert both_paths(cost) == [(0, 0), (1, 1)]
 
     def test_forced_skip_of_expensive_prediction(self):
-        from locscore.matching import _canonical_pairs
-
         # pred 0 is costly everywhere; the optimum must leave it out
         cost = np.array([[10.0], [0.25]])
-        assert _canonical_pairs(cost) == [(1, 0)]
+        assert both_paths(cost) == [(1, 0)]
 
     def test_rotation_only_when_a_real_row_can_move(self, monkeypatch):
         moved = []
@@ -253,7 +244,6 @@ class TestCanonicalTieBreak:
         cost = np.array([[0.0, 0.5], [0.0, 0.5]])
         cols = _solver_cols(cost)[2]
         assert cols.tolist() == [0, 1]
-        assert ((_reduced_costs(cost, cols) <= _COST_TIE_ATOL).argmax(axis=1) < cols).any()
         assert both_paths(cost) == [(0, 0), (1, 1)]
         assert moved == []
         # a real tie that the solver breaks the other way does rotate
@@ -460,14 +450,14 @@ class TestCanonicalPairsDifferential:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_on_tie_matrices(self, shape, data):
         cost = data.draw(tie_cost_matrices(shape))
-        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+        assert both_paths(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
     @pytest.mark.parametrize("shape", ["wide", "tall"])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_on_box_matrices(self, shape, data):
         cost = data.draw(box_cost_matrices(shape))
-        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+        assert both_paths(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
 
 class TestStackedSlices:

@@ -5,31 +5,60 @@ without a clock. A change that lowers a count lowers it here; one that raises
 it says why in CHANGES.md.
 """
 
+import json
 from collections import Counter
 from pathlib import Path
 
 import locscore.matching as matching
+import locscore.parsing as parsing
 from locscore.harness.batch import run_batch
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "data" / "batch_golden.jsonl"
+
+
+def count(monkeypatch, counts, module, *names):
+    """Count in ``counts`` each later call of ``module``'s functions ``names``, by name."""
+    for name in names:
+        real = getattr(module, name)
+
+        def spy(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
 
 
 def test_matcher_work_on_the_fixture_manifest(tmp_path, monkeypatch):
     counts = Counter()
-
-    def count(name):
-        real = getattr(matching, name)
-
-        def spy(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(matching, name, spy)
-
-    count("linear_sum_assignment")
-    count("_lexicographic_rotation")
+    count(monkeypatch, counts, matching, "linear_sum_assignment", "_lexicographic_rotation")
     run_batch(FIXTURES / "manifest.jsonl", tmp_path / "out")
-    # one solve per non-empty completion; the rotation ran 4 times here under
-    # the trigger "a real row's lowest tight column is below its own", and
-    # moved no pair in any of them
+    # one solve per non-empty completion, and no rotation; the 20 completions
+    # matched one by one here are all empty slices, so this manifest reaches
+    # neither the one-by-one dual pass nor the rotation (the next test does)
     assert (counts["linear_sum_assignment"], counts["_lexicographic_rotation"]) == (60, 0)
+
+
+def test_work_on_the_batch_golden_manifests(tmp_path, monkeypatch):
+    counts = Counter()
+    count(
+        monkeypatch, counts, matching,
+        "linear_sum_assignment", "_lexicographic_rotation", "_stacked_pairs", "_reduced_costs", "_can_move",
+    )
+    count(monkeypatch, counts, parsing, "read_numbers")
+    for number, line in enumerate(GOLDEN.read_text(encoding="utf-8").splitlines()):
+        manifest = tmp_path / f"manifest-{number}.jsonl"
+        manifest.write_bytes(json.loads(line)["manifest"].encode("utf-8"))
+        run_batch(manifest, tmp_path / f"out-{number}")
+    # one solve per non-empty completion; 16 stacks, and 10 slices matched one
+    # by one with their own dual pass; _can_move runs once per stack and once
+    # per one-by-one slice, and read_numbers once per entry of a completion
+    # that fails the whole-list check
+    assert dict(counts) == {
+        "linear_sum_assignment": 656,
+        "_lexicographic_rotation": 154,
+        "_stacked_pairs": 16,
+        "_reduced_costs": 10,
+        "_can_move": 26,
+        "read_numbers": 123,
+    }
