@@ -6,9 +6,10 @@ text) and the exact text of the ``responses.jsonl`` and ``report.json`` that
 ``run_batch`` writes for it. The manifests are hand-made faults among
 requests drawn by ``scenes.py``, which calls no libm, so they are the same
 bytes on every machine; the outputs pin every response, error entry and
-report number ``run_batch`` gives for them, across blocks of 64, byte for
-byte. ``tests/test_batch_golden.py`` replays the file. Regenerate it only for
-a deliberate, documented behaviour change:
+report number ``run_batch`` gives for them, byte for byte, whatever the
+block size: ``tests/test_batch_golden.py`` replays the file in blocks of
+``engine.BLOCK_GROUPS``, of 64 and of 7. Regenerate it only for a
+deliberate, documented behaviour change:
 
     PYTHONPATH=src python scripts/make_batch_golden.py [--out PATH]
 """

@@ -16,13 +16,13 @@ import numpy as np
 
 from ..config import phase_from_dict, phase_to_dict
 from ..curation import Sample, TaskKind
-from ..errors import FieldError, MalformedRequestError
+from ..errors import FieldError, MalformedRequestError, SpaceMismatchError
 from ..fields import (
     REQUIRED, read_field, read_id, read_number_rows, read_number_table, read_numbers, read_strings,
 )
 from ..geometry import CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
-from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
+from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy, ground_truth_faults
 from ..metrics import EvalImage, EvalResult
 from ..parsing import FormatKind
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
@@ -100,10 +100,23 @@ def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, 
 
 def parse_sample(data: Mapping[str, Any]) -> tuple[EvalImage, TaskKind]:
     """A ``sample`` object: its image with ground truth, and its ``task``."""
+    image = _sample_image(data)
+    _check_ground_truth(image.gt)
+    return image, read_field(data, "task", TaskKind, TaskKind.DETECTION)
+
+
+def _sample_image(data: Mapping[str, Any]) -> EvalImage:
+    """A ``sample`` object's image, its ground truth not yet checked against its space."""
     image_id = read_id(data, "image_id")
     space = parse_space(data)
-    gt = GroundTruthSet.from_arrays(*parse_objects(data, "gt"), space)
-    return EvalImage(image_id, gt), read_field(data, "task", TaskKind, TaskKind.DETECTION)
+    return EvalImage(image_id, GroundTruthSet._unchecked(*parse_objects(data, "gt"), space))
+
+
+def _check_ground_truth(gt: GroundTruthSet) -> None:
+    """Raise the ``SpaceMismatchError`` naming ``gt``'s first box that is invalid in its space."""
+    detail, = ground_truth_faults((gt,))
+    if detail is not None:
+        raise SpaceMismatchError(detail)
 
 
 def sample_to_dict(sample: EvalImage | Sample, task: TaskKind) -> dict[str, Any]:
@@ -140,6 +153,21 @@ def _parse_record(entry: Mapping[str, Any]) -> LogProbRecord:
 
 def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
     """Decode a request object; any fault in it is a ``MalformedRequestError``."""
+    request = decode_request(data)
+    detail, = ground_truth_faults((request.sample.gt,))
+    if detail is not None:
+        raise MalformedRequestError(detail)
+    return request
+
+
+def decode_request(data: Mapping[str, Any]) -> ScoringRequest:
+    """``parse_request`` less its check of the ground-truth boxes against the image.
+
+    The caller makes that check with ``matching.ground_truth_faults``, which
+    the engine calls once for a block of requests. A fault in a field read
+    after ``sample.gt`` is raised only once that ground truth has passed the
+    check, so a bad box is still the fault named, as ``parse_request`` names it.
+    """
     try:
         return _request_from_dict(data)
     except ValueError as exc:
@@ -153,28 +181,34 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
     if version != WIRE_VERSION:
         raise MalformedRequestError(f"unsupported wire version {version!r}")
     request_id = read_id(data, "request_id")
-    sample, task = parse_sample(read_field(data, "sample", Mapping))
-    completions = read_strings(data, "completions")
-    if not completions:
-        raise MalformedRequestError("completions must be a non-empty array of strings")
-    progress = read_field(data, "progress", float, 0.0)
-    if not 0 <= progress <= 1:
-        raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
-    phase = data.get("phase")
-    logprobs = data.get("logprobs")
-    return ScoringRequest(
-        request_id=request_id,
-        sample=sample,
-        completions=completions,
-        logprobs=None if logprobs is None else _parse_logprobs(data, len(completions)),
-        progress=progress,
-        format=read_field(data, "format", FormatKind, None),
-        matcher=read_field(data, "matcher", MatcherPolicy, None),
-        phase=None if phase is None else phase_from_dict(phase),
-        want_advantages=read_field(data, "advantages", bool, True),
-        final=read_field(data, "final", bool, False),
-        task=task,
-    )
+    sample_data = read_field(data, "sample", Mapping)
+    sample = _sample_image(sample_data)
+    try:
+        task = read_field(sample_data, "task", TaskKind, TaskKind.DETECTION)
+        completions = read_strings(data, "completions")
+        if not completions:
+            raise MalformedRequestError("completions must be a non-empty array of strings")
+        progress = read_field(data, "progress", float, 0.0)
+        if not 0 <= progress <= 1:
+            raise MalformedRequestError(f"progress must lie in [0, 1], got {progress}")
+        phase = data.get("phase")
+        logprobs = data.get("logprobs")
+        return ScoringRequest(
+            request_id=request_id,
+            sample=sample,
+            completions=completions,
+            logprobs=None if logprobs is None else _parse_logprobs(data, len(completions)),
+            progress=progress,
+            format=read_field(data, "format", FormatKind, None),
+            matcher=read_field(data, "matcher", MatcherPolicy, None),
+            phase=None if phase is None else phase_from_dict(phase),
+            want_advantages=read_field(data, "advantages", bool, True),
+            final=read_field(data, "final", bool, False),
+            task=task,
+        )
+    except Exception:
+        _check_ground_truth(sample.gt)  # a bad box is named ahead of any fault read after it
+        raise
 
 
 def request_to_dict(req: ScoringRequest) -> dict[str, Any]:

@@ -126,17 +126,22 @@ class GroundTruthSet:
     """Annotated instances for one query; may be empty (negative sample).
 
     Held as each instance's label (``labels``) and one read-only (g, 4)
-    float64 array of their corners (``coords``), checked against ``space``
-    once, when the set is made. ``GroundTruthSet(instances, space)``,
-    ``from_pairs`` and ``from_arrays`` all make this one form, and
-    ``instances`` is built from it on first read, so its boxes hold floats.
-    An invalid box is named by its coordinates as floats. Equality and hash
-    are those of ``(instances, space)``, and the set is immutable.
+    float64 array of their corners (``coords``). ``GroundTruthSet(instances,
+    space)``, ``from_pairs`` and ``from_arrays`` all make this one form and
+    check it against ``space`` when the set is made, as the one-set case of
+    ``ground_truth_faults``. Only the wire decoder makes sets unchecked
+    (``_unchecked``), and they are checked before any is used: one at a
+    time in ``parse_request`` and ``parse_sample``, a whole block with one
+    ``ground_truth_faults`` call in the engine. ``instances`` is built from
+    the array on first read, so its boxes hold floats. An invalid box is
+    named by its coordinates as floats. Equality and hash are those of
+    ``(instances, space)``, and the set is immutable.
     """
 
     def __init__(self, instances: Iterable[GroundTruthInstance], space: CoordinateSpace) -> None:
         instances = tuple(instances)
         self._hold([inst.label for inst in instances], box_array(inst.box for inst in instances), space)
+        self._check()
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Box]], space: CoordinateSpace) -> "GroundTruthSet":
@@ -153,22 +158,31 @@ class GroundTruthSet:
 
         ``coords`` may also be flat, four numbers per instance.
         """
-        gt = cls.__new__(cls)
         rows = np.array(coords, dtype=float).reshape(-1, 4)
         labels = tuple(labels)
         if len(labels) != len(rows):
             raise ValueError(f"{len(labels)} labels for {len(rows)} boxes")
-        gt._hold(labels, rows, space)
+        gt = cls._unchecked(labels, rows, space)
+        gt._check()
+        return gt
+
+    @classmethod
+    def _unchecked(cls, labels: Sequence[str], coords: np.ndarray, space: CoordinateSpace) -> "GroundTruthSet":
+        """The set of ``labels`` and the (g, 4) float64 ``coords``, one row per label, not checked
+        against ``space``: its maker checks it, alone or in a block, with ``ground_truth_faults``."""
+        gt = cls.__new__(cls)
+        gt._hold(labels, coords, space)
         return gt
 
     def _hold(self, labels: Sequence[str], coords: np.ndarray, space: CoordinateSpace) -> None:
-        """Check ``coords`` against ``space`` and keep the three."""
-        for row, reason in validate_boxes(coords, space.max_x, space.max_y)[1].items():  # the first one
-            raise SpaceMismatchError(
-                f"ground-truth box {tuple(coords[row].tolist())} invalid in its space: {reason}"
-            )
         coords.flags.writeable = False
         vars(self).update(labels=tuple(labels), coords=coords, space=space)
+
+    def _check(self) -> None:
+        """Raise ``SpaceMismatchError`` naming the set's first box that is invalid in its space."""
+        detail, = ground_truth_faults((self,))
+        if detail is not None:
+            raise SpaceMismatchError(detail)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable GroundTruthSet")
@@ -207,6 +221,34 @@ class GroundTruthSet:
         for index, key in enumerate(self.label_keys):
             groups.setdefault(key, []).append(index)
         return {key: tuple(indices) for key, indices in groups.items()}
+
+
+def ground_truth_faults(sets: Sequence[GroundTruthSet]) -> list[str | None]:
+    """For each of ``sets``, the ``SpaceMismatchError`` text naming its first box that is
+    invalid in its own space, or None when every box is valid.
+
+    Every row of every set is checked by one ``validate_boxes`` call, each
+    against its own set's extents; a set alone is the check its constructors
+    make.
+    """
+    if not sets:
+        return []
+    if len(sets) == 1:  # a set alone, as the service and the constructors check it: no copy
+        coords, space = sets[0].coords, sets[0].space
+        max_x, max_y = space.max_x, space.max_y
+    else:
+        sizes = [len(gt) for gt in sets]
+        coords = np.concatenate([gt.coords for gt in sets])
+        max_x = np.repeat([gt.space.max_x for gt in sets], sizes)
+        max_y = np.repeat([gt.space.max_y for gt in sets], sizes)
+    faults: list[str | None] = [None] * len(sets)
+    reasons = validate_boxes(coords, max_x, max_y)[1]
+    if reasons:
+        owners = np.repeat(np.arange(len(sets)), [len(gt) for gt in sets]).tolist()
+        for row, reason in reasons.items():
+            if faults[owners[row]] is None:
+                faults[owners[row]] = f"ground-truth box {tuple(coords[row].tolist())} invalid in its space: {reason}"
+    return faults
 
 
 def label_spellings(gts: Iterable[GroundTruthSet]) -> dict[str, str]:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import locscore.harness.engine as engine_module
 from locscore.harness import handle_request_line
 from locscore.harness.batch import ERROR_TEXT, run_batch
 
@@ -14,7 +15,9 @@ CASES = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitli
 
 def test_golden_covers_blocks_and_faults():
     reports = {case["name"]: json.loads(case["report"]) for case in CASES}
-    assert max(report["groups"] for report in reports.values()) > 128  # more than two blocks of 64
+    # more than two blocks of 64 when replayed at that size (below); at
+    # engine.BLOCK_GROUPS = 256 every manifest is one block
+    assert max(report["groups"] for report in reports.values()) > 128
     errors = [entry["error"] for report in reports.values() for entry in report["errors"]]
     for text in ("invalid JSON: nesting too deep", "invalid JSON: number too long",
                  "unknown task 'segmentation'", "KL estimate or objective overflows float64",
@@ -24,13 +27,25 @@ def test_golden_covers_blocks_and_faults():
     assert all("eval" in report for report in reports.values())
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_batch_outputs_are_byte_identical(case, tmp_path):
+def assert_replayed(case, tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_bytes(case["manifest"].encode("utf-8"))
     run_batch(manifest, tmp_path / "out")
     assert (tmp_path / "out" / "responses.jsonl").read_bytes().decode("utf-8") == case["responses"]
     assert (tmp_path / "out" / "report.json").read_bytes().decode("utf-8") == case["report"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_batch_outputs_are_byte_identical(case, tmp_path):
+    assert_replayed(case, tmp_path)
+
+
+@pytest.mark.parametrize("block_groups", [64, 7])
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_batch_outputs_do_not_depend_on_the_block_size(case, block_groups, tmp_path, monkeypatch):
+    """Blocks of 7 requests close inside every manifest, blocks of 64 inside the two largest."""
+    monkeypatch.setattr(engine_module, "BLOCK_GROUPS", block_groups)
+    assert_replayed(case, tmp_path)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])

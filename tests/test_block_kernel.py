@@ -144,9 +144,10 @@ def _manifest_line(rng, index, marker=False):
                        "sample": {"image_id": f"i{index}", **space, "gt": gt}})
 
 
-def test_run_batch_gives_the_kernel_blocks_of_at_most_64_groups(tmp_path, monkeypatch):
+def test_run_batch_gives_the_kernel_blocks_of_at_most_block_groups(tmp_path, monkeypatch):
+    block = engine_module.BLOCK_GROUPS
     rng = random.Random(3)
-    lines = [_manifest_line(rng, index) for index in range(150)]
+    lines = [_manifest_line(rng, index) for index in range(2 * block + 22)]
     lines.insert(70, "{broken")
     (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
     sizes = []
@@ -155,8 +156,8 @@ def test_run_batch_gives_the_kernel_blocks_of_at_most_64_groups(tmp_path, monkey
         engine_module, "score_groups", lambda groups, rules: sizes.append(len(groups)) or real(groups, rules)
     )
     report = run_batch(tmp_path / "manifest.jsonl", tmp_path / "out")
-    assert sizes == [64, 64, 22]
-    assert report["groups"] == 150
+    assert sizes == [block, block, 22]
+    assert report["groups"] == 2 * block + 22
     assert report["errors"] == [
         {"line": 71, "error": "invalid JSON: Expecting property name enclosed in double quotes at position 1"}
     ]

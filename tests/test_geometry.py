@@ -25,6 +25,7 @@ from locscore.geometry import (
     iou_pairs,
     validate_boxes,
 )
+from locscore.matching import ground_truth_faults
 from locscore.parsing import normalize_label
 
 from conftest import box_strategy, related_boxes
@@ -188,6 +189,24 @@ class TestGroundTruthIndex:
             assert len(gt) == len(raw) == len(entries)
             assert gt == raw and hash(gt) == hash(raw)
             assert not gt.coords.flags.writeable
+
+    @given(st.lists(st.tuples(st.sampled_from(SpaceKind), st.integers(1, 80), st.integers(1, 80),
+                              st.lists(ROWS, max_size=4)), max_size=5))
+    @settings(max_examples=200)
+    def test_block_check_names_each_sets_own_first_fault(self, drawn):
+        """One ``ground_truth_faults`` call over sets of different images and kinds gives each
+        set the fault its constructor names alone, each row checked against its own image."""
+        sets, alone = [], []
+        for kind, width, height, rows in drawn:
+            space = CoordinateSpace(kind, width, height)
+            coords = np.array(rows, dtype=float).reshape(-1, 4)
+            sets.append(GroundTruthSet._unchecked(["cat"] * len(rows), coords, space))
+            try:
+                GroundTruthSet.from_arrays(["cat"] * len(rows), rows, space)
+                alone.append(None)
+            except SpaceMismatchError as exc:
+                alone.append(str(exc))
+        assert ground_truth_faults(sets) == alone
 
 
 class TestValidateBox:

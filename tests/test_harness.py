@@ -616,6 +616,26 @@ class TestService:
         """One or two faults at drawn positions of ``gt``: the detail names the first
         entry with a field fault, its label before its box; with none, the first
         box that is invalid in the image."""
+        gt, expected = self._faulty_ground_truth(size, faults)
+        reply = handle_request_line(json.dumps(make_request_dict(gt=gt)))
+        assert reply["error"] == {"kind": "malformed-request", "detail": expected}
+
+    @given(st.integers(1, 6), st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_GT_FAULTS)), min_size=1, max_size=2))
+    @settings(max_examples=50)
+    def test_first_bad_ground_truth_entry_is_named_inside_a_manifest(self, size, faults):
+        """The same faults in the middle line of three, whose ground truths the engine checks as one block."""
+        gt, expected = self._faulty_ground_truth(size, faults)
+        lines = [make_request_dict(request_id="a"), make_request_dict(request_id="bad", gt=gt), make_request_dict()]
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = Path(tmp) / "manifest.jsonl"
+            manifest.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            report = run_batch(manifest, Path(tmp) / "out")
+        assert report["errors"] == [{"line": 2, "error": expected}]
+        assert report["groups"] == 2
+
+    @staticmethod
+    def _faulty_ground_truth(size, faults):
+        """``size`` ground-truth entries with ``faults`` placed in them, and the detail that names the first."""
         gt = [{"label": "cat", "bbox": [10, 10, 20 + i, 30]} for i in range(size)]
         label_faults, box_faults = {}, {}  # entry -> (kind, detail) of its label's and its box's last change
         for position, (kind, change, detail) in faults:
@@ -626,8 +646,7 @@ class TestService:
         # on one entry the label's fault is named over the box's
         field_faults = [fault for _, fault in sorted({**box_faults, **label_faults}.items()) if fault[0] != "space"]
         _, expected = (field_faults or [fault for _, fault in sorted(box_faults.items())])[0]
-        reply = handle_request_line(json.dumps(make_request_dict(gt=gt)))
-        assert reply["error"] == {"kind": "malformed-request", "detail": expected}
+        return gt, expected
 
     def test_a_sample_that_is_no_object_is_named_by_its_kind(self):
         reply = handle_request_line(json.dumps(make_request_dict(request_id="r", sample=[])))
@@ -999,6 +1018,52 @@ def engine_configs(draw):
         clip_range=draw(st.none() | positive),
         rules=RewardRules(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))),
     )
+
+
+# a ground-truth box that is no box in the image (past its extent, or inverted), and the detail that names it
+_BAD_BOXES = [(change["bbox"], detail) for kind, change, detail in TestService._GT_FAULTS if kind == "space"]
+# a fault in a field read after the ground truth: the field's path, its value, and the detail
+# that names it when the ground truth is good
+_LATER_FAULTS = [
+    (("progress",), 2, "progress must lie in [0, 1], got 2.0"),
+    (("matcher",), "hungarian", "unknown matcher 'hungarian'"),
+    (("sample", "task"), "segmentation", "unknown task 'segmentation'"),
+    (("completions",), ["[]"], "advantage computation needs at least two completions per group"),
+    (("logprobs",), [{"policy": [-1.0], "old": [-1.0], "ref": [-1.0]}],
+     "logprobs must be an array with one entry per completion"),
+]
+
+
+class TestBlockFaultOrder:
+    """The engine checks the ground truths of a block of requests in one call: a request with a bad
+    box is still named by that box ahead of any later fault, wherever it sits in the block, and its
+    neighbours are answered as if each were alone."""
+
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("box, box_detail", _BAD_BOXES, ids=["past-extent", "inverted"])
+    @pytest.mark.parametrize("path, value, later_detail", _LATER_FAULTS, ids=[f[0][-1] for f in _LATER_FAULTS])
+    def test_a_bad_box_is_named_before_a_later_fault(self, tmp_path, position, box, box_detail, path, value,
+                                                      later_detail):
+        bad = make_request_dict(request_id="bad", gt=[{"label": "cat", "bbox": [10, 10, 20, 30]},
+                                                      {"label": "dog", "bbox": box}])
+        _value_at(bad, path[:-1])[path[-1]] = value
+        good_box = copy.deepcopy(bad)
+        good_box["sample"]["gt"][1]["bbox"] = [200, 200, 300, 300]
+        assert handle_request_line(json.dumps(good_box))["error"]["detail"] == later_detail
+
+        entries = _manifest_entries(random.Random(position), 4)
+        entries.insert(position, bad)
+        lines = [json.dumps(entry) for entry in entries]
+        assert handle_request_line(lines[position])["error"] == {"kind": "malformed-request", "detail": box_detail}
+        outcomes = list(engine_module.score_requests(map(json.loads, lines), EngineConfig()))
+        assert outcomes[position] == (None, ("malformed-request", box_detail))
+
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        report = run_batch(manifest, tmp_path / "out")
+        assert report["errors"] == [{"line": position + 1, "error": box_detail}]
+        alone = [dump_line(handle_request_line(line)) for index, line in enumerate(lines) if index != position]
+        assert (tmp_path / "out" / "responses.jsonl").read_text().splitlines() == alone
 
 
 class TestConfig:

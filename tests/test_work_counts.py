@@ -10,7 +10,9 @@ from collections import Counter
 from pathlib import Path
 
 import locscore.matching as matching
+import locscore.metrics as metrics
 import locscore.parsing as parsing
+import locscore.rewards as rewards
 from locscore.harness.batch import run_batch
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -39,6 +41,13 @@ def test_matcher_work_on_the_fixture_manifest(tmp_path, monkeypatch):
     assert (counts["linear_sum_assignment"], counts["_lexicographic_rotation"]) == (60, 0)
 
 
+def run_golden_manifests(tmp_path):
+    for number, line in enumerate(GOLDEN.read_text(encoding="utf-8").splitlines()):
+        manifest = tmp_path / f"manifest-{number}.jsonl"
+        manifest.write_bytes(json.loads(line)["manifest"].encode("utf-8"))
+        run_batch(manifest, tmp_path / f"out-{number}")
+
+
 def test_work_on_the_batch_golden_manifests(tmp_path, monkeypatch):
     counts = Counter()
     count(
@@ -46,19 +55,46 @@ def test_work_on_the_batch_golden_manifests(tmp_path, monkeypatch):
         "linear_sum_assignment", "_lexicographic_rotation", "_stacked_pairs", "_reduced_costs", "_can_move",
     )
     count(monkeypatch, counts, parsing, "read_numbers")
-    for number, line in enumerate(GOLDEN.read_text(encoding="utf-8").splitlines()):
-        manifest = tmp_path / f"manifest-{number}.jsonl"
-        manifest.write_bytes(json.loads(line)["manifest"].encode("utf-8"))
-        run_batch(manifest, tmp_path / f"out-{number}")
-    # one solve per non-empty completion; 16 stacks, and 10 slices matched one
+    run_golden_manifests(tmp_path)
+    # one solve per non-empty completion; 14 stacks, and 10 slices matched one
     # by one with their own dual pass; _can_move runs once per stack and once
     # per one-by-one slice, and read_numbers once per entry of a completion
     # that fails the whole-list check
     assert dict(counts) == {
         "linear_sum_assignment": 656,
         "_lexicographic_rotation": 154,
-        "_stacked_pairs": 16,
+        "_stacked_pairs": 14,
         "_reduced_costs": 10,
-        "_can_move": 26,
+        "_can_move": 24,
         "read_numbers": 123,
     }
+
+
+def count_box_checks(monkeypatch, counts):
+    """Count each later ``validate_boxes`` call made through the name that
+    ``matching``, ``parsing``, ``rewards`` or ``metrics`` looks up."""
+    for module in (matching, parsing, rewards, metrics):
+        count(monkeypatch, counts, module, "validate_boxes")
+
+
+def test_box_checks_on_the_fixture_manifest(tmp_path, monkeypatch):
+    counts = Counter()
+    count_box_checks(monkeypatch, counts)
+    run_batch(FIXTURES / "manifest.jsonl", tmp_path / "out")
+    # its 20 requests are one block: one ground-truth check for all of them
+    # (matching), one for the block's completion boxes (parsing) and one for
+    # the evaluation (metrics)
+    assert counts["validate_boxes"] == 3
+
+
+def test_box_checks_on_the_batch_golden_manifests(tmp_path, monkeypatch):
+    counts = Counter()
+    count_box_checks(monkeypatch, counts)
+    run_golden_manifests(tmp_path)
+    # each of the six manifests is one block. matching: 22, one ground-truth
+    # check per block and one more for each of the 16 requests with a fault
+    # in a field read after their ground truth, which is checked first.
+    # parsing and rewards: 7 each, one completion check and one conversion
+    # check per part of a block the kernel builds at once (the floods of
+    # "mixed" make two). metrics: one evaluation per manifest
+    assert counts["validate_boxes"] == 22 + 7 + 7 + 6
