@@ -1,10 +1,12 @@
-"""The one place that decides a JSON value's kind, for requests, config and data files.
+"""The one place that decides a JSON value's kind, for requests, config and data files,
+and that words a fault of JSON decoding.
 
 A fault raises ``FieldError``; each boundary turns it into its own error once.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from enum import Enum
@@ -137,4 +139,17 @@ def read_number_table(data: Mapping[str, Any], keys: Sequence[str]) -> np.ndarra
 
 def read_id(data: Mapping[str, Any], key: str) -> str:
     """An id field: a JSON string or integer, as a string."""
-    return str(read_field(data, key, (str, int)))
+    value = read_field(data, key, (str, int))
+    try:
+        return str(value)
+    except ValueError:  # an integer over the interpreter's digit limit
+        raise FieldError(f"field {key!r} is an integer too long") from None
+
+
+def json_fault(exc: Exception) -> str:
+    """The text of a fault that ``json.loads`` raised: a ``ValueError`` or a ``RecursionError``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"{exc.msg} at position {exc.pos}"
+    if isinstance(exc, RecursionError):
+        return "nesting too deep"
+    return "number too long"  # an integer literal over the interpreter's digit limit

@@ -126,8 +126,17 @@ def _predictions_from_dict(data: Mapping[str, Any]) -> tuple[str, list[tuple[str
 
 
 def load_predictions(path: str | Path) -> dict[str, list[tuple[str, Box]]]:
-    """Prediction JSONL: ``{"image_id", "predictions": [{"label", "bbox"}]}``."""
-    return dict(_read_jsonl(path, "prediction", _predictions_from_dict))
+    """Prediction JSONL: ``{"image_id", "predictions": [{"label", "bbox"}]}``, one line per image."""
+    predictions: dict[str, list[tuple[str, Box]]] = {}
+
+    def add(data: Mapping[str, Any]) -> None:
+        image_id, objects = _predictions_from_dict(data)
+        if image_id in predictions:
+            raise ValueError(f"duplicate image_id {image_id!r}")
+        predictions[image_id] = objects
+
+    _read_jsonl(path, "prediction", add)
+    return predictions
 
 
 def sample_to_dict(sample: Sample) -> dict[str, Any]:

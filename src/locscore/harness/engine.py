@@ -1,5 +1,10 @@
 """Group scoring: the one request pipeline, ``score_requests``, behind the service and batch paths.
 
+``_scored_block`` is the one place where decoded requests become outcomes;
+``score_group``, the in-process call, is its block of one request. Inside
+the engine a fault stays its exception; ``error_outcome`` names its error
+kind as the outcome leaves ``score_requests``.
+
 Requests are decoded one at a time into blocks of up to ``BLOCK_GROUPS``.
 When a block closes, the ground-truth boxes of all its requests are checked
 against their own images in one call (``matching.ground_truth_faults``);
@@ -19,7 +24,7 @@ from typing import Any
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..errors import EngineError, FieldError, MalformedRequestError
-from ..fields import read_id
+from ..fields import json_fault, read_id
 from ..grpo import group_advantages, grpo_objective_detailed
 from ..matching import ground_truth_faults
 from ..rewards import Group, RewardBreakdown, phase_thresholds, score_groups
@@ -49,12 +54,8 @@ def decode_line(line: str) -> Any:
     """Decode one request line; a fault raises ``DecodeError`` holding its detail."""
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"{exc.msg} at position {exc.pos}") from None
-    except RecursionError:
-        raise DecodeError("nesting too deep") from None
-    except ValueError:  # an integer literal over the interpreter's digit limit
-        raise DecodeError("number too long") from None
+    except (ValueError, RecursionError) as exc:
+        raise DecodeError(json_fault(exc)) from None
 
 
 def decoded(line: str) -> Any:
@@ -142,14 +143,17 @@ def group_response(
 
 
 def score_group(req: ScoringRequest, config: EngineConfig | None = None) -> ScoringResponse:
-    """Score every completion of one group and derive group statistics.
+    """Score every completion of one group and derive group statistics: a block of one request.
 
     Stateless: the response depends only on the request and configuration.
-    Raises ``MalformedRequestError`` for requests that violate the contract.
+    A fault raises the exception behind the service's error for the same
+    request, such as ``MalformedRequestError`` for a ground-truth box
+    outside its image or a request that violates the contract.
     """
-    config = config or DEFAULT_CONFIG
-    group = request_group(req, config)
-    return group_response(req, config, group, score_groups([group], config.rules)[0])
+    (_, outcome), = _scored_block([(req, None)], config or DEFAULT_CONFIG)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def score_requests(
@@ -158,8 +162,17 @@ def score_requests(
     """Each decoded request object's request (None if it did not parse) and outcome, in order.
 
     A ``DecodeError`` among ``objects`` stands for a line that did not decode.
+    A fault leaves here as its error kind and detail, by ``error_outcome``.
     """
-    pending: list[tuple[ScoringRequest | None, Outcome | None]] = []  # None: decoded, not yet checked
+    for pending in _decoded_blocks(objects):
+        for request, outcome in _scored_block(pending, config):
+            yield request, outcome if isinstance(outcome, ScoringResponse) else error_outcome(outcome)
+
+
+def _decoded_blocks(objects: Iterable[Any]) -> Iterator[list[tuple[ScoringRequest | None, Exception | None]]]:
+    """``objects`` decoded, in lists of up to ``BLOCK_GROUPS`` requests: a decoded request with
+    ``None``, or ``None`` with the fault of an object that did not decode."""
+    pending: list[tuple[ScoringRequest | None, Exception | None]] = []
     decoded_requests = 0
     for data in objects:
         try:
@@ -167,38 +180,39 @@ def score_requests(
                 raise data
             request = decode_request(data)
         except Exception as exc:
-            pending.append((None, error_outcome(exc)))
+            pending.append((None, exc))
             continue
         pending.append((request, None))
         decoded_requests += 1
         if decoded_requests == BLOCK_GROUPS:
-            yield from _scored_block(pending, config)
+            yield pending
             pending, decoded_requests = [], 0
-    yield from _scored_block(pending, config)
+    yield pending
 
 
 def _scored_block(pending: list, config: EngineConfig) -> Iterator[tuple]:
-    """``pending`` with every outcome.
+    """``pending`` with every outcome: a response, or the exception of its fault.
 
-    The ground truths of its decoded requests are checked in one call, and a
-    request with a bad box becomes ``None`` with that fault, as
-    ``parse_request`` names it. The others go through ``request_group`` and
-    their groups to one kernel call; when that call raises, each group is
-    scored alone instead, so that a fault lands on its own request.
+    The one place where a decoded request becomes an outcome. The ground
+    truths of its decoded requests are checked in one call, and a request
+    with a bad box becomes ``None`` with that fault, as ``parse_request``
+    names it. The others go through ``request_group`` and their groups to
+    one kernel call; when that call raises, each group is scored alone
+    instead, so that a fault lands on its own request.
     """
     faults = iter(ground_truth_faults([request.sample.gt for request, outcome in pending if outcome is None]))
-    checked: list[tuple[ScoringRequest | None, Outcome | None]] = []  # None: its group waits in `groups`
+    checked: list[tuple[ScoringRequest | None, Exception | None]] = []  # None: its group waits in `groups`
     groups: list[Group] = []
     for request, outcome in pending:
         if outcome is None:
             detail = next(faults)
             if detail is not None:
-                request, outcome = None, ("malformed-request", detail)
+                request, outcome = None, MalformedRequestError(detail)
             else:
                 try:
                     groups.append(request_group(request, config))
                 except Exception as exc:
-                    outcome = error_outcome(exc)
+                    outcome = exc
         checked.append((request, outcome))
     try:
         scored = score_groups(groups, config.rules)
@@ -213,7 +227,7 @@ def _scored_block(pending: list, config: EngineConfig) -> Iterator[tuple]:
                     breakdowns = score_groups([group], config.rules)[0]
                 outcome = group_response(request, config, group, breakdowns)
             except Exception as exc:
-                outcome = error_outcome(exc)
+                outcome = exc
         yield request, outcome
 
 

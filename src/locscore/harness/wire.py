@@ -22,7 +22,7 @@ from ..fields import (
 )
 from ..geometry import CoordinateSpace, SpaceKind
 from ..grpo import LogProbRecord
-from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy, ground_truth_faults
+from ..matching import GroundTruthInstance, GroundTruthSet, MatcherPolicy
 from ..metrics import EvalImage, EvalResult
 from ..parsing import FormatKind
 from ..rewards import PhaseConfig, RewardBreakdown, ThresholdTriple
@@ -101,7 +101,7 @@ def objects_to_list(instances: Iterable[GroundTruthInstance]) -> list[dict[str, 
 def parse_sample(data: Mapping[str, Any]) -> tuple[EvalImage, TaskKind]:
     """A ``sample`` object: its image with ground truth, and its ``task``."""
     image = _sample_image(data)
-    _check_ground_truth(image.gt)
+    image.gt._check()
     return image, read_field(data, "task", TaskKind, TaskKind.DETECTION)
 
 
@@ -110,13 +110,6 @@ def _sample_image(data: Mapping[str, Any]) -> EvalImage:
     image_id = read_id(data, "image_id")
     space = parse_space(data)
     return EvalImage(image_id, GroundTruthSet._unchecked(*parse_objects(data, "gt"), space))
-
-
-def _check_ground_truth(gt: GroundTruthSet) -> None:
-    """Raise the ``SpaceMismatchError`` naming ``gt``'s first box that is invalid in its space."""
-    detail, = ground_truth_faults((gt,))
-    if detail is not None:
-        raise SpaceMismatchError(detail)
 
 
 def sample_to_dict(sample: EvalImage | Sample, task: TaskKind) -> dict[str, Any]:
@@ -154,9 +147,10 @@ def _parse_record(entry: Mapping[str, Any]) -> LogProbRecord:
 def parse_request(data: Mapping[str, Any]) -> ScoringRequest:
     """Decode a request object; any fault in it is a ``MalformedRequestError``."""
     request = decode_request(data)
-    detail, = ground_truth_faults((request.sample.gt,))
-    if detail is not None:
-        raise MalformedRequestError(detail)
+    try:
+        request.sample.gt._check()
+    except SpaceMismatchError as exc:
+        raise MalformedRequestError(str(exc)) from None
     return request
 
 
@@ -207,7 +201,7 @@ def _request_from_dict(data: Mapping[str, Any]) -> ScoringRequest:
             task=task,
         )
     except Exception:
-        _check_ground_truth(sample.gt)  # a bad box is named ahead of any fault read after it
+        sample.gt._check()  # a bad box is named ahead of any fault read after it
         raise
 
 

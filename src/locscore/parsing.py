@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldError
-from .fields import read_number_rows, read_numbers
+from .fields import json_fault, read_number_rows, read_numbers
 from .geometry import Box, CoordinateSpace, SpaceKind, validate_boxes
 
 _WS_RUN = re.compile(r"\s+")
@@ -123,12 +123,8 @@ def _read_structured(text: str) -> _Entries:
         return None, [], ["empty completion (structured format requires a JSON array)"]
     try:
         value = json.loads(body)
-    except json.JSONDecodeError as exc:
-        return None, [], [f"not valid JSON: {exc.msg} at position {exc.pos}"]
-    except RecursionError:
-        return None, [], ["not valid JSON: nesting too deep"]
-    except ValueError:  # an integer literal over the interpreter's digit limit
-        return None, [], ["not valid JSON: number too long"]
+    except (ValueError, RecursionError) as exc:
+        return None, [], [f"not valid JSON: {json_fault(exc)}"]
     if not isinstance(value, list):
         return None, [], ["top-level JSON value is not an array"]
     if not set(map(type, value)) <= {dict}:

@@ -26,6 +26,7 @@ from locscore.harness import (
     convert_coco_layout,
     corpus_from_annotations,
     handle_request_line,
+    handle_request_object,
     load_annotations,
     parse_request,
     run_batch,
@@ -35,7 +36,7 @@ from locscore.harness import (
 from locscore.harness.annotations import load_corpus, write_annotations, write_corpus
 from locscore.harness.cli import _build_config, build_parser
 from locscore.harness.cli import main as cli_main
-from locscore.harness.wire import _parse_record, dump_line, request_to_dict
+from locscore.harness.wire import _parse_record, decode_request, dump_line, request_to_dict, response_to_dict
 from locscore.grpo import KlMode
 from locscore.matching import MatcherPolicy
 from locscore.parsing import FormatKind, emit_structured
@@ -816,6 +817,18 @@ class TestService:
         assert response["request_id"] == "oops"
         assert response["error"]["kind"] == "malformed-request"
 
+    @pytest.mark.parametrize(
+        "data, echo, field",
+        [(make_request_dict(request_id=10**5000), None, "request_id"), (_with_sample(image_id=10**5000), "bad", "image_id")],
+        ids=["request_id", "image_id"],
+    )
+    def test_an_integer_id_over_the_digit_limit_is_a_field_fault(self, data, echo, field):
+        """An id too long for ``str`` is an error reply, in process; on the wire ``json.loads``
+        rejects such a number first."""
+        reply = handle_request_object(data)
+        detail = f"field '{field}' is an integer too long"
+        assert (reply["request_id"], reply["error"]) == (echo, {"kind": "malformed-request", "detail": detail})
+
     def test_transport_failure_exits_nonzero(self):
         class BrokenSink(io.StringIO):
             def write(self, _):
@@ -1064,6 +1077,49 @@ class TestBlockFaultOrder:
         assert report["errors"] == [{"line": position + 1, "error": box_detail}]
         alone = [dump_line(handle_request_line(line)) for index, line in enumerate(lines) if index != position]
         assert (tmp_path / "out" / "responses.jsonl").read_text().splitlines() == alone
+
+
+# a fault that the decoder does not see in a request with a good box: too few completions for
+# advantages (found by the engine's per-request checks), and a log-prob count that differs from the
+# completion count (found by the decoder once the ground truth has passed)
+_IN_PROCESS_FAULTS = [fault for fault in _LATER_FAULTS if fault[0] in (("completions",), ("logprobs",))]
+
+
+@st.composite
+def in_process_requests(draw):
+    """A request object: valid, with a bad ground-truth box, with a later fault, or with both."""
+    data, = _manifest_entries(random.Random(draw(st.integers(0, 2**16))), 1)
+    data["advantages"] = draw(st.booleans())
+    if draw(st.booleans()):
+        record = {"policy": [-1.0, -0.5], "old": [-1.2, -0.5], "ref": [-0.9, -0.7]}
+        data["logprobs"] = [record] * len(data["completions"])
+    if draw(st.booleans()):
+        box, _ = draw(st.sampled_from(_BAD_BOXES))
+        data["sample"]["gt"].insert(draw(st.integers(0, len(data["sample"]["gt"]))), {"label": "dog", "bbox": box})
+    fault = draw(st.none() | st.sampled_from(_IN_PROCESS_FAULTS))
+    if fault is not None:
+        path, value, _ = fault
+        _value_at(data, path[:-1])[path[-1]] = value
+        if path == ("completions",):  # one completion, with advantages asked for and its one record
+            data["advantages"] = True
+            if "logprobs" in data:
+                data["logprobs"] = data["logprobs"][:1]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=in_process_requests())
+def test_score_group_of_a_decoded_request_is_the_service_reply(data):
+    """The in-process call answers as the service: the same response, or the exception behind the
+    service's error kind and detail, a bad ground-truth box named ahead of any later fault."""
+    reply = handle_request_object(copy.deepcopy(data))
+    try:
+        response = score_group(decode_request(data))
+    except Exception as exc:
+        assert not reply["ok"]
+        assert engine_module.error_outcome(exc) == (reply["error"]["kind"], reply["error"]["detail"])
+    else:
+        assert response_to_dict(response) == reply
 
 
 class TestConfig:
@@ -1602,7 +1658,8 @@ def _write(path, lines):
 @pytest.mark.parametrize(
     "case", ["missing-file", "bad-json", "three-number-bbox", "height-true", "bad-config",
              "unknown-coco-category", "config-beta-true", "annotation-thousandths",
-             "annotation-box-past-image", "config-not-json", "config-not-object", "coco-thousandths"],
+             "annotation-box-past-image", "config-not-json", "config-not-object", "coco-thousandths",
+             "duplicate-prediction-image"],
 )
 def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
     good = {name: json.dumps(line) for name, line in _GOOD_LINES.items()}
@@ -1625,6 +1682,13 @@ def test_each_command_reports_bad_input_in_one_line(tmp_path, case):
         message = (
             f"locscore eval: {predictions}:1: field 'bbox' must be an array of four finite numbers"
         )
+    elif case == "duplicate-prediction-image":
+        # a second line for one image would replace the first: a perfect prediction scored as none
+        annotations = _write(tmp_path / "ann.jsonl", [good["annotations"]])
+        line = {"image_id": "img0", "predictions": []}
+        predictions = _write(tmp_path / "pred.jsonl", [good["predictions"], json.dumps(line)])
+        argv = ["eval", "--annotations", annotations, "--predictions", predictions]
+        message = f"locscore eval: {predictions}:2: duplicate image_id 'img0'"
     elif case == "height-true":
         line = dict(_GOOD_LINES["annotations"], height=True)
         annotations = _write(tmp_path / "ann.jsonl", [json.dumps(line)])

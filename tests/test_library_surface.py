@@ -3,7 +3,9 @@
 private name imported from one module of the package into another."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from enum import Enum
 from pathlib import Path
@@ -178,3 +180,105 @@ def test_no_module_level_alias():
         for line, name in _alias_lines(path.read_text())
     ]
     assert found == []
+
+
+HARNESS = ROOT / "src" / "locscore" / "harness"
+# the calls that turn a decoded request into an outcome: its checks, the group kernel, its response
+OUTCOME_CALLS = ("request_group", "score_groups", "group_response")
+
+
+def _own_nodes(function):
+    """The nodes of ``function``'s body, less the bodies of functions defined inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _callers(source, names):
+    """Each of ``names`` -> the functions of ``source`` that call it, by name or as an attribute."""
+    callers = {name: [] for name in names}
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _own_nodes(function):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in callers and function.name not in callers[called]:
+                    callers[called].append(function.name)
+    return callers
+
+
+def _error_kinds(source):
+    """The error kinds ``error_outcome`` returns: the string heading each tuple it returns."""
+    outcome, = [node for node in ast.walk(ast.parse(source)) if getattr(node, "name", None) == "error_outcome"]
+    return {
+        node.value.elts[0].value for node in ast.walk(outcome)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+    }
+
+
+def _spelled_kinds(source, kinds):
+    """Line and value of each string in ``kinds`` written in ``source`` outside ``error_outcome``,
+    other than as a key of the batch report's table of error texts, ``ERROR_TEXT``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "error_outcome":
+            allowed.update(map(id, ast.walk(node)))
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ERROR_TEXT"]:
+            allowed.update(map(id, node.value.keys))
+    return [
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in kinds and id(node) not in allowed
+    ]
+
+
+def test_one_harness_function_turns_a_request_into_an_outcome():
+    """Within the harness one function, the engine's ``_scored_block``, calls the per-request
+    checks, the group kernel and the response assembly: ``score_requests`` and ``score_group``
+    both go through it. No code but ``error_outcome`` turns a fault into an error kind; the batch
+    report's ``ERROR_TEXT`` only keys its texts by them."""
+    probe = (
+        "def error_outcome(exc):\n    return 'parse-error', str(exc)\n"
+        "ERROR_TEXT = {'parse-error': '{}'}\n"
+        "def score_one(req):\n    def inner():\n        return score_groups([req])\n"
+        "    return engine.group_response(req, inner()), ('parse-error', 'x')\n"
+    )
+    assert _callers(probe, OUTCOME_CALLS) == {
+        "request_group": [], "score_groups": ["inner"], "group_response": ["score_one"],
+    }
+    assert _error_kinds(probe) == {"parse-error"}
+    assert _spelled_kinds(probe, {"parse-error"}) == [(7, "parse-error")]
+
+    sources = {path.name: path.read_text() for path in sorted(HARNESS.glob("*.py"))}
+    kinds = _error_kinds(sources["engine.py"])
+    assert kinds == {"parse-error", "malformed-request", "scoring-error", "internal-error"}
+    callers = {name: [] for name in OUTCOME_CALLS}
+    spelled = []
+    for file_name, source in sources.items():
+        for name, functions in _callers(source, OUTCOME_CALLS).items():
+            callers[name] += [f"{file_name}:{function}" for function in functions]
+        spelled += [f"{file_name}:{line}: {value!r}" for line, value in _spelled_kinds(source, kinds)]
+    assert callers == {name: ["engine.py:_scored_block"] for name in OUTCOME_CALLS}
+    assert spelled == []
+
+
+def _readme_trainer_example():
+    section = (ROOT / "README.md").read_text().split("\n## Calling from a trainer in process\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_trainer_example_runs_and_equals_the_service():
+    """The README's in-process example runs, and its response is the service's reply to its request."""
+    from locscore.harness import handle_request_object, request_to_dict, response_to_dict
+
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(compile(_readme_trainer_example(), "README.md", "exec"), namespace)
+    response = namespace["response"]
+    assert response_to_dict(response) == handle_request_object(request_to_dict(namespace["request"]))
+    assert printed.getvalue() == f"{[r.total for r in response.rewards]} {response.advantages} {response.objective}\n"
+    assert response.objective is not None and len(response.rewards) == 2
