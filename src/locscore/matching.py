@@ -19,14 +19,25 @@ where some prediction has a tight ground truth below its own that a later
 row holds (``_can_move``). IoUs come from ``geometry.iou_matrix``, the one
 place IoU is computed.
 
+An m x g slice is not padded to a square: its ``|m - g|`` zero-cost dummies
+are interchangeable, so they collapse into one (Ramshaw & Tarjan 2012,
+*On minimum-cost assignments in unbalanced bipartite graphs*). When m > g,
+one dummy column D, which sorts after every real column, holds the m - g
+predictions left out; when m < g, one dummy row R holds the g - m free
+ground truths, and its Bellman-Ford term is the least potential among them.
+A slice's dual pass and tight subgraph take m x (g + 1) cells, or (m + 1) x
+g when m < g. Their reduced costs are the padded square's bit for bit (R's
+are the least of the dummy rows', which all equal them once Bellman-Ford
+settles), and so are the pairs.
+
 ``cost_matrices`` builds the matrices of a block of groups' predictions at
 once, each row meeting only its own group's ground truths, and
 ``assign_slices`` matches each completion's slice of them on its own. The
 slices of at most ``STACK_LIMIT`` rows and columns are solved one by one,
 but their dual potentials, tight subgraphs and ``_can_move`` come from one
-``(k, N, N)`` stack of their squares, each padded with ``+inf`` off the
-diagonal and 0 on it: padding that leaves every square's Bellman-Ford rounds
-and reduced costs bit for bit those of the square alone. ``match`` is
+``(k, M + 1, G + 1)`` stack of their collapsed layouts, padded with
+``+inf``: padding that leaves every slice's Bellman-Ford rounds and reduced
+costs bit for bit those of the slice alone. ``match`` is
 ``cost_matrices`` and ``assign_slices`` for one list of predictions. Every
 box, a prediction's or a ground truth's, is one float64 row of
 ``geometry.box_array``, so ``match`` and ``assignment_cost`` give one pair
@@ -68,13 +79,14 @@ _COST_TIE_ATOL = 1e-9
 # 0.65-0.87 of the one-by-one time up to 32 rows, 1.01-1.03 at 48 and 1.10
 # at 64. On stream-dense's 2,314 slices above this limit (300 requests, seed
 # 3), Bellman-Ford on one-square stacks took 127-139 ms against 85-108 ms
-# alone, and sending every slice through the stack made its matcher 18-27%
-# slower. On the benchmark's captured blocks, where a stack pads to its
-# largest square, limits of 12 to 32 differ by less than the noise, and 16
+# alone; with collapsed layouts, sending every slice through stacks of 64
+# still made its matcher 24% slower (390 against 315 ms). On the benchmark's
+# captured blocks, limits of 12 to 32 differ by less than the noise, and 16
 # keeps the stacks small (STACK_SQUARES)
 STACK_LIMIT = 16
-# most squares in one stack: 64 squares of STACK_LIMIT rows are 16,384 cells,
-# so a stack's arrays peak near 1.2 MiB however many small slices a block holds
+# most slices in one stack: 64 layouts of STACK_LIMIT + 1 rows and columns are
+# 18,496 cells, so a stack's arrays peak near 1 MiB (all-equal costs, where
+# every edge is tight) however many small slices a block holds
 STACK_SQUARES = 64
 
 _LSAP = "scipy.optimize._lsap"
@@ -286,138 +298,129 @@ def assignment_cost(
 
 
 def _reduced_costs(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``c_ij - u_i - v_j`` on the zero-padded square of ``cost``, under dual
-    potentials of its optimal perfect matching ``i -> cols[i]``.
+    """``c_ij - u_i - v_j`` on the collapsed layout of ``cost``, under dual
+    potentials of its optimal matching ``i -> cols[i]``.
 
-    The column potentials are shortest paths (Jacobi Bellman-Ford) over
-    ``v_j <= v_cols[i] + c_ij - c_i,cols[i]``, and ``u_i = c_i,cols[i] -
-    v_cols[i]``. An optimal matching has no negative cycle, so a fixed point
-    arrives within ``n`` rounds.
+    The layout is the m x g cost and one dummy on its short side: column D
+    (index g, cost 0) when m > g, which holds every row the matching leaves
+    out (``cols[i] = g``); row R (index m, cost 0) when m < g, which holds
+    every column it leaves free. They stand for the ``|m - g|`` dummy
+    columns or rows that pad the cost to a square, and are exact: those
+    columns share one slack column and so one potential, and those rows add
+    the least potential of their columns to every column's relaxation,
+    which is R's term. The column potentials are shortest paths (Jacobi
+    Bellman-Ford) over ``v_j <= v_cols[i] + c_ij - c_i,cols[i]``, and ``u_i
+    = c_i,cols[i] - v_cols[i]``. An optimal matching has no negative cycle,
+    so a fixed point arrives within ``max(m, g)`` rounds; there every free
+    column has R's potential, and R's reduced costs are every dummy row's.
+    Short of it (the near ties of ``_stacked_reduced_costs``) they are the
+    least of the dummy rows', cell by cell.
     """
-    n = len(cols)
     m, g = cost.shape
-    slack = np.zeros((n, n))
+    slack = np.zeros((m + (m < g), g + (m > g)))
     slack[:m, :g] = cost
-    slack -= slack[np.arange(n), cols][:, None]
-    v = np.zeros(n)
+    slack[:m] -= slack[np.arange(m), cols][:, None]
+    if m < g:
+        free = np.ones(g, dtype=bool)
+        free[cols] = False
+    v = np.zeros(slack.shape[1])
     reduced = slack.copy()  # slack + v_cols[i], kept in step with v
-    for _ in range(n):
+    for _ in range(max(m, g)):
         relaxed = reduced.min(axis=0)
         if not (relaxed < v).any():
             break
         v = np.minimum(v, relaxed)
-        np.add(slack, v[cols][:, None], out=reduced)
+        np.add(slack[:m], v[cols][:, None], out=reduced[:m])
+        if m < g:
+            reduced[m] = v[free].min()
     reduced -= v
     return reduced
 
 
-def _stacked_reduced_costs(slack: np.ndarray, cols: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_reduced_costs`` of every square of a ``(k, N, N)`` stack at once.
+def _stacked_reduced_costs(
+    cost: np.ndarray, spans: Sequence[tuple[int, int, int]]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    """Each slice ``cost[lo:hi, :g]`` of ``spans`` (none empty) solved, and
+    the ``_reduced_costs`` of all of them at once.
 
-    Square ``s`` holds its slice's zero-padded ``sizes[s] x sizes[s]`` cost
-    in its top-left corner and, beyond it, ``+inf`` off the diagonal and 0
-    on it; ``cols[s]`` is its perfect matching, the identity beyond
-    ``sizes[s]``. The padding is inert: its rows meet no real column and its
-    columns no real row, so every square takes the same Bellman-Ford rounds
-    as alone (at most ``sizes[s]``, stopping when its potentials are still)
-    and its corner's reduced costs are bit for bit those of
-    ``_reduced_costs``; the padding's own are ``+inf`` and 0.
+    Returns the solver's (rows, columns) of each slice; a ``(k, M + 1, G +
+    1)`` stack, M and G the most rows and columns of any slice, whose layer
+    ``s`` holds slice ``s``'s ``_reduced_costs`` in its top-left corner and
+    ``+inf`` beyond it; each slice's matching as ``_reduced_costs`` reads it
+    (``(k, M + 1)``, D's index beyond the slice's rows); and each layer's
+    column holders as ``_can_move`` reads them (R's index for a free
+    column).
 
-    Each square stops at its own ``sizes[s]`` rounds, not the stack's
-    ``N``, because a square need not settle within them: near ties can
-    leave the solver's float optimum with a tiny negative cycle, along which
-    the potentials keep falling by rounding-sized steps (about 1e-18) after
-    ``sizes[s]`` rounds. Run on to ``N``, such a square would leave the bits
-    of its ``_reduced_costs``.
+    The ``+inf`` is inert: it meets no row or column of its slice, so every
+    layer takes the same Bellman-Ford rounds as its slice alone and its
+    corner is bit for bit ``_reduced_costs``. Each layer stops at its own
+    ``max(m, g)`` rounds, not the stack's, because a slice need not settle
+    within them: near ties can leave the solver's float optimum with a tiny
+    negative cycle, along which the potentials keep falling by
+    rounding-sized steps (about 1e-18). Run on, such a layer would leave the
+    bits of its ``_reduced_costs``.
     """
-    k, size, _ = slack.shape
-    slack = slack - np.take_along_axis(slack, cols[:, :, None], axis=2)
-    flat = cols + size * np.arange(k)[:, None]  # v[s, cols[s]], read from the flat v
-    v = np.zeros((k, size))
+    solved = [linear_sum_assignment(cost[lo:hi, :g]) for lo, hi, g in spans]
+    lows, highs, widths = np.array(spans).T
+    heights = highs - lows
+    k, depth, width = len(spans), int(heights.max()) + 1, int(widths.max()) + 1
+    which = np.repeat(np.arange(k), [len(rows) for rows, _ in solved])
+    rows = np.concatenate([rows for rows, _ in solved])
+    real_cols = np.concatenate([real for _, real in solved])
+    cols = np.repeat(widths[:, None], depth, axis=1)  # rows left out hold D
+    cols[which, rows] = real_cols
+    owner = np.repeat(heights[:, None], width, axis=1)  # free columns are R's
+    owner[which, real_cols] = rows
+    base = np.zeros((k, depth))  # c_i,cols[i]: 0 at D, for R and beyond
+    base[which, rows] = cost[lows[which] + rows, real_cols]
+    slack = np.full((k, depth, width), np.inf)
+    for layer, (lo, hi, g) in zip(slack, spans):
+        layer[: hi - lo + (hi - lo < g), : g + (hi - lo > g)] = 0.0  # the slice with its D or R
+        layer[: hi - lo, :g] = cost[lo:hi, :g]
+    slack -= base[:, :, None]
+    # each R's term: the least potential of its free columns, by reduceat over them
+    with_r = np.flatnonzero(heights < widths)
+    free = np.flatnonzero((owner == heights[:, None]) & (np.arange(width) < widths[:, None]))
+    starts = np.searchsorted(free, with_r * width)
+    r_rows = with_r * depth + heights[with_r]
+    caps = np.maximum(heights, widths)
+    flat = cols + width * np.arange(k)[:, None]  # v[s, cols[s]], read from the flat v
+    v = np.zeros((k, width))
     reduced = slack.copy()  # slack + v_cols[i], kept in step with v
-    for round_ in range(size):
+    for round_ in range(int(caps.max())):
         relaxed = reduced.min(axis=1)
-        live = (relaxed < v).any(axis=1) & (round_ < sizes)
+        live = (relaxed < v).any(axis=1) & (round_ < caps)
         if not live.any():
             break
         np.minimum(v, relaxed, out=v, where=live[:, None])
-        np.add(slack, v.take(flat)[:, :, None], out=reduced)
+        held = v.take(flat)
+        if with_r.size:
+            held.put(r_rows, np.minimum.reduceat(v.take(free), starts))
+        np.add(slack, held[:, :, None], out=reduced)
     reduced -= v[:, None, :]
-    return reduced
+    return solved, reduced, cols, owner
 
 
-def _rotation_path(
-    start: int,
-    goal: int,
-    tight: list[list[int]],
-    owner: list[int],
-    fixed: list[bool],
-    dead: set[int],
-) -> tuple[int, dict[int, tuple[int, int]]] | None:
-    """Breadth-first alternating path from row ``start`` to column ``goal``.
-
-    A row moves along a tight edge to an unfixed column, whose owner must then
-    move on. Returns the row that takes ``goal`` and each visited row's
-    ``(previous row, column it moves to)``; ``None`` when no path exists, in
-    which case every visited row joins ``dead``.
-    """
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        following = []
-        for row in frontier:
-            for col in tight[row]:
-                if col == goal:
-                    return row, parent
-                if fixed[col]:
-                    continue
-                nxt = owner[col]
-                if nxt not in seen and nxt not in dead:
-                    seen.add(nxt)
-                    parent[nxt] = (row, col)
-                    following.append(nxt)
-        frontier = following
-    dead.update(seen)
-    return None
-
-
-def _solver_cols(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``linear_sum_assignment`` on ``cost``, and its optimum completed to a
-    perfect matching ``i -> cols[i]`` of the zero-padded ``n x n`` square.
-
-    The rectangular solve is several times faster than the padded one and has
-    the same optimum; rows it leaves out take the spare columns, both in
-    ascending order.
-    """
-    rows, real_cols = linear_sum_assignment(cost)
-    cols = np.full(max(cost.shape), -1)
-    cols[rows] = real_cols
-    spare = np.ones(len(cols), dtype=bool)
-    spare[real_cols] = False
-    cols[cols < 0] = np.flatnonzero(spare)
-    return rows, real_cols, cols
-
-
-def _can_move(rows: np.ndarray, columns: np.ndarray, cols: np.ndarray, real: np.ndarray) -> np.ndarray:
+def _can_move(rows: np.ndarray, columns: np.ndarray, held: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """The rows at which ``_lexicographic_rotation`` can move a pair, given
-    the tight edges ``(rows[e], columns[e])`` of a square with the perfect
-    matching ``i -> cols[i]``: each real row ``i`` (``real[i]``), once per
-    tight column ``j < cols[i]`` that a later row holds, real or padded.
+    the tight edges ``(rows[e], columns[e])`` of a collapsed layout in which
+    real row ``i`` holds column ``held[i]`` (-1 for R) and column ``j`` is
+    held by row ``owner[j]`` (R's index for a free column): each real row,
+    once per tight real column below its own that a later row holds, real
+    or R.
 
     Without one, nothing moves, by induction over the rows: rows are fixed
     in order, and a row moves only to an unfixed tight column below its own;
     while nothing has moved, each tight column below row ``i``'s own belongs
-    to an earlier row, which is fixed. A stack of squares is one
-    block-diagonal square here.
+    to an earlier row, which is fixed. D sorts after every real column, so
+    no row moves to it. A stack of layouts is one block-diagonal layout
+    here.
     """
-    owner = np.empty_like(cols)
-    owner[cols] = np.arange(len(cols))
-    return rows[(columns < cols[rows]) & (owner[columns] > rows) & real[rows]]
+    return rows[(columns < held[rows]) & (owner[columns] > rows)]
 
 
 def _tight_lists(rows: np.ndarray, columns: np.ndarray, n: int) -> list[list[int]]:
-    """Each row's tight columns, ascending, from the tight edges of an ``n x n`` square in row-major order."""
+    """Each row's tight columns, ascending, from the tight edges of an ``n``-row layout in row-major order."""
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     flat = columns.tolist()
     return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -429,13 +432,14 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     Exactly ``min(m, g)`` pairs are produced: scanning predictions (rows) in
     order, each takes the lowest ground truth (column) it holds in some
     optimal assignment that keeps the earlier choices, or none when every
-    such optimum leaves it out. One solve gives an optimal matching, completed
-    to a perfect matching of the zero-padded ``n x n`` matrix (``n = max(m,
-    g)``); its dual potentials give the tight subgraph (reduced cost at most
-    ``_COST_TIE_ATOL``), whose perfect matchings are the optimal assignments;
-    each row then rotates the matching along an alternating path in that
-    subgraph to its lowest reachable column. Dummy columns (index >= g) sort
-    after every real one, so being assigned is preferred over being left out.
+    such optimum leaves it out. One solve gives an optimal matching, in
+    which the rows it leaves out hold the dummy column D; its dual
+    potentials on the collapsed layout (``_reduced_costs``) give the tight
+    subgraph (reduced cost at most ``_COST_TIE_ATOL``), whose perfect
+    matchings are the optimal assignments; each row then rotates the
+    matching along an alternating path in that subgraph to its lowest
+    reachable column. D sorts after every real column, so being assigned is
+    preferred over being left out.
 
     The rotation runs only where ``_can_move`` finds a pair that can move.
     ``assign_slices`` reaches the same pairs on a stack of small matrices at
@@ -444,7 +448,9 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
     m, g = cost.shape
     if min(m, g) == 0:
         return []
-    rows, real_cols, cols = _solver_cols(cost)
+    rows, real_cols = linear_sum_assignment(cost)
+    cols = np.full(m, g)
+    cols[rows] = real_cols
     reduced = _reduced_costs(cost, cols)
     if reduced.min() < -_COST_TIE_ATOL:
         # numeric safety net (unreachable in practice): infeasible duals mean
@@ -452,20 +458,37 @@ def _canonical_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in zip(rows, real_cols)]
     assigned = cols.tolist()
     tight_rows, tight_cols = np.nonzero(reduced <= _COST_TIE_ATOL)
-    if _can_move(tight_rows, tight_cols, cols, np.arange(len(cols)) < m).size:
-        _lexicographic_rotation(_tight_lists(tight_rows, tight_cols, len(cols)), assigned, m)
-    return [(i, j) for i, j in enumerate(assigned[:m]) if j < g]
+    owner = np.full(reduced.shape[1], m)
+    owner[real_cols] = rows
+    if _can_move(tight_rows, tight_cols, np.append(cols, -1), owner).size:
+        _lexicographic_rotation(_tight_lists(tight_rows, tight_cols, len(reduced)), assigned, g)
+    return [(i, j) for i, j in enumerate(assigned) if j < g]
 
 
-def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int) -> None:
-    """Turn the perfect matching ``assigned`` (row -> column) of the graph
-    ``tight`` (row -> ascending columns) into its lexicographically first
-    perfect matching over rows ``0..m-1``, in place."""
-    n = len(assigned)
-    owner = [0] * n
+def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], g: int) -> None:
+    """Turn the optimal matching ``assigned`` (real row -> column) of the
+    collapsed layout's tight graph ``tight`` (row -> ascending columns) into
+    its lexicographically first over the real rows, in place.
+
+    Column ``g`` is D, which holds every row that ``assigned`` leaves out,
+    and row ``len(assigned)`` is R, which holds every column it leaves free.
+    Rows are fixed in order. Each row ``i`` moves to its lowest tight column
+    ``j`` that a breadth-first alternating path of tight edges frees, from
+    ``j``'s holder to ``i``'s own column: a row moves along a tight edge to
+    an unfixed column, whose holder must then move on. Entering D lets each
+    unfixed row in D move on; R entering a column moves on from one of its
+    own. A search that finds no path leaves every row it visited dead for
+    the rest of row ``i``'s turn.
+    """
+    m = len(assigned)
+    owner = [m] * g  # R holds every free column
+    in_d: set[int] = set()
     for row, col in enumerate(assigned):
-        owner[col] = row
-    fixed = [False] * n
+        if col < g:
+            owner[col] = row
+        else:
+            in_d.add(row)
+    fixed = [False] * g
     for i in range(m):
         goal = assigned[i]
         dead: set[int] = set()
@@ -475,18 +498,56 @@ def _lexicographic_rotation(tight: list[list[int]], assigned: list[int], m: int)
             if fixed[j]:
                 continue
             start = owner[j]
-            found = _rotation_path(start, goal, tight, owner, fixed, dead)
-            if found is not None:
-                row, parent = found
-                col = goal
-                while True:
-                    assigned[row], owner[col] = col, row
-                    if row == start:
+            parent: dict[int, tuple[int, int]] = {}  # row -> (previous row, column it moves to)
+            seen = {start}
+            frontier = [start]
+            found = None
+            d_open = True  # D's rows move on at most once per search
+            while frontier and found is None:
+                following = []
+                for row in frontier:
+                    for col in tight[row]:
+                        if col == goal:
+                            found = row
+                            break
+                        if col < g:
+                            if fixed[col]:
+                                continue
+                            movers = (owner[col],)
+                        elif d_open:
+                            d_open, movers = False, in_d
+                        else:
+                            continue
+                        for nxt in movers:
+                            if nxt not in seen and nxt not in dead:
+                                seen.add(nxt)
+                                parent[nxt] = (row, col)
+                                following.append(nxt)
+                    if found is not None:
                         break
-                    row, col = parent[row]
-                assigned[i], owner[j] = j, i
-                break
-        fixed[assigned[i]] = True
+                frontier = following
+            if found is None:
+                dead.update(seen)
+                continue
+            row, col = found, goal
+            while True:  # each row on the path takes the column its successor leaves
+                if row < m:
+                    if assigned[row] == g:
+                        in_d.discard(row)
+                    assigned[row] = col
+                    if col == g:
+                        in_d.add(row)
+                if col < g:
+                    owner[col] = row
+                if row == start:
+                    break
+                row, col = parent[row]
+            assigned[i], owner[j] = j, i
+            break
+        if assigned[i] < g:
+            fixed[assigned[i]] = True
+        else:
+            in_d.discard(i)  # fixed in D
 
 
 def cost_matrices(
@@ -538,69 +599,38 @@ def cost_matrices(
     return cost, ious, same
 
 
-def _square_stack(
-    cost: np.ndarray, spans: Sequence[tuple[int, int, int]]
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
-    """Each slice ``cost[lo:hi, :g]`` of ``spans`` (none empty) solved, and the stack of their squares.
-
-    Returns the solver's (rows, columns) of each slice, the ``(k, N, N)``
-    stack laid out as ``_stacked_reduced_costs`` reads it, each square's
-    perfect matching (the solver's optimum completed as ``_solver_cols``
-    completes it, the identity beyond the square) and each square's size.
-    """
-    solved = [linear_sum_assignment(cost[lo:hi, :g]) for lo, hi, g in spans]
-    sizes = np.array([max(hi - lo, g) for lo, hi, g in spans])
-    k, size = len(spans), int(sizes.max())
-    index = np.arange(size)
-    inside = index < sizes[:, None]
-    which = np.repeat(np.arange(k), [len(rows) for rows, _ in solved])
-    real_cols = np.concatenate([real for _, real in solved])
-    cols = np.where(inside, -1, index)
-    cols[which, np.concatenate([rows for rows, _ in solved])] = real_cols
-    spare = inside.copy()
-    spare[which, real_cols] = False
-    cols[cols < 0] = np.nonzero(spare)[1]  # both row-major: each square's in ascending order
-    stack = np.where((inside[:, :, None] & inside[:, None, :]) | np.eye(size, dtype=bool), 0.0, np.inf)
-    for square, (lo, hi, g) in zip(stack, spans):
-        square[: hi - lo, :g] = cost[lo:hi, :g]
-    return solved, stack, cols, sizes
-
-
 def _stacked_pairs(cost: np.ndarray, spans: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int]]]:
     """``_canonical_pairs`` of each slice ``cost[lo:hi, :g]`` of ``spans``, none of them empty.
 
     Each slice is solved on its own; their dual potentials, tight subgraphs,
     safety net and ``_can_move`` are computed at once, on one stack of their
-    padded squares (``_square_stack``). Only the slices in which a pair can
-    move build tight lists and rotate, on the stack's own tight subgraph.
+    collapsed layouts (``_stacked_reduced_costs``). Only the slices in which
+    a pair can move build tight lists and rotate, on the stack's own tight
+    subgraph.
     """
-    solved, slack, cols, sizes = _square_stack(cost, spans)
+    solved, reduced, cols, owner = _stacked_reduced_costs(cost, spans)
+    k, depth, width = reduced.shape
     heights = [hi - lo for lo, hi, _ in spans]
-    reduced = _stacked_reduced_costs(slack, cols, sizes)
-    # the numeric safety net of _canonical_pairs, square by square
+    # the numeric safety net of _canonical_pairs, layer by layer
     unproven = (reduced.min(axis=(1, 2)) < -_COST_TIE_ATOL).tolist()
-    squares, rows, columns = np.nonzero(reduced <= _COST_TIE_ATOL)
-    k, size = cols.shape
-    shift = squares * size  # the stack as one block-diagonal square
+    layers, rows, columns = np.nonzero(reduced <= _COST_TIE_ATOL)
+    # the stack as one block-diagonal layout, in which R and the padding rows hold no column
+    held = np.where(np.arange(depth) < np.array(heights)[:, None], cols + width * np.arange(k)[:, None], -1)
     movable = _can_move(
-        shift + rows, shift + columns, (cols + size * np.arange(k)[:, None]).ravel(),
-        (np.arange(size) < np.array(heights)[:, None]).ravel(),
+        layers * depth + rows, layers * width + columns, held.ravel(), (owner + depth * np.arange(k)[:, None]).ravel()
     )
-    moves = np.bincount(movable // size, minlength=k).tolist()
-    ends = np.searchsorted(squares, range(k + 1)).tolist()
+    moves = np.bincount(movable // depth, minlength=k).tolist()
+    ends = np.searchsorted(layers, range(k + 1)).tolist()
     out = []
-    for s, (solver_rows, solver_cols), matched, n, m, (_, _, g) in zip(
-        range(k), solved, cols.tolist(), sizes.tolist(), heights, spans
-    ):
+    for s, (solver_rows, solver_cols), matched, m, (_, _, g) in zip(range(k), solved, cols.tolist(), heights, spans):
         if unproven[s]:
             out.append(list(zip(solver_rows.tolist(), solver_cols.tolist())))
             continue
-        assigned = matched[:n]
+        assigned = matched[:m]
         if moves[s]:
-            # the square's own edges, without the size - n of its padding's diagonal after them
-            first, end = ends[s], ends[s + 1] - (size - n)
-            _lexicographic_rotation(_tight_lists(rows[first:end], columns[first:end], n), assigned, m)
-        out.append([(i, j) for i, j in enumerate(assigned[:m]) if j < g])
+            first, end = ends[s], ends[s + 1]
+            _lexicographic_rotation(_tight_lists(rows[first:end], columns[first:end], m + (m < g)), assigned, g)
+        out.append([(i, j) for i, j in enumerate(assigned) if j < g])
     return out
 
 

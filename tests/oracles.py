@@ -164,6 +164,38 @@ def reference_canonical_pairs(cost: np.ndarray, atol: float = 1e-9) -> list[tupl
     return pairs
 
 
+def padded_reduced_costs(cost: np.ndarray, rows: np.ndarray, real_cols: np.ndarray) -> np.ndarray:
+    """Reduced costs on ``cost`` padded with zeros to an n x n square (n =
+    max(m, g)), under dual potentials of the solver's optimum ``rows[e] ->
+    real_cols[e]``, completed to a perfect matching in which the rows left
+    out take the spare columns, both in ascending order.
+
+    The column potentials are Jacobi Bellman-Ford rounds (at most n) over
+    ``v_j <= v_cols[i] + c_ij - c_i,cols[i]``: the square that
+    ``locscore.matching._reduced_costs`` collapses to one dummy column or
+    row, kept as the reference for that collapse.
+    """
+    m, g = cost.shape
+    n = max(m, g)
+    cols = np.full(n, -1)
+    cols[rows] = real_cols
+    spare = np.ones(n, dtype=bool)
+    spare[real_cols] = False
+    cols[cols < 0] = np.flatnonzero(spare)
+    slack = np.zeros((n, n))
+    slack[:m, :g] = cost
+    slack -= slack[np.arange(n), cols][:, None]
+    v = np.zeros(n)
+    reduced = slack.copy()
+    for _ in range(n):
+        relaxed = reduced.min(axis=0)
+        if not (relaxed < v).any():
+            break
+        v = np.minimum(v, relaxed)
+        np.add(slack, v[cols][:, None], out=reduced)
+    return reduced - v
+
+
 def box_fault_xyxy(box, max_x=math.inf, max_y=math.inf):
     """First invariant an (x1, y1, x2, y2) box breaks, or None: the scalar
     reference for ``geometry.validate_boxes``."""

@@ -31,15 +31,14 @@ from locscore.matching import (
     _canonical_pairs,
     _load_linear_sum_assignment,
     _reduced_costs,
-    _solver_cols,
-    _square_stack,
+    _stacked_pairs,
     _stacked_reduced_costs,
     assign_slices,
     cost_matrices,
 )
 
 from conftest import INT_BOXES, LABELS, box_strategy, random_box, random_gt, related_boxes
-from oracles import assignment_total, min_assignment_cost, reference_canonical_pairs
+from oracles import assignment_total, min_assignment_cost, padded_reduced_costs, reference_canonical_pairs
 
 SPACE = pixel_space(640, 480)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -83,11 +82,24 @@ def block_pairs(costs):
     return [[(i, j) for i, j, _, _ in pairs] for pairs in assign_slices(block, block, block, bounds, widths)]
 
 
+def stacked_pairs(costs):
+    """``_stacked_pairs`` of a block of ``costs`` (none empty), whatever their size."""
+    block, bounds, widths = _block(costs)
+    return _stacked_pairs(block, list(zip(bounds, bounds[1:], widths)))
+
+
 def both_paths(cost):
     """``_canonical_pairs`` of ``cost``, checked equal to ``assign_slices``' on a block of two copies of
     it, which goes through the stack when ``cost`` is small enough."""
     pairs = _canonical_pairs(cost)
     assert block_pairs([cost, cost]) == [pairs, pairs]
+    return pairs
+
+
+def every_path(cost):
+    """``both_paths`` of ``cost`` (none of its sides 0), checked equal to the stack's on any size."""
+    pairs = both_paths(cost)
+    assert stacked_pairs([cost, cost]) == [pairs, pairs]
     return pairs
 
 
@@ -191,6 +203,24 @@ class TestMatch:
         assert result[0].gt_index == 0
         assert result[0].iou == 0.0
 
+    @pytest.mark.parametrize("m, g", [(2000, 5), (5, 2000)])
+    def test_unbalanced_match_keeps_memory_bounded(self, m, g):
+        """2000 predictions against 5 ground truths, or 5 against 2000: the
+        dual pass works on m x (g + 1) or (m + 1) x g cells, and the peak
+        stays under 10 MiB (259 and 130 MiB when both were padded to a 2000
+        x 2000 square)."""
+        rng = random.Random(m)
+        preds = [(rng.choice(LABELS), random_box(rng)) for _ in range(m)]
+        gt = random_gt(rng, g)
+        tracemalloc.start()
+        try:
+            result = match(preds, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len([r for r in result if r.gt_index is not None]) == min(m, g)
+        assert peak < 10 * 2**20, peak
+
     def test_zero_overlap_pairs_still_assigned(self):
         preds = [("cat", Box(0, 0, 10, 10))]
         gt = GroundTruthSet.from_pairs([("cat", Box(100, 100, 200, 200))], SPACE)
@@ -228,22 +258,21 @@ class TestCanonicalTieBreak:
         moved = []
         real = matching._lexicographic_rotation
 
-        def spy(tight, assigned, m):
+        def spy(tight, assigned, g):
             before = list(assigned)
-            real(tight, assigned, m)
+            real(tight, assigned, g)
             moved.append(assigned != before)
 
         monkeypatch.setattr(matching, "_lexicographic_rotation", spy)
         # every case goes through the one-matrix path and the stack (both_paths)
-        # a unique best column: only the two padded dummy rows tie, on every column
+        # a unique best column: only the dummy row R ties, on every free column
         for cost in (np.array([[0.2, 0.5, 0.9]]), np.array([[0.2, 0.5, 0.9], [0.7, 0.1, 0.9]])):
             assert both_paths(cost) == reference_canonical_pairs(cost)
         assert moved == []
         # row 1's lowest tight column is below its own, but row 0 owns it and
         # is fixed first, so no pair can move and the rotation does not run
         cost = np.array([[0.0, 0.5], [0.0, 0.5]])
-        cols = _solver_cols(cost)[2]
-        assert cols.tolist() == [0, 1]
+        assert matching.linear_sum_assignment(cost)[1].tolist() == [0, 1]
         assert both_paths(cost) == [(0, 0), (1, 1)]
         assert moved == []
         # a real tie that the solver breaks the other way does rotate
@@ -423,18 +452,61 @@ def slice_blocks(draw):
     return [draw(tie_heavy_costs(draw(side), draw(side))) for _ in range(draw(st.integers(1, 12)))]
 
 
+@st.composite
+def plateau_costs(draw, m, g):
+    """An m x g cost on a plateau: every cell equal, or IoU-0 rows (cost exactly 1.0) among rows of
+    positive overlap, or else a ``tie_heavy_costs`` matrix."""
+    kind = draw(st.sampled_from(["all-equal", "iou-0-rows", "tie-heavy"]))
+    if kind == "tie-heavy":
+        return draw(tie_heavy_costs(m, g))
+    if kind == "all-equal":
+        return np.full((m, g), draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = rng.choice(SMALL_VALUES["quarters"][:-1], size=(m, g))
+    cost[rng.random(m) < 0.5] = 1.0
+    return cost
+
+
+# strongly unbalanced shapes: one dummy column or row D or R stands for many
+UNBALANCED = [(40, 3), (3, 40), (1, 12), (12, 1), (1, 40), (40, 1), (16, 2), (2, 16)]
+
+
 class TestCanonicalPairsDifferential:
     def test_tolerance(self):
         assert _COST_TIE_ATOL == TIE_ATOL
 
-    @pytest.mark.parametrize("shape", [(40, 3), (3, 40)])
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_reference_on_unbalanced_shapes(self, shape, data):
-        cost = data.draw(tie_heavy_costs(*shape))
-        assert _canonical_pairs(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 6), (5, 5), (30, 4), (4, 30)])
+    def test_collapse_is_exact(self, shape):
+        """The collapsed layout's reduced costs are the padded square's, bit
+        for bit: on every real cell; D against each dummy column; R against
+        the least of the dummy rows, cell by cell (at Bellman-Ford's fixed
+        point every dummy row's)."""
+        rng = np.random.default_rng(sum(shape))
+        m, g = shape
+        for cost in [rng.uniform(0.0, 2.0, size=shape), rng.choice([0.0, 0.5, 1.0], size=shape), np.ones(shape)]:
+            rows, real = matching.linear_sum_assignment(cost)
+            cols = np.full(m, g)
+            cols[rows] = real
+            reduced, padded = _reduced_costs(cost, cols), padded_reduced_costs(cost, rows, real)
+            assert reduced[:m, :g].tobytes() == padded[:m, :g].tobytes()
+            if m > g:
+                assert reduced.shape == (m, g + 1)
+                for dummy in padded[:, g:].T:
+                    assert reduced[:, g].tobytes() == dummy.tobytes()
+            elif m < g:
+                assert reduced.shape == (m + 1, g)
+                assert reduced[m].tobytes() == padded[m:].min(axis=0).tobytes()
+            else:
+                assert reduced.shape == shape
 
-    @pytest.mark.parametrize("shape", [(40, 3), (3, 40), (6, 6)])
+    @pytest.mark.parametrize("shape", UNBALANCED)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_unbalanced_shapes(self, shape, data):
+        cost = data.draw(plateau_costs(*shape))
+        assert every_path(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (3, 40), (6, 6), (1, 9), (9, 1)])
     @given(box=INT_BOXES, data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_matches_reference_on_identical_boxes(self, shape, box, data):
@@ -443,7 +515,7 @@ class TestCanonicalPairsDifferential:
         gt = GroundTruthSet.from_pairs([(label, box) for label in drawn[shape[0] :]], pixel_space(64, 64))
         for policy in MatcherPolicy:
             cost = engine_cost_matrix([(label, box) for label in drawn[: shape[0]]], gt, policy)[0]
-            assert both_paths(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
+            assert every_path(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
     @pytest.mark.parametrize("shape", ["wide", "tall"])
     @given(data=st.data())
@@ -460,6 +532,13 @@ class TestCanonicalPairsDifferential:
         assert both_paths(cost) == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
 
+@st.composite
+def unbalanced_blocks(draw):
+    """1-12 slices of strongly unbalanced shapes, small and large, on plateaus."""
+    shapes = st.sampled_from(UNBALANCED + [(1, 1), (16, 1), (1, 16), (12, 3), (3, 12)])
+    return [draw(plateau_costs(*draw(shapes))) for _ in range(draw(st.integers(1, 12)))]
+
+
 class TestStackedSlices:
     """``assign_slices`` matches the slices of at most ``STACK_LIMIT`` rows and
     columns on one stack, the others one by one."""
@@ -470,20 +549,30 @@ class TestStackedSlices:
         for cost, pairs in zip(costs, block_pairs(costs)):
             assert pairs == reference_canonical_pairs(cost, atol=TIE_ATOL)
 
+    @given(unbalanced_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_unbalanced_plateau_slices_match_the_reference_on_both_paths(self, costs):
+        expected = [reference_canonical_pairs(cost, atol=TIE_ATOL) for cost in costs]
+        assert block_pairs(costs) == expected
+        assert stacked_pairs(costs) == expected
+        self.assert_inert(costs)
+
     @staticmethod
     def assert_inert(costs):
-        """Each square of the stack of ``costs`` (none empty) holds, bit for
-        bit, the reduced costs of its slice alone, and its padding is +inf off
-        the diagonal and 0 on it."""
+        """Each layer of the stack of ``costs`` (none empty) holds, bit for
+        bit, the reduced costs of its slice alone, and its padding is +inf."""
         block, bounds, widths = _block(costs)
-        _, slack, cols, sizes = _square_stack(block, list(zip(bounds, bounds[1:], widths)))
-        reduced = _stacked_reduced_costs(slack, cols, sizes)
-        for square, matched, cost, n in zip(reduced, cols, costs, sizes.tolist()):
-            alone = _solver_cols(cost)[2]
-            assert matched[:n].tolist() == alone.tolist()
-            expected = np.where(np.eye(len(square), dtype=bool), 0.0, np.inf)
-            expected[:n, :n] = _reduced_costs(cost, alone)
-            assert square.tobytes() == expected.tobytes()
+        _, reduced, cols, _ = _stacked_reduced_costs(block, list(zip(bounds, bounds[1:], widths)))
+        for layer, matched, cost in zip(reduced, cols, costs):
+            m, g = cost.shape
+            rows, real = matching.linear_sum_assignment(cost)
+            alone = np.full(m, g)
+            alone[rows] = real
+            assert matched[:m].tolist() == alone.tolist()
+            corner = _reduced_costs(cost, alone)
+            expected = np.full(layer.shape, np.inf)
+            expected[: len(corner), : corner.shape[1]] = corner
+            assert layer.tobytes() == expected.tobytes()
 
     def test_padding_is_inert_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -500,10 +589,10 @@ class TestStackedSlices:
         self.assert_inert(costs)
 
     def test_many_small_slices_keep_memory_bounded(self):
-        """4096 slices of 16 predictions against one ground truth: padded to
-        16 x 16 in one stack they would take 8 MiB per array (a 74 MiB peak);
-        in stacks of ``STACK_SQUARES`` the peak is 2.3 MiB, against 1.7 MiB
-        for the same slices matched one by one."""
+        """4096 slices of 16 predictions against one ground truth: in one
+        stack of 16 x 2 layouts they would take 1 MiB per array; in stacks of
+        ``STACK_SQUARES`` the peak stays under 3 MiB (2.3 MiB when the stack
+        padded each slice to a 16 x 16 square)."""
         cost = np.random.default_rng(3).random((4096 * 16, 1))
         tracemalloc.start()
         try:

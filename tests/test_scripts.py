@@ -3,6 +3,7 @@ its committed files again, byte for byte, also with glibc's maths library
 without its FMA variants, and no script draws through that library."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -124,3 +125,85 @@ def test_no_script_draws_through_libm():
         for line, name in _libm_draws(path.read_text())
     ]
     assert found == []
+
+
+def test_limits_probe_prints_one_line():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "limits_probe.py"), "--boxes", "30", "--gt", "4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    fields = dict(item.split("=") for item in line.split())
+    assert (fields["boxes"], fields["gt"]) == ("30", "4")
+    assert int(fields["bytes"]) > 0 and float(fields["time_ms"]) > 0 and float(fields["peak_mib"]) > 0
+
+
+def _load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", SCRIPTS / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _runs(values, failed=0):
+    """Synthetic ``perfbench/run.py`` results: one per value, every end-to-end metric at that value."""
+    return [
+        {"correct": True, "attempted": 100, "failed": failed,
+         "metrics": {m["name"]: {"value": value, "unit": m["unit"]} for m in BENCHMARK["end_to_end"]}}
+        for value in values
+    ]
+
+
+class TestPairs:
+    """``scripts/pairs.py``'s statistics, on synthetic results: no benchmark runs here."""
+
+    pairs = _load_pairs()
+    spread = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]
+
+    def test_seed_range(self):
+        assert self.pairs.seed_range("1..4") == [1, 2, 3, 4]
+        assert self.pairs.seed_range("7") == [7]
+
+    def test_quartiles(self):
+        assert self.pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+    def test_the_same_runs_read_level(self):
+        summary = self.pairs.summarize(BENCHMARK, _runs(self.spread), _runs(self.spread))
+        assert {m["verdict"] for m in summary["metrics"].values()} == {"level"}
+        assert summary["verdict"] == "level"
+
+    def test_a_loss_past_the_bound_reads_worse(self):
+        slower = self.pairs.compare({"better": "higher", "bound": 0.25}, self.spread, [v * 0.7 for v in self.spread])
+        assert (slower["verdict"], slower["wins"]) == ("worse", 0)
+        # a 4% rise of a lower-is-better metric is inside a 0.05 bound, and a 6% one is not
+        bound = {"better": "lower", "bound": 0.05}
+        assert self.pairs.compare(bound, self.spread, [v * 1.04 for v in self.spread])["verdict"] == "level"
+        assert self.pairs.compare(bound, self.spread, [v * 1.06 for v in self.spread])["verdict"] == "worse"
+
+    def test_a_gain_needs_nine_wins_in_ten_and_more_than_the_base_spread(self):
+        lower = {"better": "lower", "bound": 0.05}
+        gain = self.pairs.compare(lower, self.spread, [v - 2.0 for v in self.spread])
+        assert (gain["verdict"], gain["wins"], gain["pairs"]) == ("better", 10, 10)
+        assert gain["relative"] == pytest.approx(-0.02)
+        # the base's quartiles are 0.4 apart: a 0.3 gain in every pair is not enough
+        assert self.pairs.compare(lower, self.spread, [v - 0.3 for v in self.spread])["verdict"] == "level"
+        # a large gain in only eight pairs of ten is not enough either
+        eight = [v - 2.0 for v in self.spread[:8]] + [v + 0.1 for v in self.spread[8:]]
+        assert self.pairs.compare(lower, self.spread, eight)["verdict"] == "level"
+
+    def test_more_failed_operations_read_worse(self):
+        summary = self.pairs.summarize(BENCHMARK, _runs(self.spread), _runs(self.spread, failed=1))
+        assert summary["failure_share"] == {"base": 0.0, "change": 0.01}
+        assert summary["verdict"] == "worse"
+
+    def test_table_row(self):
+        summary = self.pairs.summarize(BENCHMARK, _runs([1.0, 2.0, 3.0]), _runs([2.0, 3.0, 4.0]))
+        row = self.pairs.table_row("stream-dense", [1, 2, 3], summary)
+        first = "2 [1.5–2.5] → 3 [2.5–3.5], +50.0%, 3/3"
+        assert row.startswith(f"| stream-dense (1–3, 3) | {first} | ")
+        assert row.count("|") == len(BENCHMARK["end_to_end"]) + 2
+        assert self.pairs.table_header(BENCHMARK).splitlines()[0].startswith("| workload (seed, pairs) | `groups_per_s`")

@@ -55,6 +55,7 @@ def test_work_on_the_batch_golden_manifests(tmp_path, monkeypatch):
         "linear_sum_assignment", "_lexicographic_rotation", "_stacked_pairs", "_reduced_costs", "_can_move",
     )
     count(monkeypatch, counts, parsing, "read_numbers")
+    cells = count_dual_cells(monkeypatch)
     run_golden_manifests(tmp_path)
     # one solve per non-empty completion; 14 stacks, and 10 slices matched one
     # by one with their own dual pass; _can_move runs once per stack and once
@@ -68,6 +69,30 @@ def test_work_on_the_batch_golden_manifests(tmp_path, monkeypatch):
         "_can_move": 24,
         "read_numbers": 123,
     }
+    # the cells of every dual pass's reduced costs: a slice alone is m x (g + 1)
+    # or (m + 1) x g, a stack (k, M + 1, G + 1). Padding each slice to its
+    # max(m, g) square, and a stack to its largest square, took 170,907
+    assert cells == [128_392]
+
+
+def count_dual_cells(monkeypatch):
+    """A one-item list that sums the cells of the reduced costs of each later dual pass."""
+    cells = [0]
+    alone, stacked = matching._reduced_costs, matching._stacked_reduced_costs
+
+    def spy_alone(*args):
+        reduced = alone(*args)
+        cells[0] += reduced.size
+        return reduced
+
+    def spy_stacked(*args):
+        solved, reduced, *rest = stacked(*args)
+        cells[0] += reduced.size
+        return (solved, reduced, *rest)
+
+    monkeypatch.setattr(matching, "_reduced_costs", spy_alone)
+    monkeypatch.setattr(matching, "_stacked_reduced_costs", spy_stacked)
+    return cells
 
 
 def count_box_checks(monkeypatch, counts):
