@@ -57,13 +57,14 @@ from enum import Enum
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SpaceMismatchError
 from .geometry import Box, CoordinateSpace, box_array, iou, iou_matrix, iou_pairs, validate_boxes
-from .parsing import normalize_label
+from .parsing import label_key_map, normalize_label
 
 LABEL_MISMATCH_PENALTY = 1.0
 
@@ -222,13 +223,18 @@ class GroundTruthSet:
 
     @cached_property
     def label_keys(self) -> tuple[str, ...]:
-        """Each instance's ``normalize_label``, each distinct label normalized once."""
-        keys = {label: normalize_label(label) for label in set(self.labels)}
+        """Each instance's ``normalize_label``: the one-set case of ``label_key_map``.
+
+        Scoring and evaluation do not read it: they key every label of a
+        block (``cost_matrices``) or of an evaluation (``label_spellings``,
+        ``EvalDataset``) with one ``label_key_map`` call.
+        """
+        keys = label_key_map(self.labels)
         return tuple(map(keys.__getitem__, self.labels))
 
     @cached_property
     def by_label(self) -> dict[str, tuple[int, ...]]:
-        """Normalized label -> instance indices, both in instance order."""
+        """Normalized label -> instance indices, both in instance order, from ``label_keys``."""
         groups: dict[str, list[int]] = {}
         for index, key in enumerate(self.label_keys):
             groups.setdefault(key, []).append(index)
@@ -264,11 +270,13 @@ def ground_truth_faults(sets: Sequence[GroundTruthSet]) -> list[str | None]:
 
 
 def label_spellings(gts: Iterable[GroundTruthSet]) -> dict[str, str]:
-    """Normalized label -> its first spelling over ``gts``, in order of first appearance."""
+    """Normalized label -> its first spelling over ``gts``, in order of first appearance.
+
+    Every label of every set is keyed by one ``label_key_map`` call.
+    """
     spellings: dict[str, str] = {}
-    for gt in gts:
-        for key, indices in gt.by_label.items():
-            spellings.setdefault(key, gt.labels[indices[0]])
+    for label, key in label_key_map(label for gt in gts for label in gt.labels).items():
+        spellings.setdefault(key, label)
     return spellings
 
 
@@ -563,7 +571,8 @@ def cost_matrices(
     is (n, w), with w the most ground truths of any group; row r meets only
     its own group's g ground truths, in columns ``0..g-1``, and its other
     columns are padding. Each cell holds what the group alone gives it, bit
-    for bit. Each distinct label is normalized once; labels are compared as
+    for bit. The block's ground-truth and prediction labels are keyed by one
+    ``label_key_map`` call, each distinct spelling once, and compared as
     small integers (numpy strings drop trailing NULs).
 
     This is the package's one fork on one group against several: one
@@ -573,10 +582,11 @@ def cost_matrices(
     of 64 groups the gather beats a per-group broadcast loop (549 against
     1983 µs).
     """
+    gt_labels = [label for gt in gts for label in gt.labels]
     ids: dict[str, int] = {}
-    gt_ids = [ids.setdefault(key, len(ids)) for gt in gts for key in gt.label_keys]
-    keys = {label: ids.setdefault(normalize_label(label), len(ids)) for label in dict.fromkeys(labels)}
-    pred_ids = np.array([keys[label] for label in labels], dtype=np.intp)
+    codes = {label: ids.setdefault(key, len(ids)) for label, key in label_key_map(chain(gt_labels, labels)).items()}
+    gt_ids = list(map(codes.__getitem__, gt_labels))
+    pred_ids = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
     penalized = [policy is MatcherPolicy.BOX_AND_LABEL for policy in policies]
     if len(gts) == 1:
         ious = iou_matrix(boxes, gts[0].coords)

@@ -18,7 +18,10 @@ these grid floats as-is.
 ``evaluate`` reads each image's ``Box``es as float64 rows and hands them to
 it. Every detection of every image is one row of an (n, 4) float64 array,
 checked once against its own image's extent and named by those float
-coordinates when invalid; each distinct label is normalized once. IoU is
+coordinates when invalid. Labels are keyed by ``parsing.label_key_map``,
+each distinct spelling once per evaluation: the dataset keys its ground
+truths once (``EvalDataset.gt_keys``), and ``evaluate_objects`` keys the
+detections with one more call. IoU is
 computed once per (detection, ground truth) pair of the same image and
 category that survives the 100-per-image-and-category cut, as one flat array
 of pairs. The greedy matcher then takes one detection rank per step, for
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +46,7 @@ from .errors import InvalidBoxError
 from .geometry import Box, box_array, iou_pairs, validate_boxes
 from .geometry import iou  # looked up by perfbench/tracing.py
 from .matching import GroundTruthSet
-from .parsing import normalize_label
+from .parsing import label_key_map, normalize_label
 from .sums import left_sum
 
 
@@ -77,17 +81,23 @@ class EvalDataset:
         ids = [img.image_id for img in self.images]
         if len(set(ids)) != len(ids):
             raise ValueError("image ids must be unique")
-        known = set(self.category_keys)
-        for img in self.images:
-            missing = img.gt.by_label.keys() - known
-            if missing:
-                label = min(missing)
-                raise ValueError(f"ground-truth label {label!r} missing from the category list")
+        keys = self.gt_keys
+        missing = set(keys.values()) - set(self.category_keys)
+        if missing:  # named by the first image holding one: its least missing key
+            for img in self.images:
+                own = missing.intersection(map(keys.__getitem__, img.gt.labels))
+                if own:
+                    raise ValueError(f"ground-truth label {min(own)!r} missing from the category list")
 
     @cached_property
     def category_keys(self) -> tuple[str, ...]:
         """Each category's ``normalize_label``, in category order."""
         return tuple(normalize_label(c) for c in self.categories)
+
+    @cached_property
+    def gt_keys(self) -> dict[str, str]:
+        """Each distinct ground-truth spelling of the dataset -> its ``normalize_label``, keyed once."""
+        return label_key_map(label for img in self.images for label in img.gt.labels)
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,8 @@ def evaluate_objects(
     diagnostics: list[str] = []
     images = dataset.images
     known = set(dataset.category_keys)
-    present = {label for img in images for label in img.gt.by_label}
+    gt_keys = dataset.gt_keys
+    present = set(gt_keys.values())
     active = list(dict.fromkeys(c for c in dataset.category_keys if c in present))
     column = {category: index for index, category in enumerate(active)}
 
@@ -227,7 +238,7 @@ def evaluate_objects(
         image_id = images[image_of[row]].image_id
         raise InvalidBoxError(f"prediction box {tuple(coords[row].tolist())} invalid in image {image_id}: {reason}")
     labels = [label for names, _ in objects for label in names]
-    keys = {label: normalize_label(label) for label in set(labels)}
+    keys = label_key_map(labels)
     # -1: a known category without ground truth, -2: outside the category list
     codes = {label: column.get(key, -1 if key in known else -2) for label, key in keys.items()}
     category = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
@@ -244,8 +255,11 @@ def evaluate_objects(
     ranks = _block_ranks(block[matched])
     kept = ranks < MAX_DETECTIONS_PER_IMAGE
     rows, ranks = matched[kept], ranks[kept]
-    gt_category = np.fromiter((column[key] for img in images for key in img.gt.label_keys), dtype=np.intp)
-    gt_image = np.repeat(np.arange(len(images)), [len(img.gt) for img in images])
+    gt_codes = {label: column[key] for label, key in gt_keys.items()}
+    gt_sizes = [len(img.gt) for img in images]
+    gt_labels = chain.from_iterable(img.gt.labels for img in images)
+    gt_category = np.fromiter(map(gt_codes.__getitem__, gt_labels), dtype=np.intp, count=sum(gt_sizes))
+    gt_image = np.repeat(np.arange(len(images)), gt_sizes)
     gt_block = gt_image * len(active) + gt_category
     gt_coords = np.concatenate([box_array(()), *(img.gt.coords for img in images)])
     gt_order = np.argsort(gt_block, kind="stable")

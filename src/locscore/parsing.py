@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +58,12 @@ def collapse_whitespace(text: str) -> str:
 def normalize_label(label: str) -> str:
     """Canonical label form used for comparisons: collapsed and casefolded."""
     return collapse_whitespace(label).casefold()
+
+
+def label_key_map(labels: Iterable[str]) -> dict[str, str]:
+    """Each distinct spelling among ``labels`` -> its ``normalize_label``, in order of first
+    appearance; each key is computed once. The one way a block or a dataset keys its labels."""
+    return {label: normalize_label(label) for label in dict.fromkeys(labels)}
 
 
 class FormatKind(str, Enum):

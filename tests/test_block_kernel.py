@@ -202,7 +202,6 @@ def test_block_memory_stays_within_the_cell_budget():
     groups = []
     for _ in range(64):
         gt = GroundTruthSet.from_pairs([("cat", Box(*map(float, box()))) for _ in range(64)], space)
-        gt.coords, gt.label_keys  # cached before tracing, as a parsed request holds them
         texts = [json.dumps([{"bbox_2d": box(), "label": "cat"} for _ in range(96)]) for _ in range(8)]
         groups.append(Group(texts, FormatKind.STRUCTURED, space, gt, MatcherPolicy.BOX_ONLY, BEGINNER_THRESHOLDS))
     tracemalloc.start()

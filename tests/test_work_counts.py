@@ -1,4 +1,4 @@
-"""Counted work: how often the matcher's costly steps run on a fixed input.
+"""Counted work: how often the costly steps of scoring and evaluation run on a fixed input.
 
 Counts do not move with the machine's load, so a rise here shows more work
 without a clock. A change that lowers a count lowers it here; one that raises
@@ -123,3 +123,30 @@ def test_box_checks_on_the_batch_golden_manifests(tmp_path, monkeypatch):
     # check per part of a block the kernel builds at once (the floods of
     # "mixed" make two). metrics: one evaluation per manifest
     assert counts["validate_boxes"] == 22 + 7 + 7 + 6
+
+
+def count_label_keys(monkeypatch, counts):
+    """Count each later ``normalize_label`` call made through the name that
+    ``parsing``, ``matching`` or ``metrics`` looks up."""
+    for module in (parsing, matching, metrics):
+        count(monkeypatch, counts, module, "normalize_label")
+
+
+def test_label_keys_on_the_fixture_manifest(tmp_path, monkeypatch):
+    counts = Counter()
+    count_label_keys(monkeypatch, counts)
+    run_batch(FIXTURES / "manifest.jsonl", tmp_path / "out")
+    # 24 through label_key_map: each distinct spelling of the one block once
+    # (cost_matrices), and once per evaluation in each of label_spellings, the
+    # dataset's ground-truth keys and the detections; 6 for the categories.
+    # Keying each ground-truth set on its own took 76
+    assert counts["normalize_label"] == 24 + 6
+
+
+def test_label_keys_on_the_batch_golden_manifests(tmp_path, monkeypatch):
+    counts = Counter()
+    count_label_keys(monkeypatch, counts)
+    run_golden_manifests(tmp_path)
+    # 329 through label_key_map, each manifest one block and one evaluation, as
+    # above; 56 for the categories. Keying each ground-truth set on its own took 1,652
+    assert counts["normalize_label"] == 329 + 56
