@@ -234,7 +234,8 @@ class GroundTruthSet:
 
     @cached_property
     def by_label(self) -> dict[str, tuple[int, ...]]:
-        """Normalized label -> instance indices, both in instance order, from ``label_keys``."""
+        """Normalized label -> instance indices, both in instance order, from ``label_keys``: the
+        one-set case, which curation reads."""
         groups: dict[str, list[int]] = {}
         for index, key in enumerate(self.label_keys):
             groups.setdefault(key, []).append(index)
